@@ -5,7 +5,7 @@ Two measurements, one record:
 
 * **Warm pool vs fresh processes** — the same batch of distinct ci
   experiment jobs executed (a) one fresh spawned worker process per
-  job, paying interpreter boot + simulator imports + compile warm-up
+  job, paying interpreter boot + simulator imports + walker assembly
   every time (what a service *without* a persistent pool would pay),
   and (b) through one long-lived :class:`repro.svc.service.Service`
   worker that boots once (boot excluded via ``wait_ready``) and then

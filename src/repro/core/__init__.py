@@ -8,20 +8,7 @@ The paper's three ideas map to:
   :mod:`repro.core.controller`
 """
 
-from .compile import (
-    BoundBlock,
-    CompiledBlock,
-    CompiledRoutine,
-    CompileVerifyError,
-    compile_routine,
-)
-from .config import (
-    COMPILE_MODES,
-    TABLE3,
-    XCacheConfig,
-    default_compile_mode,
-    table3_config,
-)
+from .config import TABLE3, XCacheConfig, table3_config
 from .isa import IMM, MSG, Action, ActionCategory, Opcode, Operand, R
 from .messages import (
     DEFAULT_STATE,
@@ -38,24 +25,15 @@ from .microcode import MicrocodeError, MicrocodeRAM, Routine, RoutineTable
 from .walker import CompiledWalker, Transition, WalkerSpec, compile_walker, op
 from .controller import Controller, MetaResponse, WalkerRun
 from .disasm import ProgramStats, disassemble, program_stats
-from .lint import (
-    LintFinding,
-    check_compile,
-    check_context,
-    lint_walker,
-    max_register,
-)
+from .lint import LintFinding, check_context, lint_walker, max_register
 from .xcache import XCacheSystem
-from .threadctrl import ThreadController, WalkStep, fuse_walk_steps
+from .threadctrl import ThreadController, WalkStep
 from .energy import EnergyBreakdown, EnergyModel, EnergyParams
 from .area import ASIC_REFERENCE, FPGA_REFERENCE, AreaReport, SynthesisModel
 from .hierarchy import CacheBackedMemory, MetaL1, StreamBuffer
 
 __all__ = [
     "XCacheConfig", "TABLE3", "table3_config",
-    "COMPILE_MODES", "default_compile_mode",
-    "CompiledBlock", "CompiledRoutine", "BoundBlock", "compile_routine",
-    "CompileVerifyError",
     "Action", "ActionCategory", "Opcode", "Operand", "R", "IMM", "MSG",
     "Message", "EV_META_LOAD", "EV_META_STORE", "EV_FILL",
     "DEFAULT_STATE", "VALID_STATE",
@@ -64,9 +42,9 @@ __all__ = [
     "WalkerSpec", "Transition", "CompiledWalker", "compile_walker", "op",
     "Controller", "MetaResponse", "WalkerRun", "XCacheSystem",
     "disassemble", "program_stats", "ProgramStats",
-    "lint_walker", "check_context", "check_compile", "max_register",
+    "lint_walker", "check_context", "max_register",
     "LintFinding",
-    "ThreadController", "WalkStep", "fuse_walk_steps",
+    "ThreadController", "WalkStep",
     "EnergyModel", "EnergyParams", "EnergyBreakdown",
     "SynthesisModel", "AreaReport", "FPGA_REFERENCE", "ASIC_REFERENCE",
     "CacheBackedMemory", "MetaL1", "StreamBuffer",

@@ -12,63 +12,10 @@ Table 3 presets are provided verbatim via :func:`table3_config`.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
-__all__ = ["XCacheConfig", "TABLE3", "table3_config",
-           "COMPILE_MODES", "default_compile_mode",
-           "default_min_fuse_len", "default_trace_threshold"]
-
-# Routine-compilation modes (see repro.core.compile):
-#   off    — interpret every action (the reference semantics)
-#   on     — run fused basic blocks where eligible (the default)
-#   verify — run both in lockstep and raise on any divergence
-COMPILE_MODES = ("off", "on", "verify")
-
-COMPILE_MODE_ENV = "REPRO_COMPILE_MODE"
-MIN_FUSE_LEN_ENV = "REPRO_MIN_FUSE_LEN"
-TRACE_THRESHOLD_ENV = "REPRO_TRACE_THRESHOLD"
-
-
-def default_compile_mode() -> str:
-    """The process-wide default, overridable via ``REPRO_COMPILE_MODE``
-    (how CI's compile-verify leg runs the whole tier-1 suite in
-    lockstep-differential mode without touching every config site)."""
-    mode = os.environ.get(COMPILE_MODE_ENV, "on")
-    if mode not in COMPILE_MODES:
-        raise ValueError(
-            f"{COMPILE_MODE_ENV}={mode!r} invalid; use one of {COMPILE_MODES}"
-        )
-    return mode
-
-
-def _int_env(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} invalid; want an integer")
-
-
-def default_min_fuse_len() -> int:
-    """Shortest basic block worth fusing (``REPRO_MIN_FUSE_LEN``).
-
-    Fusing a single action buys nothing over the interpreter's cached
-    dispatch, so the compiler leaves blocks below this length
-    interpreted. Must be >= 1.
-    """
-    return _int_env(MIN_FUSE_LEN_ENV, 2)
-
-
-def default_trace_threshold() -> int:
-    """Routine invocations before its hot path is trace-compiled
-    (``REPRO_TRACE_THRESHOLD``). 0 disables trace compilation; the
-    block compiler alone then serves ``compile_mode=on``.
-    """
-    return _int_env(TRACE_THRESHOLD_ENV, 16)
+__all__ = ["XCacheConfig", "TABLE3", "table3_config"]
 
 
 @dataclass(frozen=True)
@@ -100,31 +47,9 @@ class XCacheConfig:
     block_bytes: int = 64
     max_outstanding_fills: int = 32
 
-    # routine execution: interpreted, fused-block compiled, or lockstep
-    # differential (see repro.core.compile)
-    compile_mode: str = field(default_factory=default_compile_mode)
-    # shortest basic block the routine compiler fuses (>= 1)
-    min_fuse_len: int = field(default_factory=default_min_fuse_len)
-    # routine invocations before its hot path is trace-compiled into a
-    # guarded episode closure (see repro.core.trace_compile); 0 = off
-    trace_threshold: int = field(default_factory=default_trace_threshold)
-
     name: str = "xcache"
 
     def __post_init__(self) -> None:
-        if self.compile_mode not in COMPILE_MODES:
-            raise ValueError(
-                f"compile_mode {self.compile_mode!r} invalid; "
-                f"use one of {COMPILE_MODES}"
-            )
-        if self.min_fuse_len < 1:
-            raise ValueError(
-                f"min_fuse_len must be >= 1, got {self.min_fuse_len}"
-            )
-        if self.trace_threshold < 0:
-            raise ValueError(
-                f"trace_threshold must be >= 0, got {self.trace_threshold}"
-            )
         if self.sets & (self.sets - 1):
             raise ValueError("sets must be a power of two")
         if self.num_active <= 0 or self.num_exe <= 0:

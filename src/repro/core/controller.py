@@ -50,17 +50,6 @@ from ..obs.processors import LegacyTraceProcessor
 from ..sim import Component, MessageQueue, Simulator
 from ..sim.stats import STATS_COUNTERS, STATS_FULL
 from .actions import ActionExecutor, ActionError
-from .compile import BoundBlock, bind_routine, verify_block
-from .trace_compile import (
-    TRACE_MAX_DECISIONS,
-    BoundTrace,
-    TraceBuildError,
-    TracePath,
-    TraceStats,
-    bind_trace,
-    record_mask,
-)
-from .isa import OPCODE_CATEGORY
 from .config import XCacheConfig
 from .dataram import DataRAM
 from .messages import (
@@ -79,13 +68,6 @@ from .xregs import XContext, XRegisterFile
 __all__ = ["Controller", "WalkerRun", "MetaResponse"]
 
 Tag = Tuple[int, ...]
-
-# opcode -> index into ACTION_CATEGORIES, for the profiler's per-category
-# cost counts (resolved once; Action.category does two dict hops)
-_OP_CAT_INDEX: Dict[str, int] = {
-    op: ACTION_CATEGORIES.index(cat.value)
-    for op, cat in OPCODE_CATEGORY.items()
-}
 
 
 def _drop_response(resp: MemResponse) -> None:
@@ -115,33 +97,6 @@ class _RoutineExec:
     # per-ACTION_CATEGORIES #Exe costs, allocated only when the bus is
     # armed (the profiler apportions exec cycles across them)
     costs: Optional[List[int]] = None
-    # compiled block table (block_at[pc] -> BoundBlock starting at pc),
-    # None when compile_mode=off
-    compiled: Optional[Tuple[Optional["BoundBlock"], ...]] = None
-    # trace compilation (repro.core.trace_compile): the guarded episode
-    # closure driving this invocation, its resume cursor across budget
-    # boundaries, and the decision buffer while a hot path is recorded
-    trace: Optional[BoundTrace] = None
-    trace_pos: int = 0
-    trace_terminated: bool = False
-    recording: Optional[List[Tuple[int, int, bool, bool]]] = None
-    record_mask: Optional[Tuple[bool, ...]] = None
-
-    def __getstate__(self):
-        # Bound blocks and traces hold generated closures; serialize
-        # presence markers and let Controller._rebind_compiled re-point
-        # this exec at the freshly rebuilt artifacts after restore. The
-        # resume cursor (pc/trace_pos) is plain data and rides along, so
-        # a mid-trace execution re-enters through the lazy cursor-entry
-        # dispatcher exactly where it left off.
-        state = self.__dict__.copy()
-        state["compiled"] = self.compiled is not None
-        state["trace"] = (self.trace.routine_name
-                          if self.trace is not None else None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
 
 @dataclass
@@ -162,34 +117,6 @@ class WalkerRun:
     found: bool = False
     routines_run: int = 0
     allocm_done: bool = False
-    # the episode trace that cleanly completed this walker's previous
-    # routine — next dispatch follows its next_on edge (episode chain)
-    last_trace: Optional[BoundTrace] = None
-
-    def __getstate__(self):
-        # see _RoutineExec.__getstate__: traces serialize as their
-        # routine name and are re-pointed by Controller._rebind_compiled
-        state = self.__dict__.copy()
-        state["last_trace"] = (self.last_trace.routine_name
-                               if self.last_trace is not None else None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
-
-@dataclass
-class _SerializedTraces:
-    """Pickled stand-in for a controller's bound-trace table.
-
-    Bound traces hold generated closures, so the snapshot keeps only the
-    routine names and the episode next_on edges (by routine name);
-    :meth:`Controller._rebind_compiled` rebuilds the closures from the
-    recorded :class:`~repro.core.trace_compile.TracePath`\\ s.
-    """
-
-    names: List[str]
-    edges: Dict[str, Dict[str, str]]
 
 
 class Controller(Component):
@@ -231,24 +158,6 @@ class Controller(Component):
         self._fill_cb = self._on_dram_fill
         self._count_stats = self.stats_level >= STATS_COUNTERS
         self._hist_stats = self.stats_level >= STATS_FULL
-        # routine compilation: fused basic blocks bound to this
-        # controller's stats/geometry, cached per routine name (bound
-        # lazily at first dispatch — only routines that actually run
-        # pay the binding)
-        self._compile_verify = config.compile_mode == "verify"
-        self._bound_routines: Optional[
-            Dict[str, Tuple[Optional[BoundBlock], ...]]
-        ] = None if config.compile_mode == "off" else {}
-        # trace compilation (guarded episode closures): enabled when the
-        # block compiler is on and the hotness threshold is non-zero
-        self._traces: Optional[Dict[str, BoundTrace]] = (
-            {} if config.compile_mode != "off"
-            and config.trace_threshold > 0 else None)
-        self._trace_counts: Dict[str, int] = {}
-        self._trace_blacklist: set = set()
-        # trace bookkeeping lives outside the stats group: architectural
-        # stats stay byte-identical whether or not traces ran
-        self.trace_stats = TraceStats()
         self._load_to_use_hist = self.stats.histogram("load_to_use")
         self._internal: Deque[Message] = deque()
         self._execq: Deque[_RoutineExec] = deque()
@@ -381,60 +290,28 @@ class Controller(Component):
         end = addr + max(nbytes, 1)
         first = addr & ~(bb - 1)
         last = (end - 1) & ~(bb - 1)
-        count_stats = self._count_stats
         blocks = (last - first) // bb + 1
-        if blocks == 1:
-            # common pointer-chase case: one block, no batch list
-            if write:
-                if count_stats:
-                    self.stats.inc("dram_writes")
-                self.dram.request(
-                    MemRequest(first, is_write=True,
-                               walk_id=walker.walk_id),
-                    _drop_response)
-            else:
-                if count_stats:
-                    self.stats.inc("dram_fills")
-                walker.fills_outstanding += 1
-                if ranged:
-                    lo = max(addr, first) - first
-                    hi = min(end, first + bb) - first
-                else:
-                    lo, hi = 0, bb
-                self.dram.request(
-                    MemRequest(first, tag=(walker.tag, lo, hi),
-                               walk_id=walker.walk_id),
-                    self._fill_cb,
-                )
-            return 1
-        # multi-block fill (ranged refills, tiled copies): issue the
-        # whole burst through the DRAM batch path with bulk stats
         wid = walker.walk_id
-        reqs = []
+        request = self.dram.request
         if write:
-            if count_stats:
+            if self._count_stats:
                 self.stats.inc("dram_writes", blocks)
-            block = first
-            while block <= last:
-                reqs.append(MemRequest(block, is_write=True, walk_id=wid))
-                block += bb
-            self.dram.request_batch(reqs, _drop_response)
-        else:
-            if count_stats:
-                self.stats.inc("dram_fills", blocks)
-            walker.fills_outstanding += blocks
-            tag = walker.tag
-            block = first
-            while block <= last:
-                if ranged:
-                    lo = max(addr, block) - block
-                    hi = min(end, block + bb) - block
-                else:
-                    lo, hi = 0, bb
-                reqs.append(MemRequest(block, tag=(tag, lo, hi),
-                                       walk_id=wid))
-                block += bb
-            self.dram.request_batch(reqs, self._fill_cb)
+            for block in range(first, last + 1, bb):
+                request(MemRequest(block, is_write=True, walk_id=wid),
+                        _drop_response)
+            return blocks
+        if self._count_stats:
+            self.stats.inc("dram_fills", blocks)
+        walker.fills_outstanding += blocks
+        tag = walker.tag
+        for block in range(first, last + 1, bb):
+            if ranged:
+                lo = max(addr, block) - block
+                hi = min(end, block + bb) - block
+            else:
+                lo, hi = 0, bb
+            request(MemRequest(block, tag=(tag, lo, hi), walk_id=wid),
+                    self._fill_cb)
         return blocks
 
     def _on_dram_fill(self, resp: MemResponse) -> None:
@@ -775,35 +652,6 @@ class Controller(Component):
         inflight = _RoutineExec(routine=routine, msg=msg, walker=walker)
         walker.inflight = inflight
         walker.routines_run += 1
-        bound = self._bound_routines
-        if bound is not None:
-            blocks = bound.get(routine.name)
-            if blocks is None:
-                blocks = self._bind_blocks(routine.name)
-            inflight.compiled = blocks
-            traces = self._traces
-            if traces is not None:
-                trace = None
-                prev = walker.last_trace
-                if prev is not None:
-                    # episode chain: the last completed trace remembers
-                    # which trace handled this event last time
-                    trace = prev.next_on.get(msg.event)
-                    if trace is not None \
-                            and trace.routine_name == routine.name:
-                        self.trace_stats.episode_hits += 1
-                    else:
-                        trace = None
-                if trace is None:
-                    trace = traces.get(routine.name)
-                    if trace is None:
-                        self._trace_warm(routine, inflight)
-                    elif prev is not None:
-                        prev.next_on[msg.event] = trace
-                if trace is not None:
-                    inflight.trace = trace
-                    self.trace_stats.dispatches += 1
-                walker.last_trace = None
         self._execq.append(inflight)
         if self._count_stats:
             self.stats.inc("routines_dispatched")
@@ -820,212 +668,23 @@ class Controller(Component):
                                            routine=routine.name,
                                            walk_id=walker.walk_id))
 
-    def _bind_blocks(self, name: str) -> Tuple[Optional[BoundBlock], ...]:
-        """Bind (and cache) routine ``name``'s fused-block table."""
-        bound = self._bound_routines
-        assert bound is not None
-        blocks = bound[name] = bind_routine(
-            self.program.ram.compiled_routine(name, self.config.min_fuse_len),
-            self.stats, _OP_CAT_INDEX,
-            self.config.xregs_per_walker, self.config.num_exe)
-        return blocks
-
-    # ------------------------------------------------------------------
-    # snapshot/restore (repro.sim.checkpoint)
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        """Serialize without the derivable compiled artifacts.
-
-        Everything architectural (queues, walkers, meta-tags, stats,
-        resume cursors) pickles as-is; the fused-block tables and bound
-        episode traces hold generated closures, so they serialize as
-        name lists / :class:`_SerializedTraces` and are rebuilt
-        deterministically by :meth:`_rebind_compiled`.
-        """
-        state = self.__dict__.copy()
-        bound = state.get("_bound_routines")
-        if bound is not None:
-            state["_bound_routines"] = sorted(bound)
-        traces = state.get("_traces")
-        if traces is not None:
-            state["_traces"] = _SerializedTraces(
-                names=sorted(traces),
-                edges={name: {event: target.routine_name
-                              for event, target in trace.next_on.items()}
-                       for name, trace in traces.items()})
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
-    def _rebind_compiled(self) -> None:
-        """Rebuild fused blocks and episode traces after unpickling.
-
-        Must run after the whole object graph is restored (the program
-        RAM's recorded trace paths have to be re-installed first — see
-        repro.sim.checkpoint) and after any fork-safe config overrides,
-        so the rebuilt artifacts reflect the effective config. Binding
-        is a pure function of (program, config, stats identity), so the
-        rebuilt closures behave byte-identically to the dropped ones.
-        """
-        bound = self._bound_routines
-        if isinstance(bound, list):
-            self._bound_routines = {}
-            for name in bound:
-                self._bind_blocks(name)
-        serialized = self._traces
-        if isinstance(serialized, _SerializedTraces):
-            self._traces = {}
-            for name in serialized.names:
-                path = self.program.ram.trace_path(name)
-                if path is None:
-                    # trace store not carried over (legacy snapshot):
-                    # fall back to re-learning at runtime
-                    continue
-                self._bind_trace(self.program.ram.routine_named(name), path)
-            for name, edges in serialized.edges.items():
-                trace = self._traces.get(name)
-                if trace is None:
-                    continue
-                for event, target_name in edges.items():
-                    target = self._traces.get(target_name)
-                    if target is not None:
-                        trace.next_on[event] = target
-        traces = self._traces
-        for ex in self._execq:
-            if ex.compiled is True:
-                table = self._bound_routines
-                ex.compiled = (None if table is None else
-                               table.get(ex.routine.name)
-                               or self._bind_blocks(ex.routine.name))
-            elif ex.compiled is False:
-                ex.compiled = None
-            if isinstance(ex.trace, str):
-                # a vanished trace deopts to the block path — the
-                # architecturally identical fallback
-                ex.trace = None if traces is None else traces.get(ex.trace)
-        for walker in self._walkers.values():
-            if isinstance(walker.last_trace, str):
-                walker.last_trace = (None if traces is None
-                                     else traces.get(walker.last_trace))
-
-    # ------------------------------------------------------------------
-    # trace compilation (hot-path recording and binding)
-    # ------------------------------------------------------------------
-    def _trace_warm(self, routine: Routine, inflight: _RoutineExec) -> None:
-        """Cold trace path: rebind a path already recorded in the RAM
-        (e.g. by another controller sharing the program), or count
-        hotness and arm recording when the threshold is crossed."""
-        name = routine.name
-        if name in self._trace_blacklist:
-            return
-        path = self.program.ram.trace_path(name)
-        if path is not None:
-            trace = self._bind_trace(routine, path)
-            if trace is not None:
-                inflight.trace = trace
-                self.trace_stats.dispatches += 1
-            return
-        count = self._trace_counts.get(name, 0) + 1
-        self._trace_counts[name] = count
-        if count == self.config.trace_threshold:
-            # this invocation records; the next one runs the trace
-            inflight.recording = []
-            inflight.record_mask = record_mask(routine)
-
-    def _bind_trace(self, routine: Routine,
-                    path: TracePath) -> Optional[BoundTrace]:
-        blocks = None
-        bound = self._bound_routines
-        if bound is not None:
-            blocks = bound.get(routine.name)
-        try:
-            trace = bind_trace(self, routine, path, blocks, _OP_CAT_INDEX)
-        except TraceBuildError:
-            self._trace_blacklist.add(routine.name)
-            return None
-        assert self._traces is not None
-        self._traces[routine.name] = trace
-        return trace
-
-    def _record_complete(self, ex: _RoutineExec,
-                         decisions: List[Tuple[int, int, bool, bool]]) -> None:
-        name = ex.routine.name
-        if self._traces is None or name in self._traces \
-                or name in self._trace_blacklist:
-            return
-        path = TracePath(name, tuple(decisions))
-        if self._bind_trace(ex.routine, path) is not None:
-            self.program.ram.install_trace(name, path)
-            self.trace_stats.installs += 1
-
     def _back_end_execute(self) -> None:
         budget = self.config.num_exe
         execq = self._execq
         execute = self.executor.execute
         charge = self.xregs.charge_active
-        count_stats = self._count_stats
-        verify = self._compile_verify
         while budget > 0 and execq:
             ex = execq[0]
             actions = ex.routine.actions
             if ex.pc >= len(actions):
                 self._finish_routine(ex, terminated=False)
                 continue
-            trace = ex.trace
-            if trace is not None:
-                # one closure per episode leg: runs as many segments as
-                # the budget allows, resumes mid-trace next cycle, or
-                # deopts (ex.trace = None) to the block path below
-                budget = trace.run(self, ex, budget)
-                if ex.trace_terminated:
-                    self._finish_routine(ex, terminated=True)
-                elif ex.pc >= len(actions):
-                    self._finish_routine(ex, terminated=False)
-                continue
-            blocks = ex.compiled
-            if blocks is not None:
-                block = blocks[ex.pc]
-                # Fuse only when the whole block fits the remaining
-                # budget: front-end stages run between budget chunks
-                # and must observe identical intermediate state in
-                # every mode. Partial blocks take the interpreter.
-                if block is not None and block.n <= budget:
-                    if verify:
-                        # interpreted pass inside is authoritative and
-                        # does all charge/stat/cost accounting
-                        verify_block(self, ex, block, _OP_CAT_INDEX)
-                    else:
-                        occ = block.fused(ex.walker, ex.msg, self.dataram)
-                        self.xregs.charge_units(occ)
-                        if count_stats:
-                            for counter, amount in block.bumps:
-                                counter.value += amount
-                        if ex.costs is not None:
-                            costs = ex.costs
-                            for index, amount in block.cat_costs:
-                                costs[index] += amount
-                    budget -= block.n
-                    ex.pc = block.end
-                    if ex.pc >= len(actions):
-                        self._finish_routine(ex, terminated=False)
-                    continue
             action = actions[ex.pc]
             result = execute(ex.walker, action, ex.msg)
             budget -= result.cost
             charge(ex.walker.ctx, result.cost)
             if ex.costs is not None:
                 ex.costs[action.cat_index] += result.cost
-            rec = ex.recording
-            if rec is not None and not ex.record_mask[ex.pc]:
-                rec.append((ex.pc,
-                            result.branch if result.branch is not None
-                            else ex.pc + 1,
-                            result.branch is not None,
-                            result.terminated))
-                if len(rec) >= TRACE_MAX_DECISIONS:
-                    ex.recording = None
-                    self._trace_blacklist.add(ex.routine.name)
             if result.terminated:
                 self._finish_routine(ex, terminated=True)
                 continue
@@ -1037,14 +696,6 @@ class Controller(Component):
         self._execq.popleft()
         walker = ex.walker
         walker.inflight = None
-        if ex.recording is not None:
-            decisions = ex.recording
-            ex.recording = None
-            self._record_complete(ex, decisions)
-        if ex.trace is not None:
-            # clean completion (not a deopt): remember the trace so the
-            # next dispatch can follow its episode edge
-            walker.last_trace = ex.trace
         if terminated:
             self._complete_walker(walker, ex)
         elif self.bus is not None and self.bus.wants(WalkerYield):

@@ -16,44 +16,9 @@ from typing import Dict, List
 
 from .isa import Action, ActionCategory, Opcode
 from .microcode import ACTION_BYTES
-from .trace_compile import TraceBuildError, iter_trace_steps
 from .walker import CompiledWalker
 
 __all__ = ["disassemble", "ProgramStats", "program_stats"]
-
-
-def _trace_annotations(program: CompiledWalker,
-                       routine) -> Dict[int, str]:
-    """Per-pc trace-membership comments for ``routine`` (empty when no
-    path is recorded or the recorded path no longer replays)."""
-    path = program.ram.trace_path(routine.name)
-    if path is None:
-        return {}
-    compiled = program.ram.compiled_routine(routine.name)
-    spans = {b.start: (b.start, b.end) for b in compiled.blocks}
-    notes: Dict[int, str] = {}
-    try:
-        for step in iter_trace_steps(routine, path, spans.get):
-            kind = step[0]
-            if kind == "block":
-                notes[step[1]] = (f"trace: fused block "
-                                  f"[{step[1]}..{step[2]})")
-            elif kind == "inline":
-                notes[step[1]] = "trace: inlined"
-            elif kind == "guard":
-                _, pc, taken, target = step
-                assumed = target if taken else pc + 1
-                notes[pc] = (f"trace: guard (assumes "
-                             f"{'taken' if taken else 'not-taken'} "
-                             f"-> {assumed})")
-            else:  # exec boundary
-                _, pc, next_pc, terminated = step
-                tail = ("episode end" if terminated
-                        else f"expects -> {next_pc}")
-                notes[pc] = f"trace: exec boundary ({tail})"
-    except TraceBuildError as err:
-        return {-1: f"trace: recorded path does not replay ({err})"}
-    return notes
 
 
 def _format_action(index: int, action: Action) -> str:
@@ -90,27 +55,7 @@ def disassemble(program: CompiledWalker) -> str:
     for (state, event), routine in table.items():
         offset = program.ram.offset_of(routine.name)
         lines.append(f"  [{state}, {event}] @ pc={offset}:")
-        compiled = program.ram.compiled_routine(routine.name)
-        block_starts = {b.start: b for b in compiled.blocks}
-        trace_notes = _trace_annotations(program, routine)
-        if -1 in trace_notes:
-            lines.append(f"    ; {trace_notes[-1]}")
-        elif trace_notes:
-            lines.append("    ; hot path trace recorded "
-                         f"({len(trace_notes)} steps)")
-        block_end = -1
         for i, action in enumerate(routine.actions):
-            block = block_starts.get(i)
-            if block is not None:
-                lines.append(f"    ; fused block [{block.start}..{block.end})"
-                             f" ({block.n} actions, 1 dispatch)")
-                block_end = block.end
-            elif i == block_end:
-                lines.append("    ; interpreted")
-                block_end = -1
-            note = trace_notes.get(i)
-            if note is not None:
-                lines.append(f"    ; {note}")
             lines.append(_format_action(i, action))
     return "\n".join(lines)
 
@@ -128,23 +73,13 @@ class ProgramStats:
     actions_by_category: Dict[str, int]
     max_routine_length: int
     branchy_routines: int      # routines containing control flow
-    fused_blocks: int = 0      # basic blocks the routine compiler fused
-    fused_actions: int = 0     # actions covered by those blocks
-    traced_routines: int = 0   # routines with a recorded hot-path trace
-    trace_guards: int = 0      # inlined guards across those traces
 
     def render(self) -> str:
         mix = ", ".join(f"{k}={v}" for k, v in
                         sorted(self.actions_by_category.items()))
-        out = (f"{self.routines} routines over {self.states} states x "
-               f"{self.events} events; {self.total_actions} actions "
-               f"({self.microcode_bytes} B): {mix}; "
-               f"{self.fused_blocks} fused blocks cover "
-               f"{self.fused_actions} actions")
-        if self.traced_routines:
-            out += (f"; {self.traced_routines} traced routines "
-                    f"({self.trace_guards} guards)")
-        return out
+        return (f"{self.routines} routines over {self.states} states x "
+                f"{self.events} events; {self.total_actions} actions "
+                f"({self.microcode_bytes} B): {mix}")
 
 
 def program_stats(program: CompiledWalker) -> ProgramStats:
@@ -152,10 +87,6 @@ def program_stats(program: CompiledWalker) -> ProgramStats:
     by_category: Dict[str, int] = {}
     max_len = 0
     branchy = 0
-    fused_blocks = 0
-    fused_actions = 0
-    traced_routines = 0
-    trace_guards = 0
     for routine in program.ram.routines:
         max_len = max(max_len, len(routine))
         if any(a.category is ActionCategory.CONTROL for a in routine.actions):
@@ -163,19 +94,6 @@ def program_stats(program: CompiledWalker) -> ProgramStats:
         for action in routine.actions:
             key = action.category.value
             by_category[key] = by_category.get(key, 0) + 1
-        compiled = program.ram.compiled_routine(routine.name)
-        fused_blocks += len(compiled.blocks)
-        fused_actions += compiled.fused_actions
-        path = program.ram.trace_path(routine.name)
-        if path is not None:
-            traced_routines += 1
-            spans = {b.start: (b.start, b.end) for b in compiled.blocks}
-            try:
-                trace_guards += sum(
-                    1 for step in iter_trace_steps(routine, path, spans.get)
-                    if step[0] == "guard")
-            except TraceBuildError:
-                pass  # check_traces reports the divergence
     table = program.table
     return ProgramStats(
         routines=len(program.ram),
@@ -187,8 +105,4 @@ def program_stats(program: CompiledWalker) -> ProgramStats:
         actions_by_category=by_category,
         max_routine_length=max_len,
         branchy_routines=branchy,
-        fused_blocks=fused_blocks,
-        fused_actions=fused_actions,
-        traced_routines=traced_routines,
-        trace_guards=trace_guards,
     )

@@ -32,9 +32,6 @@ __all__ = [
     "MSG",
     "Action",
     "OPCODE_CATEGORY",
-    "OPCODE_SOURCE_SLOTS",
-    "OPCODE_WRITES_DST",
-    "FUSIBLE_OPCODES",
 ]
 
 
@@ -130,63 +127,6 @@ OPCODE_CATEGORY: Dict[Opcode, ActionCategory] = {
 _CATEGORY_ORDER: Dict[ActionCategory, int] = {
     cat: i for i, cat in enumerate(ActionCategory)
 }
-
-
-# Which of an action's operand slots the executor statically resolves,
-# per opcode. This is the routine compiler's (and the linter's
-# cross-check's) model of operand traffic; opcodes whose operand use is
-# attribute- or queue-dependent (ENQ, WRITE) are deliberately absent.
-OPCODE_SOURCE_SLOTS: Dict[Opcode, Tuple[str, ...]] = {
-    Opcode.ADD: ("a", "b"),
-    Opcode.AND: ("a", "b"),
-    Opcode.OR: ("a", "b"),
-    Opcode.XOR: ("a", "b"),
-    Opcode.ADDI: ("a", "b"),
-    Opcode.INC: ("a",),
-    Opcode.DEC: ("a",),
-    Opcode.SHL: ("a", "b"),
-    Opcode.SHR: ("a", "b"),
-    Opcode.SRA: ("a", "b"),
-    Opcode.SRL: ("a", "b"),
-    Opcode.NOT: ("a",),
-    Opcode.ALLOCR: (),
-    Opcode.DEQ: (),
-    Opcode.READ_DATA: ("a",),
-    Opcode.WRITE_DATA: ("a", "b"),
-    Opcode.PEEK: ("a",),
-    Opcode.UPDATE: ("a",),
-    Opcode.STATE: (),
-    Opcode.BMISS: ("a",),
-    Opcode.BHIT: ("a",),
-    Opcode.BEQ: ("a", "b"),
-    Opcode.BNZ: ("a",),
-    Opcode.BLT: ("a", "b"),
-    Opcode.BGE: ("a", "b"),
-    Opcode.BLE: ("a", "b"),
-    Opcode.ALLOCD: ("a",),
-    Opcode.DEALLOCD: ("a", "b"),
-    Opcode.READ: ("a",),
-}
-
-# Opcodes that write their result through the X-register file (dst).
-OPCODE_WRITES_DST = frozenset({
-    Opcode.ADD, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.ADDI,
-    Opcode.INC, Opcode.DEC, Opcode.SHL, Opcode.SHR, Opcode.SRA,
-    Opcode.SRL, Opcode.NOT, Opcode.PEEK, Opcode.READ_DATA, Opcode.READ,
-    Opcode.ALLOCD,
-})
-
-# Opcodes eligible for fused-block execution (see repro.core.compile):
-# fixed cost 1, no branch, no termination, no queue/allocator
-# interaction. STATE is conditionally fusible (only done=False — the
-# compiler checks the attribute); everything else here always is.
-FUSIBLE_OPCODES = frozenset({
-    Opcode.ADD, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.ADDI,
-    Opcode.INC, Opcode.DEC, Opcode.SHL, Opcode.SHR, Opcode.SRA,
-    Opcode.SRL, Opcode.NOT, Opcode.ALLOCR, Opcode.DEQ, Opcode.PEEK,
-    Opcode.READ_DATA, Opcode.READ, Opcode.WRITE_DATA, Opcode.UPDATE,
-    Opcode.STATE,
-})
 
 
 @dataclass(frozen=True)

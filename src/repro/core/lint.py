@@ -19,33 +19,19 @@ Checks:
   walker waits in after issuing a DRAM request.
 * **context-overflow** — a register index beyond ``xregs_per_walker``
   for a given configuration (checked via :func:`check_context`).
-* **compile-coverage** — the routine compiler's fused-block partition
-  disagrees with the interpreter's coverage model (checked via
-  :func:`check_compile`): a fused block containing a non-fusible
-  action, a branch landing *inside* a block (fused entry must be a
-  leader), or the compiler's static register-read model diverging from
-  the linter's independently derived one.
-* **trace-coverage** — a recorded episode trace disagrees with the
-  static program (checked via :func:`check_traces`): a path that no
-  longer replays over the compiled partition, an inlined guard that is
-  not a pure branch, or a boundary step whose recorded successor is
-  not a successor of its action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from .compile import is_fusible, register_reads
 from .config import XCacheConfig
-from .isa import FUSIBLE_OPCODES, OPCODE_SOURCE_SLOTS, Action, Opcode
+from .isa import Action, Opcode
 from .messages import DEFAULT_STATE, EV_FILL
-from .trace_compile import TraceBuildError, guardable, iter_trace_steps
 from .walker import CompiledWalker
 
-__all__ = ["LintFinding", "lint_walker", "check_context", "check_compile",
-           "check_traces", "max_register"]
+__all__ = ["LintFinding", "lint_walker", "check_context", "max_register"]
 
 
 @dataclass(frozen=True)
@@ -109,113 +95,6 @@ def check_context(program: CompiledWalker,
                 findings.append(LintFinding(
                     "error", "context-overflow", routine.name, i,
                     f"R{max(over)} >= xregs_per_walker ({limit})"))
-    return findings
-
-
-def check_compile(program: CompiledWalker) -> List[LintFinding]:
-    """Cross-check the routine compiler's partition against the
-    interpreter's coverage model.
-
-    The fused blocks and the linter derive their models independently
-    (compile.py from ``FUSIBLE_OPCODES``/codegen, lint.py from its own
-    read/write sets), so a finding here means one of the tables went
-    stale — e.g. an opcode added to ``FUSIBLE_OPCODES`` without
-    updating ``OPCODE_SOURCE_SLOTS``. Clean programs produce zero
-    findings.
-    """
-    findings: List[LintFinding] = []
-    for routine in program.ram.routines:
-        compiled = program.ram.compiled_routine(routine.name)
-        block_span: Dict[int, Tuple[int, int]] = {}
-        for block in compiled.blocks:
-            for pc in range(block.start, block.end):
-                block_span[pc] = (block.start, block.end)
-                if not is_fusible(routine.actions[pc]):
-                    findings.append(LintFinding(
-                        "error", "compile-coverage", routine.name, pc,
-                        f"{routine.actions[pc].op.value} sits inside fused "
-                        f"block [{block.start},{block.end}) but is not "
-                        "fusible"))
-        for i, action in enumerate(routine.actions):
-            target = action.target
-            if target is not None and target in block_span:
-                start, end = block_span[target]
-                if target != start:
-                    findings.append(LintFinding(
-                        "error", "compile-coverage", routine.name, i,
-                        f"branch target {target} lands inside fused block "
-                        f"[{start},{end}); targets must be block leaders"))
-            if action.op in FUSIBLE_OPCODES \
-                    and action.op in OPCODE_SOURCE_SLOTS \
-                    and is_fusible(action):
-                compiler_view = register_reads(action)
-                lint_view = _reads(action)
-                if compiler_view != lint_view:
-                    findings.append(LintFinding(
-                        "warning", "compile-coverage", routine.name, i,
-                        f"compiler reads R{sorted(compiler_view)} but "
-                        f"linter models R{sorted(lint_view)} for "
-                        f"{action.op.value}"))
-    return findings
-
-
-def check_traces(program: CompiledWalker) -> List[LintFinding]:
-    """Cross-check recorded episode traces against the static program.
-
-    Every path the runtime recorded (``ram.trace_path``) must replay as
-    a walk over the compiled partition: each fused stretch an existing
-    block, every inlined branch a guardable pure branch, and every
-    interpreter boundary step's recorded successor a legal successor of
-    its action. A finding here means the routine text changed under the
-    RAM, the recorder mis-learned a path, or the guard table went stale
-    — exactly the bugs that would otherwise surface as a mid-episode
-    deopt storm or a silent divergence only ``compile_mode=verify``
-    catches. Programs with no recorded traces produce zero findings.
-    """
-    findings: List[LintFinding] = []
-    for routine in program.ram.routines:
-        path = program.ram.trace_path(routine.name)
-        if path is None:
-            continue
-        compiled = program.ram.compiled_routine(routine.name)
-        spans = {block.start: (block.start, block.end)
-                 for block in compiled.blocks}
-        try:
-            steps = list(iter_trace_steps(routine, path, spans.get))
-        except TraceBuildError as err:
-            findings.append(LintFinding(
-                "error", "trace-coverage", routine.name, -1,
-                f"recorded path does not replay: {err}"))
-            continue
-        for step in steps:
-            kind = step[0]
-            if kind == "guard":
-                pc = step[1]
-                action = routine.actions[pc]
-                if not guardable(action):
-                    findings.append(LintFinding(
-                        "error", "trace-coverage", routine.name, pc,
-                        f"{action.op.value} inlined as a trace guard but "
-                        "is not a pure branch with bound operands"))
-            elif kind == "exec":
-                pc, next_pc, terminated = step[1], step[2], step[3]
-                action = routine.actions[pc]
-                successors = {pc + 1}
-                if action.target is not None:
-                    successors.add(action.target)
-                if not terminated and next_pc not in successors:
-                    findings.append(LintFinding(
-                        "error", "trace-coverage", routine.name, pc,
-                        f"recorded successor {next_pc} is not a successor "
-                        f"of {action.op.value} (expected one of "
-                        f"{sorted(successors)})"))
-            elif kind == "inline":
-                pc = step[1]
-                if not is_fusible(routine.actions[pc]):
-                    findings.append(LintFinding(
-                        "error", "trace-coverage", routine.name, pc,
-                        f"{routine.actions[pc].op.value} inlined into a "
-                        "trace but is not fusible"))
     return findings
 
 
@@ -303,9 +182,6 @@ def lint_walker(program: CompiledWalker,
                         "error", "missing-transition", routine.name, -1,
                         f"issues a DRAM fill but state {nxt!r} has no "
                         f"[{nxt}, Fill] routine"))
-
-    findings.extend(check_compile(program))
-    findings.extend(check_traces(program))
 
     if config is not None:
         findings.extend(check_context(program, config))

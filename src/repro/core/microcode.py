@@ -16,7 +16,7 @@ walker FSM complexity", §7.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .isa import Action, Opcode
@@ -136,15 +136,7 @@ class RoutineTable:
 
 
 class MicrocodeRAM:
-    """All routines of one walker program, with derived sizes.
-
-    Building the RAM also runs the routine compiler
-    (:func:`repro.core.compile.compile_routine`) over every routine —
-    routines are immutable once installed, so their basic-block
-    partition and fused closures are a property of the program, paid
-    once here rather than per controller. The compiled artifacts hold
-    closures, so they are dropped on pickling and rebuilt on demand.
-    """
+    """All routines of one walker program, with derived sizes."""
 
     def __init__(self, routines: Sequence[Routine]) -> None:
         names = [r.name for r in routines]
@@ -157,51 +149,6 @@ class MicrocodeRAM:
             self._offsets[routine.name] = offset
             offset += len(routine)
         self.total_actions = offset
-        from .compile import MIN_FUSE_LEN, compile_routine
-        self._compiled = {(r.name, MIN_FUSE_LEN): compile_routine(r)
-                          for r in self.routines}
-        # routine name -> recorded hot path (repro.core.trace_compile
-        # TracePath); paths are a property of the program, so a trace
-        # recorded by one controller serves every controller sharing
-        # this RAM. Controllers bind their own guarded closures.
-        self._traces: Dict[str, object] = {}
-
-    def routine_named(self, name: str) -> Routine:
-        routine = next((r for r in self.routines if r.name == name), None)
-        if routine is None:
-            raise MicrocodeError(f"no routine named {name!r}")
-        return routine
-
-    def compiled_routine(self, name: str, min_fuse_len: Optional[int] = None):
-        """The :class:`~repro.core.compile.CompiledRoutine` for ``name``,
-        partitioned at ``min_fuse_len`` (module default when None)."""
-        from .compile import MIN_FUSE_LEN, compile_routine
-        key = (name, MIN_FUSE_LEN if min_fuse_len is None else min_fuse_len)
-        compiled = self._compiled.get(key)
-        if compiled is None:
-            compiled = self._compiled[key] = compile_routine(
-                self.routine_named(name), key[1])
-        return compiled
-
-    def install_trace(self, name: str, path) -> None:
-        """Record ``name``'s hot path (a trace_compile.TracePath)."""
-        self.routine_named(name)  # validate
-        self._traces[name] = path
-
-    def trace_path(self, name: str):
-        """The recorded hot path for ``name``, or None."""
-        return self._traces.get(name)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_compiled"] = {}  # closures don't pickle; rebuilt lazily
-        state["_traces"] = {}    # recorded paths are re-learned at runtime
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # pre-PR6 pickles carry no trace store
-        self.__dict__.setdefault("_traces", {})
 
     def offset_of(self, name: str) -> int:
         """The routine's logical "PC" in the microcode RAM."""

@@ -21,7 +21,7 @@ compares the measured integrals.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
@@ -35,14 +35,8 @@ from ..obs.events import (
     WalkerYield,
 )
 from ..sim import Component, Simulator
-from .compile import CompileVerifyError
-from .config import COMPILE_MODES, default_compile_mode
 
-__all__ = ["WalkStep", "ThreadController", "fuse_walk_steps"]
-
-# distinct walk shapes memoized per controller before the fusion cache
-# resets (walk shapes are few; this only bounds adversarial submitters)
-_FUSE_CACHE_MAX = 1024
+__all__ = ["WalkStep", "ThreadController"]
 
 
 @dataclass(frozen=True)
@@ -75,19 +69,14 @@ class _Walk:
     on_fill: Optional[Callable[[MemResponse], None]] = None
 
 
-def fuse_walk_steps(steps: Tuple[WalkStep, ...],
-                    verify: bool = False) -> Tuple[WalkStep, ...]:
-    """Merge adjacent compute steps into one (the thread-mode analogue
-    of routine compilation).
+def _merge_compute_steps(steps: Sequence[WalkStep]) -> Tuple[WalkStep, ...]:
+    """Merge adjacent compute steps into one busy interval.
 
     Each compute step costs ``max(1, cycles)`` wall-clock cycles, so
     only runs where *every* step has ``cycles >= 1`` may merge —
     Σ max(1, cᵢ) == max(1, Σ cᵢ) holds exactly then; a zero-cycle step
-    would gain a cycle inside a merge. DRAM steps are never touched
+    would lose its cycle inside a merge. DRAM steps are never touched
     (they publish yield events and block on fills).
-
-    ``verify`` re-derives the timing/stat invariants on every fusion and
-    raises :class:`CompileVerifyError` if merging would change them.
     """
     out: List[WalkStep] = []
     acc = 0
@@ -101,18 +90,7 @@ def fuse_walk_steps(steps: Tuple[WalkStep, ...],
         out.append(step)
     if acc:
         out.append(WalkStep("compute", cycles=acc))
-    fused = tuple(out)
-    if verify:
-        def wall(seq) -> Tuple[int, int, List[int]]:
-            compute = sum(s.cycles for s in seq if s.kind == "compute")
-            clock = sum(max(1, s.cycles) for s in seq if s.kind == "compute")
-            drams = [s.addr for s in seq if s.kind == "dram"]
-            return compute, clock, drams
-        if wall(tuple(steps)) != wall(fused):
-            raise CompileVerifyError(
-                f"step fusion changed walk timing: {steps} -> {fused}"
-            )
-    return fused
+    return tuple(out)
 
 
 class ThreadController(Component):
@@ -126,27 +104,14 @@ class ThreadController(Component):
 
     def __init__(self, sim: Simulator, dram: DRAMModel,
                  num_pipelines: int = 4, context_bytes: int = 512,
-                 name: str = "thread-ctrl",
-                 compile_mode: Optional[str] = None) -> None:
+                 name: str = "thread-ctrl") -> None:
         super().__init__(sim, name)
         if num_pipelines <= 0:
             raise ValueError("need at least one pipeline")
-        mode = compile_mode if compile_mode is not None \
-            else default_compile_mode()
-        if mode not in COMPILE_MODES:
-            raise ValueError(
-                f"compile_mode {mode!r} invalid; use one of {COMPILE_MODES}"
-            )
-        self.compile_mode = mode
         self.dram = dram
         self.num_pipelines = num_pipelines
         self.context_bytes = context_bytes
         self._pending: Deque[_Walk] = deque()
-        # fusion memo: WalkStep is frozen/hashable, and workloads submit
-        # the same walk shapes thousands of times — fuse each distinct
-        # shape once. Verify mode bypasses the memo so every submission
-        # re-derives the timing invariants in lockstep.
-        self._fuse_cache: dict = {}
         self._next_uid = 0
         self._resident = 0
         self.occupancy_byte_cycles = 0
@@ -169,26 +134,13 @@ class ThreadController(Component):
     # walk submission/execution
     # ------------------------------------------------------------------
     def submit(self, steps: Sequence[WalkStep]) -> None:
-        """Queue one walk; it runs when a pipeline frees up."""
+        """Queue one walk; it runs when a pipeline frees up. Adjacent
+        compute steps run as one busy interval (same timing, one kernel
+        wake-up instead of several)."""
         uid = self._next_uid
         self._next_uid = uid + 1
-        walk_steps = tuple(steps)
-        if self.compile_mode != "off":
-            if self.compile_mode == "verify":
-                fused = fuse_walk_steps(walk_steps, verify=True)
-            else:
-                fused = self._fuse_cache.get(walk_steps)
-                if fused is None:
-                    if len(self._fuse_cache) >= _FUSE_CACHE_MAX:
-                        self._fuse_cache.clear()
-                    fused = fuse_walk_steps(walk_steps)
-                    self._fuse_cache[walk_steps] = fused
-            saved = len(walk_steps) - len(fused)
-            if saved:
-                self.stats.inc("steps_fused", saved)
-            walk_steps = fused
-        self._pending.append(_Walk(walk_steps, submitted_at=self.sim.now,
-                                   uid=uid))
+        self._pending.append(_Walk(_merge_compute_steps(steps),
+                                   submitted_at=self.sim.now, uid=uid))
         bus = self.bus
         if bus is not None and bus.wants(RequestArrive):
             bus.publish(RequestArrive(cycle=self.sim.now,

@@ -76,16 +76,6 @@ class XRegisterFile:
     def charge_active(self, ctx: XContext, slots: int) -> None:
         self.occupancy_byte_cycles += ctx.regs_touched * _REG_BYTES * slots
 
-    def charge_units(self, units: int) -> None:
-        """Bulk form of :meth:`charge_active` for fused blocks.
-
-        ``units`` is the pre-summed Σ regs_touched × slots a block's
-        actions would have charged one at a time — the fused closure
-        tracks the evolving high-water mark in a local, so the integral
-        is identical to per-action charging.
-        """
-        self.occupancy_byte_cycles += units * _REG_BYTES
-
     def _close(self, ctx: XContext, now: int) -> None:
         lifetime = max(0, now - ctx.allocated_at)
         self.resident_byte_cycles += ctx.regs_touched * _REG_BYTES * lifetime

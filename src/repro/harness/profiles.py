@@ -48,29 +48,12 @@ class Profile:
                                 # cover the preload window of multi-block rows)
     graph_pes: int
     seed: int = 7
-    # routine-compilation mode forced on every config this profile
-    # produces; None defers to the process default (REPRO_COMPILE_MODE
-    # or "on") — how A/B drivers pin interpreted vs compiled runs
-    compile_mode: Optional[str] = None
-    # trace-compilation hotness threshold forced on every config; None
-    # defers to the process default (REPRO_TRACE_THRESHOLD or 16).
-    # Pin 0 to run the block compiler alone, or 1 to trace eagerly.
-    trace_threshold: Optional[int] = None
-    # shortest fused block forced on every config; None defers to the
-    # process default (REPRO_MIN_FUSE_LEN or 2)
-    min_fuse_len: Optional[int] = None
 
     def xcache_config(self, dsa: str) -> XCacheConfig:
         if dsa in ("sparch", "gamma"):
             config = table3_config(dsa, scale=self.spgemm_cache_scale)
         else:
             config = table3_config(dsa, scale=self.cache_scale)
-        if self.compile_mode is not None:
-            config = replace(config, compile_mode=self.compile_mode)
-        if self.trace_threshold is not None:
-            config = replace(config, trace_threshold=self.trace_threshold)
-        if self.min_fuse_len is not None:
-            config = replace(config, min_fuse_len=self.min_fuse_len)
         return config
 
     def widx_workload(self, query: str) -> WidxWorkload:

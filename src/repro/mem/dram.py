@@ -23,43 +23,22 @@ you need to retain (``data`` is an ordinary bytes object and is always
 safe to keep).
 
 Bank state is struct-of-arrays (``_bank_open_row`` / ``_bank_free_at``
-indexed by bank number), and :meth:`DRAMModel.request_batch` issues a
-whole burst of same-cycle requests in one call: NumPy decodes every
-address at once, counters are bumped in bulk, and completions enter the
-kernel through ``call_at_many``. ``REPRO_DRAM_BATCH=0`` falls back to
-the per-request loop so the differential tests can pin both paths
-byte-identical.
+indexed by bank number).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from ..obs.events import DRAMComplete, DRAMIssue
 from ..sim import Component, Simulator
 from ..sim.stats import STATS_COUNTERS, STATS_FULL
 from .layout import MemoryImage
 
-try:  # vectorized batch address decode; the model works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
-
 __all__ = ["DRAMConfig", "MemRequest", "MemResponse", "DRAMModel"]
 
 _RESP_POOL_MAX = 128
-
-DRAM_BATCH_ENV = "REPRO_DRAM_BATCH"
-# below this many requests the NumPy round-trip costs more than it saves
-_BATCH_NP_MIN = 8
-
-
-def default_dram_batch() -> bool:
-    """Whether :meth:`DRAMModel.request_batch` takes the batched path
-    (``REPRO_DRAM_BATCH``, default on; ``0`` disables)."""
-    return os.environ.get(DRAM_BATCH_ENV, "1") != "0"
 
 
 @dataclass(frozen=True)
@@ -156,14 +135,12 @@ class MemResponse:
 class DRAMModel(Component):
     """Block-granular banked DRAM with row-buffer timing.
 
-    Requests arrive through :meth:`request` (or :meth:`request_batch`
-    for a same-cycle burst) with a completion callback. The model
-    computes the completion cycle analytically (no per-cycle ticking),
-    which keeps simulation fast while preserving queueing, row-buffer,
-    and bus-serialization effects. Bank state is struct-of-arrays:
-    ``_bank_open_row[b]`` / ``_bank_free_at[b]`` replace the old
-    per-bank record objects, so the batch path snapshots and updates
-    plain integer lists.
+    Requests arrive through :meth:`request` with a completion callback.
+    The model computes the completion cycle analytically (no per-cycle
+    ticking), which keeps simulation fast while preserving queueing,
+    row-buffer, and bus-serialization effects. Bank state is
+    struct-of-arrays: ``_bank_open_row[b]`` / ``_bank_free_at[b]`` are
+    plain integer lists indexed by bank number.
     """
 
     def __init__(self, sim: Simulator, image: MemoryImage,
@@ -175,7 +152,6 @@ class DRAMModel(Component):
         self._bank_free_at: List[int] = [0] * config.num_banks
         self._bus_free_at = 0
         self._resp_pool: List[MemResponse] = []
-        self._batch = default_dram_batch()
         self._count_stats = self.stats_level >= STATS_COUNTERS
         self._hist_stats = self.stats_level >= STATS_FULL
         self._latency_hist = self.stats.histogram("latency")
@@ -276,143 +252,6 @@ class DRAMModel(Component):
                     latency=done - now, walk_id=req.walk_id)
         self.sim.call_at(done, resp)
         return done
-
-    def request_batch(self, reqs: Sequence[MemRequest],
-                      callback: Callable[[MemResponse], None]) -> List[int]:
-        """Issue a same-cycle burst of block requests; returns the
-        completion cycle of each.
-
-        Semantically identical to calling :meth:`request` once per
-        element in order — same timing chain, stats, and event sequence
-        — but amortizes per-request overhead: NumPy decodes every
-        address at once, bank/bus state lives in locals across the
-        burst, counters are bumped in bulk, and completions enter the
-        kernel through ``call_at_many``. ``REPRO_DRAM_BATCH=0`` (read
-        at construction) forces the per-request fallback.
-        """
-        n = len(reqs)
-        if n == 0:
-            return []
-        if n == 1 or not self._batch:
-            return [self.request(r, callback) for r in reqs]
-        cfg = self.config
-        now = self.sim.now
-        block_mask = ~(cfg.block_bytes - 1)
-        row_bytes = cfg.row_bytes
-        bank_mask = cfg.num_banks - 1
-        row_span = row_bytes * cfg.num_banks
-        if _np is not None and n >= _BATCH_NP_MIN:
-            addrs = _np.fromiter((r.addr for r in reqs),
-                                 dtype=_np.int64, count=n)
-            blocks_arr = addrs & block_mask
-            blocks = blocks_arr.tolist()
-            banks = ((blocks_arr // row_bytes) & bank_mask).tolist()
-            rows = (blocks_arr // row_span).tolist()
-        else:
-            blocks = [r.addr & block_mask for r in reqs]
-            banks = [(b // row_bytes) & bank_mask for b in blocks]
-            rows = [b // row_span for b in blocks]
-
-        open_rows = self._bank_open_row
-        free_ats = self._bank_free_at
-        bus_free = self._bus_free_at
-        t_hit = cfg.t_cl
-        t_miss = cfg.t_rcd + cfg.t_cl
-        t_conf = cfg.t_rp + cfg.t_rcd + cfg.t_cl
-        burst = cfg.burst_cycles
-        block_bytes = cfg.block_bytes
-        image = self.image
-        bus = self.bus
-        wants_issue = bus is not None and bus.wants(DRAMIssue)
-        wants_complete = bus is not None and bus.wants(DRAMComplete)
-        name = self.name
-        pool = self._resp_pool
-        hist = self._latency_hist if (self._count_stats
-                                      and self._hist_stats) else None
-        hits = misses = conflicts = writes = 0
-        dones: List[int] = []
-        scheduled: List = []
-        for i in range(n):
-            req = reqs[i]
-            block = blocks[i]
-            bank_index = banks[i]
-            row = rows[i]
-            req.issued_at = now
-            start = free_ats[bank_index]
-            if start < now:
-                start = now
-            open_row = open_rows[bank_index]
-            if open_row == row:
-                access = t_hit
-                hits += 1
-                row_stat = "row_hits"
-            elif open_row < 0:
-                access = t_miss
-                misses += 1
-                row_stat = "row_misses"
-            else:
-                access = t_conf
-                conflicts += 1
-                row_stat = "row_conflicts"
-            open_rows[bank_index] = row
-            data_ready = start + access
-            burst_start = data_ready if data_ready > bus_free else bus_free
-            done = burst_start + burst
-            free_ats[bank_index] = data_ready
-            bus_free = done
-            latency = done - now
-            if hist is not None:
-                hist.add(latency)
-            if req.is_write:
-                writes += 1
-                if req.data is not None:
-                    image.write_block(block, req.data[:block_bytes])
-                payload = b""
-            else:
-                payload = image.read_block(block, block_bytes)
-            if pool:
-                resp = pool.pop()
-                resp.addr = block
-                resp.data = payload
-                resp.tag = req.tag
-                resp.latency = latency
-            else:
-                resp = MemResponse(addr=block, data=payload, tag=req.tag,
-                                   latency=latency)
-            resp._callback = callback
-            resp._pool = pool
-            if bus is not None:
-                if wants_issue:
-                    bus.publish(DRAMIssue(cycle=now, component=name,
-                                          addr=block, is_write=req.is_write,
-                                          bank=bank_index,
-                                          row_result=row_stat,
-                                          complete_at=done,
-                                          nbytes=block_bytes,
-                                          walk_id=req.walk_id))
-                if wants_complete:
-                    resp._bus = bus
-                    resp._complete = DRAMComplete(cycle=done, component=name,
-                                                  addr=block, latency=latency,
-                                                  walk_id=req.walk_id)
-            scheduled.append((done, resp))
-            dones.append(done)
-        self._bus_free_at = bus_free
-        self.sim.call_at_many(scheduled)
-        if self._count_stats:
-            stats = self.stats
-            if hits:
-                stats.inc("row_hits", hits)
-            if misses:
-                stats.inc("row_misses", misses)
-            if conflicts:
-                stats.inc("row_conflicts", conflicts)
-            if writes:
-                stats.inc("writes", writes)
-            if writes != n:
-                stats.inc("reads", n - writes)
-            stats.inc("bytes", n * block_bytes)
-        return dones
 
     # ------------------------------------------------------------------
     # reporting

@@ -5,30 +5,21 @@ the kernel's bucketed event queue (persistent tick callbacks and pooled
 completion events included, by identity), walker contexts and X-register
 files, meta-tag and address-cache arrays with their LRU/occupancy state,
 MSHRs, the DRAM bank struct-of-arrays, every stat counter, the RNG
-stream, and the compile/trace-cache cursors — to a versioned,
-digest-stamped file. Restoring and running to completion is
-**byte-identical** to a straight run: golden-trace digests and all stats
-match, for every DSA and compile mode.
+stream and routine resume cursors — to a versioned, digest-stamped
+file. Restoring and running to completion is **byte-identical** to a
+straight run: golden-trace digests and all stats match, for every DSA.
 
-What is *state* vs *derivable cache*:
+Everything is state and is pickled verbatim: queues, walkers, tags,
+stats, cursors, messages, scheduled events. Event callbacks are bound
+methods and ``functools.partial``\\ s of bound methods — pickle's
+memoization preserves callback identity against the owning components.
 
-* State (pickled verbatim): queues, walkers, tags, stats, cursors,
-  messages, scheduled events. Event callbacks are bound methods and
-  ``functools.partial``\\ s of bound methods — pickle's memoization
-  preserves callback identity against the owning components.
-* Derivable (dropped + rebuilt): fused-block tables and bound episode
-  traces hold generated code objects. They are rebuilt on restore by
-  :meth:`~repro.core.controller.Controller._rebind_compiled`, a pure
-  function of (program, config, recorded trace paths) — so the rebuilt
-  closures behave identically, including mid-trace resume cursors.
-  Recorded :class:`~repro.core.trace_compile.TracePath`\\ s are plain
-  data but the microcode RAM drops them on pickle (they are re-learned
-  in ordinary runs); the snapshot carries them explicitly so episode
-  traces survive without re-warming.
+Wire format (version 2)::
 
-Wire format (version 1)::
+    b"XCKPT2\\n" | u32 header_len | header JSON | pickle payload
 
-    b"XCKPT1\\n" | u32 header_len | header JSON | pickle payload
+Version 1 snapshots also carried compiled-routine state; this build
+rejects them with :class:`SnapshotVersionError`.
 
 The header records the format version, snapshot cycle, kernel name,
 model class, payload length + sha256 (the *snapshot digest*), and a
@@ -38,17 +29,16 @@ silently wrong simulation.
 
 **Snapshot-fork sweeps**: :func:`apply_fork_overrides` re-points the
 restored config at new *fork-safe* values — post-warmup knobs (back-end
-width, latencies, scheduling window, compile thresholds, DRAM timing)
-whose change cannot invalidate warmed state. Geometry-changing fields
-(ways/sets, data RAM, tag layout, walker parallelism, compile mode,
-DRAM bank structure) are rejected with :class:`ForkOverrideError`.
+width, latencies, scheduling window, DRAM timing) whose change cannot
+invalidate warmed state. Geometry-changing fields (ways/sets, data RAM,
+tag layout, walker parallelism, DRAM bank structure) are rejected with
+:class:`ForkOverrideError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -75,8 +65,8 @@ __all__ = [
     "finish_model",
 ]
 
-SNAPSHOT_FORMAT = 1
-_MAGIC = b"XCKPT1\n"
+SNAPSHOT_FORMAT = 2
+_MAGIC = b"XCKPT2\n"
 
 
 class SnapshotError(RuntimeError):
@@ -102,25 +92,17 @@ class ForkOverrideError(SnapshotError):
 # Post-warmup knobs whose change cannot invalidate warmed state: they
 # alter *future* timing/scheduling decisions only. Geometry and
 # constructed-at-build-time fields (ways, sets, tag_fields, data RAM,
-# wlen, block_bytes, num_active, xregs_per_walker, compile_mode, DRAM
-# bank structure) are not fork-safe: warmed arrays would be silently
+# wlen, block_bytes, num_active, xregs_per_walker, DRAM bank
+# structure) are not fork-safe: warmed arrays would be silently
 # reinterpreted under a different shape.
 FORK_SAFE_FIELDS = frozenset({
     "num_exe", "hit_latency", "hit_ports", "sched_window",
-    "trace_threshold", "min_fuse_len", "max_outstanding_fills",
+    "max_outstanding_fills",
 })
 # DRAM timing knobs, addressed as "dram.<field>" in override dicts.
 FORK_SAFE_DRAM_FIELDS = frozenset({
     "t_cl", "t_rcd", "t_rp", "burst_cycles", "queue_depth",
 })
-# Fork-safe fields that nonetheless feed block fusing / trace
-# segmentation (bind_routine drops blocks wider than num_exe;
-# compiled_routine fuses by min_fuse_len). Changing one re-segments the
-# rebuilt traces, so saved mid-trace resume cursors — segment indices
-# into the *old* segmentation — are invalidated and those executions
-# deopt to the interpreter at their saved pc.
-_REBIND_FIELDS = frozenset({"num_exe", "min_fuse_len"})
-
 
 # ----------------------------------------------------------------------
 # model plumbing
@@ -193,14 +175,8 @@ def save_model(path: str, model: Any) -> Dict[str, Any]:
     sim = system.sim
     if getattr(sim, "_running", False):
         raise SnapshotError("cannot snapshot while sim.run() is active")
-    ram = system.controller.program.ram
     payload_obj = {
         "model": model,
-        # the RAM's __getstate__ drops recorded trace paths (re-learned
-        # in ordinary runs); carry them so restore re-installs and
-        # rebinding finds them (episode traces survive, deopt cursors
-        # and all)
-        "ram_traces": dict(ram._traces),
         # uid continuity: new messages after restore must not collide
         # with uids keyed in pickled in-flight maps
         "msg_ids": messages._ids,
@@ -293,10 +269,9 @@ def load_model(path: str, overrides: Optional[Dict[str, Any]] = None,
     """Restore a model from ``path``; returns ``(model, header)``.
 
     ``overrides`` applies fork-safe config changes (see
-    :func:`apply_fork_overrides`) before the compiled caches are
-    rebound. ``expect_geometry`` (a :func:`geometry_digest` value)
-    guards against restoring a stale or foreign snapshot into a job
-    that assumes different geometry.
+    :func:`apply_fork_overrides`). ``expect_geometry`` (a
+    :func:`geometry_digest` value) guards against restoring a stale or
+    foreign snapshot into a job that assumes different geometry.
 
     Restoring rebinds the module-level message-uid stream and RNG state
     to the snapshot's, so only one restored system should be simulated
@@ -320,11 +295,8 @@ def load_model(path: str, overrides: Optional[Dict[str, Any]] = None,
     model = payload_obj["model"]
     messages._ids = payload_obj["msg_ids"]
     random.setstate(payload_obj["rng"])
-    system = _system_of(model)
-    system.controller.program.ram._traces.update(payload_obj["ram_traces"])
     if overrides:
         apply_fork_overrides(model, overrides)
-    system.controller._rebind_compiled()
     return model, header
 
 
@@ -361,28 +333,10 @@ def apply_fork_overrides(model: Any,
     system = _system_of(model)
     controller = system.controller
     if xc:
-        old_config = controller.config
-        controller.config = dataclasses.replace(old_config, **xc)
+        controller.config = dataclasses.replace(controller.config, **xc)
         if isinstance(getattr(model, "config", None),
                       type(controller.config)):
             model.config = controller.config
-        # enabling trace compilation on a fork warmed with it disabled
-        if (controller._traces is None
-                and controller.config.compile_mode != "off"
-                and controller.config.trace_threshold > 0):
-            controller._traces = {}
-        # A changed binding input re-segments the traces that
-        # _rebind_compiled is about to rebuild; saved cursors index the
-        # old segmentation and must not be re-pointed into the new one.
-        # ex.pc always holds the cursor's action pc (emit_save keeps
-        # them in lockstep), so dropping to the interpreter there is
-        # the architecturally identical fallback.
-        if any(getattr(old_config, f) != getattr(controller.config, f)
-               for f in _REBIND_FIELDS & xc.keys()):
-            for ex in controller._execq:
-                if ex.trace is not None and ex.trace_pos:
-                    ex.trace = None
-                    ex.trace_pos = 0
     if dr:
         system.dram.config = dataclasses.replace(system.dram.config, **dr)
     normalized = {**{k: v for k, v in xc.items()},

@@ -125,37 +125,6 @@ class Simulator:
             self._far_seq += 1
             heappush(self._far, (self.now + delay, self._far_seq, fn))
 
-    def call_at_many(
-        self, items: List[Tuple[int, Callable[[], None]]]
-    ) -> None:
-        """Schedule many ``(cycle, fn)`` pairs in one call.
-
-        Equivalent to ``for cycle, fn in items: self.call_at(cycle, fn)``
-        (FIFO order within a cycle is preserved) with the ring/heap
-        dispatch state hoisted out of the loop — the batch issue path of
-        the DRAM model schedules a whole burst of completions this way.
-        """
-        now = self.now
-        horizon = self._horizon
-        ring = self._ring
-        mask = self._mask
-        far = self._far
-        added = 0
-        for cycle, fn in items:
-            delta = cycle - now
-            if 0 <= delta < horizon:
-                ring[cycle & mask].append(fn)
-                added += 1
-            elif delta < 0:
-                self._ring_count += added
-                raise SimulationError(
-                    f"cannot schedule at cycle {cycle}; now is {now}"
-                )
-            else:
-                self._far_seq += 1
-                heappush(far, (cycle, self._far_seq, fn))
-        self._ring_count += added
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -335,24 +304,6 @@ class HeapSimulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         self.call_at(self.now + delay, fn)
-
-    def call_at_many(
-        self, items: List[Tuple[int, Callable[[], None]]]
-    ) -> None:
-        """Schedule many ``(cycle, fn)`` pairs in one call (see
-        :meth:`Simulator.call_at_many`)."""
-        now = self.now
-        queue = self._queue
-        seq = self._seq
-        for cycle, fn in items:
-            if cycle < now:
-                self._seq = seq
-                raise SimulationError(
-                    f"cannot schedule at cycle {cycle}; now is {now}"
-                )
-            seq += 1
-            heappush(queue, (cycle, seq, fn))
-        self._seq = seq
 
     # ------------------------------------------------------------------
     # execution

@@ -73,7 +73,7 @@ def _parse_grid(pairs: List[str]) -> dict:
             try:
                 typed.append(json.loads(raw))
             except json.JSONDecodeError:
-                typed.append(raw)  # bare string value, e.g. compile_mode=off
+                typed.append(raw)  # not JSON: keep the bare string
         grid[field] = typed
     return grid
 

@@ -212,13 +212,17 @@ class Service:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self, wait_ready: bool = False) -> "Service":
+        """Start the pool and the control loop. ``wait_ready`` blocks
+        until every worker has booted, before the loop starts: only one
+        thread may poll the pool's pipes, and once the loop runs it is
+        that thread (a later ``start`` does not wait)."""
         if self._thread is None:
             self.pool.start()
+            if wait_ready:
+                self.pool.wait_ready()
             self._thread = threading.Thread(
                 target=self._loop, name="repro-svc-loop", daemon=True)
             self._thread.start()
-        if wait_ready:
-            self.pool.wait_ready()
         return self
 
     def close(self) -> None:

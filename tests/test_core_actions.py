@@ -336,3 +336,26 @@ def test_action_category_stats_accumulate(mini_system):
     assert stats.get("act_queue") > 0
     assert stats.get("act_data") > 0
     assert stats.get("ucode_reads") == stats.get("actions_total")
+
+
+def test_exec_results_are_pooled(mini_walker, mini_config, monkeypatch):
+    import repro.core.actions as actions_mod
+
+    allocations = [0]
+    orig_init = actions_mod.ExecResult.__init__
+
+    def counting_init(self, *args, **kwargs):
+        allocations[0] += 1
+        orig_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(actions_mod.ExecResult, "__init__", counting_init)
+    system = XCacheSystem(mini_config, mini_walker)
+    addr = system.image.alloc_u64_array(list(range(16)))
+    for i in range(16):
+        system.load((i,), walk_fields={"addr": addr + 8 * i})
+    system.run()
+    executed = system.controller.stats.counter("actions_total").value
+    assert executed > 100
+    # steady state returns module-level pooled instances; only a
+    # pathological >32-slot copy may allocate
+    assert allocations[0] == 0, (allocations[0], executed)

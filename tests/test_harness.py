@@ -31,6 +31,15 @@ def test_profiles_available():
         get_profile("huge")
 
 
+def test_derive_profile_rejects_removed_fields():
+    """A sweep grid over a field the Profile no longer has (here the
+    removed routine-compilation knob) fails up front with KeyError."""
+    from repro.harness.profiles import derive_profile
+
+    with pytest.raises(KeyError, match="compile_mode"):
+        derive_profile("ci", {"compile_mode": "off"})
+
+
 def test_profile_configs_resolve():
     prof = get_profile("quick")
     for dsa in ("widx", "dasx", "sparch", "gamma"):

@@ -3,17 +3,18 @@
 The tentpole guarantee under test: ``run-to-cycle-C → snapshot →
 restore → run-to-end`` equals a straight run *byte-identically* — every
 ``RunResult`` field (cycles, traffic, energy, extras, check verdicts) —
-for all five DSAs under every compile mode, episode traces included.
+for all five DSAs, at hypothesis-chosen snapshot cycles, whether the
+snapshot is loaded plainly, through the fork path or geometry-verified.
 A snapshot that cannot honor that must fail loudly with a typed error,
 never restore into a silently wrong simulation.
 """
 
 import dataclasses
 import json
-import os
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.harness.sweep import (
     SWEEP_DSAS,
@@ -33,45 +34,68 @@ from repro.sim.checkpoint import (
     TornSnapshotError,
 )
 
-MODES = ("off", "on", "verify")
+# a fixed, derandomized profile: the same warm cycles on every run
+RESTORE_PROFILE = settings(max_examples=2, derandomize=True,
+                           database=None, deadline=None)
+
+# How the snapshot is loaded back:
+#   off    — a plain load, no guards and no overrides
+#   on     — the fork path on, every fork-safe field overridden with
+#            the value it already has (must change nothing)
+#   verify — a geometry-verified load (expect_geometry)
+RESTORES = ("off", "on", "verify")
 
 
-def _snapshot_run(dsa, mode, path, warm_frac=0.5, overrides=None,
-                  extra_config=None):
-    """warm → save → load (fresh object graph) → run-to-end."""
-    config = {"compile_mode": mode, **(extra_config or {})}
-    probe = build_model(dsa, "ci", config).run()
-    warm = max(1, int(probe.cycles * warm_frac))
-    model = build_model(dsa, "ci", config)
-    ck.warm_model(model, warm)
-    header = ck.save_model(str(path), model)
-    del model
-    restored, loaded = ck.load_model(str(path), overrides=overrides)
-    assert loaded == header
-    return probe, ck.finish_model(restored), header
+@pytest.fixture(scope="module")
+def snap_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("restore")
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.fixture(scope="module")
+def straight_runs():
+    """dsa -> straight-run comparator, computed once per DSA."""
+    return {}
+
+
+def _identity_overrides(model):
+    """Every fork-safe field, set to the value ``model`` already has."""
+    system = model.system
+    return {
+        **{name: getattr(system.controller.config, name)
+           for name in ck.FORK_SAFE_FIELDS},
+        **{f"dram.{name}": getattr(system.dram.config, name)
+           for name in ck.FORK_SAFE_DRAM_FIELDS},
+    }
+
+
+@pytest.mark.parametrize("restore", RESTORES)
 @pytest.mark.parametrize("dsa", SWEEP_DSAS)
-def test_snapshot_restore_byte_identity(dsa, mode, tmp_path):
-    straight, resumed, header = _snapshot_run(
-        dsa, mode, tmp_path / f"{dsa}.ckpt")
-    assert resumed == straight          # every RunResult field
+@RESTORE_PROFILE
+@given(data=st.data())
+def test_snapshot_restore_byte_identity(dsa, restore, data, snap_dir,
+                                        straight_runs):
+    """warm to a chosen cycle → save → load (fresh object graph) →
+    run-to-end equals the straight run."""
+    if dsa not in straight_runs:
+        straight_runs[dsa] = straight_run(dsa, "ci")
+    straight = straight_runs[dsa]
+    cycle = data.draw(st.integers(1, straight.cycles - 1), label="cycle")
+    model = build_model(dsa, "ci")
+    ck.warm_model(model, cycle)
+    overrides = _identity_overrides(model) if restore == "on" else None
+    path = str(snap_dir / f"{dsa}-{restore}.ckpt")
+    header = ck.save_model(path, model)
+    del model
+    expect = header["geometry"] if restore == "verify" else None
+    restored, loaded = ck.load_model(path, overrides=overrides,
+                                     expect_geometry=expect)
+    assert loaded == header
+    assert ck.geometry_digest(restored) == header["geometry"]
+    assert ck.finish_model(restored) == straight   # every RunResult field
     assert header["format"] == ck.SNAPSHOT_FORMAT
     assert header["cycle"] < straight.cycles
     assert header["model_class"].lower().startswith(
         {"sparch": "sparch", "gamma": "gamma"}.get(dsa, dsa)[:5])
-
-
-@pytest.mark.parametrize("mode", ("on", "verify"))
-def test_snapshot_preserves_eager_episode_traces(mode, tmp_path):
-    """trace_threshold=1 compiles episode traces during warmup; the
-    restored run (deopt cursors included) must still match a straight
-    run — the sharpest derivable-cache rebuild case."""
-    straight, resumed, _ = _snapshot_run(
-        "widx", mode, tmp_path / "eager.ckpt",
-        extra_config={"trace_threshold": 1})
-    assert resumed == straight
 
 
 def test_snapshot_roundtrip_is_repeatable(tmp_path):
@@ -126,11 +150,13 @@ def test_not_a_snapshot_rejected(tmp_path):
 def test_version_mismatch_rejected(widx_snapshot, tmp_path):
     path, _ = widx_snapshot
     blob = path.read_bytes()
-    # same magic family, different version byte
-    futuristic = tmp_path / "v9.ckpt"
-    futuristic.write_bytes(b"XCKPT9\n" + blob[len(ck._MAGIC):])
-    with pytest.raises(SnapshotVersionError):
-        ck.load_model(str(futuristic))
+    # same magic family, different version byte: the compile-era
+    # format 1 and an unknown future one
+    for old in (b"XCKPT1\n", b"XCKPT9\n"):
+        stale = tmp_path / "stale.ckpt"
+        stale.write_bytes(old + blob[len(ck._MAGIC):])
+        with pytest.raises(SnapshotVersionError):
+            ck.load_model(str(stale))
     # right magic, header claims an unsupported format number
     off = len(ck._MAGIC)
     (hlen,) = struct.unpack_from("<I", blob, off)
@@ -168,6 +194,7 @@ def test_geometry_digest_ignores_fork_safe_fields(widx_snapshot):
 def test_fork_override_whitelist_enforced(widx_snapshot):
     path, _ = widx_snapshot
     for bad in ({"ways": 8}, {"compile_mode": "off"},
+                {"trace_threshold": 1}, {"min_fuse_len": 2},
                 {"dram.num_banks": 4}, {"sets": 128}):
         with pytest.raises(ForkOverrideError):
             ck.load_model(str(path), overrides=bad)
@@ -199,42 +226,6 @@ def test_fork_overrides_take_effect(widx_snapshot):
     assert slow_dram.cycles > base.cycles
     assert slow_dram.hits == base.hits          # same work, new timing
     assert slow_dram.misses == base.misses
-
-
-def test_rebind_field_fork_deopts_saved_trace_cursors(tmp_path):
-    """Forking num_exe re-segments the rebuilt episode traces, so a
-    saved mid-trace cursor (a segment index into the *old*
-    segmentation) must deopt to the interpreter, not be re-pointed —
-    a stale cursor livelocks the tail run."""
-    import signal
-
-    total = build_model("widx", "quick").run().cycles
-    model = build_model("widx", "quick")
-    ck.warm_model(model, int(total * 0.85))
-    execq = model.system.controller._execq
-    assert any(ex.trace is not None and ex.trace_pos for ex in execq), (
-        "precondition lost: no in-flight trace cursor at this warm "
-        "cycle — move the warm point so the regression still bites")
-    path = tmp_path / "warm.ckpt"
-    ck.save_model(str(path), model)
-    del model
-
-    restored, _ = ck.load_model(str(path), overrides={"num_exe": 4})
-    assert all(not ex.trace_pos
-               for ex in restored.system.controller._execq)
-
-    def _bail(signum, frame):
-        raise AssertionError("fork with num_exe override livelocked")
-
-    signal.signal(signal.SIGALRM, _bail)
-    signal.alarm(120)
-    try:
-        result = ck.finish_model(restored)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, signal.SIG_DFL)
-    assert result.checks_passed
-    assert result.cycles < 2 * total
 
 
 def test_sweep_points_deterministic_product():

@@ -38,6 +38,34 @@ def test_submit_running_done_lifecycle():
         assert status["attempts"] == 1
 
 
+def test_start_wait_ready_polls_the_pool_from_one_thread():
+    """start(wait_ready=True) must not read the pool's pipes while the
+    control loop reads them too: two readers on one pipe can hang."""
+    svc = Service(workers=1, health=False, store=None)
+    gate = threading.Lock()
+    overlaps = set()   # threads that found another one inside poll
+    poll = svc.pool.poll
+
+    def exclusive_poll(timeout=0.05):
+        if not gate.acquire(blocking=False):
+            overlaps.add(threading.current_thread().name)
+            return []
+        try:
+            return poll(timeout)
+        finally:
+            gate.release()
+
+    svc.pool.poll = exclusive_poll
+    try:
+        svc.start(wait_ready=True)
+        payload = svc.submit(JobSpec(experiment="sleep:0.05")).result(
+            timeout=60)
+        assert payload["all_ok"] is True
+    finally:
+        svc.close()
+    assert not overlaps
+
+
 def test_real_experiment_through_the_service():
     from repro.harness import run_experiment
 
