@@ -1,7 +1,7 @@
-"""Event-kernel hot path: bucketed scheduler vs the seed heapq kernel.
+"""Event-kernel hot path: events/sec of the bucketed :class:`Simulator`.
 
-Drives both kernels through the same synthetic event mix, shaped like a
-Widx run at the ``full`` profile:
+Drives the kernel through a synthetic event mix shaped like a Widx run
+at the ``full`` profile:
 
 * ~70 % of events reschedule at delay 1 (back-to-back controller ticks,
   queue hand-offs, hash-unit pipelining);
@@ -18,9 +18,11 @@ Run standalone to emit ``BENCH_kernel.json``::
 
     PYTHONPATH=src python benchmarks/bench_kernel_hotpath.py --out BENCH_kernel.json
 
-Under pytest the module asserts the bucketed kernel clears the issue's
->=2.0x events/sec bar (set ``REPRO_BENCH_SMOKE=1`` for a correctness-only
-smoke run, as CI does on shared runners where timing is noisy).
+Under pytest the module runs the mix to completion and prints the
+record (``REPRO_BENCH_SMOKE=1`` shrinks it to a quick smoke run, as CI
+does). ``bucket_events_per_sec`` is the baseline ``bench_obs_overhead.py``
+holds its unarmed-bus throughput against; ``python -m repro.obs.regress``
+gates fresh records against the committed ``BENCH_kernel.json``.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ import random
 import sys
 import time
 
-from repro.sim import HeapSimulator, Simulator
+from repro.sim import Simulator
 
 CHAINS = 64          # concurrent event chains (walkers x engines + queues)
 DEFAULT_EVENTS = 500_000
-SPEEDUP_FLOOR = 2.0  # acceptance bar from the issue
 SMOKE_ENV = "REPRO_BENCH_SMOKE"
 
 _SHORT_DELAYS = (11, 15, 22, 26, 37)
@@ -80,36 +81,28 @@ def drive(sim, num_events: int, delays) -> float:
     return executed / elapsed
 
 
-def compare(num_events: int = DEFAULT_EVENTS, seed: int = 1) -> dict:
-    """Benchmark both kernels on the same mix; return the result record."""
+def measure(num_events: int = DEFAULT_EVENTS, seed: int = 1) -> dict:
+    """Benchmark the kernel on the mix; return the result record."""
     delays = make_delays(num_events, seed)
-    # warm-up pass per kernel so allocator/JIT-free timing is steady
-    drive(HeapSimulator(), min(num_events, 50_000), delays)
+    # warm-up pass so allocator/JIT-free timing is steady
     drive(Simulator(), min(num_events, 50_000), delays)
-    heap_eps = drive(HeapSimulator(), num_events, delays)
     bucket_eps = drive(Simulator(), num_events, delays)
     return {
         "benchmark": "kernel_hotpath",
         "events": num_events,
         "chains": CHAINS,
         "seed": seed,
-        "heap_events_per_sec": round(heap_eps),
         "bucket_events_per_sec": round(bucket_eps),
-        "speedup": round(bucket_eps / heap_eps, 2),
     }
 
 
-def test_kernel_hotpath_speedup():
-    """Bucketed kernel sustains >=2x the heapq kernel's events/sec."""
+def test_kernel_hotpath():
+    """The kernel runs the Widx-shaped mix to completion."""
     smoke = bool(os.environ.get(SMOKE_ENV))
-    events = 50_000 if smoke else DEFAULT_EVENTS
-    result = compare(events)
+    result = measure(50_000 if smoke else DEFAULT_EVENTS)
     print()
     print(json.dumps(result, indent=2))
-    if smoke:
-        assert result["bucket_events_per_sec"] > 0
-    else:
-        assert result["speedup"] >= SPEEDUP_FLOOR, result
+    assert result["bucket_events_per_sec"] > 0
 
 
 def main(argv=None) -> int:
@@ -119,7 +112,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="write the result record as JSON here")
     args = parser.parse_args(argv)
-    result = compare(args.events, args.seed)
+    result = measure(args.events, args.seed)
     text = json.dumps(result, indent=2)
     print(text)
     if args.out:

@@ -19,7 +19,6 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
-from ..sim.stats import STATS_COUNTERS
 from .isa import Action, ActionCategory, Opcode, Operand
 from .messages import Message
 
@@ -114,7 +113,6 @@ class ActionExecutor:
     def __init__(self, controller: "Controller") -> None:
         self.c = controller
         stats = controller.stats
-        self._track = controller.stats_level >= STATS_COUNTERS
         self._n_actions = stats.counter("actions_total")
         self._n_ucode = stats.counter("ucode_reads")
         self._n_xreg_reads = stats.counter("xreg_reads")
@@ -132,8 +130,7 @@ class ActionExecutor:
         if operand.kind == "imm":
             return int(operand.value)
         if operand.kind == "r":
-            if self._track:
-                self._n_xreg_reads.value += 1
+            self._n_xreg_reads.value += 1
             return walker.ctx.read(int(operand.value))
         # message field
         return msg.get(str(operand.value))
@@ -142,8 +139,7 @@ class ActionExecutor:
                    value: int) -> None:
         if operand.kind != "r":
             raise ActionError(f"destination {operand!r} is not a register")
-        if self._track:
-            self._n_xreg_writes.value += 1
+        self._n_xreg_writes.value += 1
         walker.ctx.write(int(operand.value), value & _MASK64)
 
     # ------------------------------------------------------------------
@@ -162,12 +158,11 @@ class ActionExecutor:
             alu = self.c.stats.counter(alu_stat) if alu_stat else None
             entry = self._dispatch[op] = (handler, category, alu)
         handler, category, alu = entry
-        if self._track:
-            self._n_actions.value += 1
-            self._n_ucode.value += 1
-            category.value += 1
-            if alu is not None:
-                alu.value += 1
+        self._n_actions.value += 1
+        self._n_ucode.value += 1
+        category.value += 1
+        if alu is not None:
+            alu.value += 1
         return handler(walker, action, msg)
 
     # ------------------------------------------------------------------
@@ -249,9 +244,8 @@ class ActionExecutor:
             for name, operand in action.attr("hash_fields", ()):
                 from ..data.hashindex import fnv1a64
                 fields[name] = fnv1a64(self._resolve(walker, msg, operand))
-                if self._track:
-                    self.c.stats.inc("hash_ops")
-                    self.c.stats.inc("hash_cycles", delay)
+                self.c.stats.inc("hash_ops")
+                self.c.stats.inc("hash_cycles", delay)
             self.c.raise_internal(walker, event, fields, delay)
             return _OK
         if action.queue == "resp":
@@ -355,11 +349,9 @@ class ActionExecutor:
     # control flow
     # ------------------------------------------------------------------
     def _branch(self, action, taken: bool) -> ExecResult:
-        if self._track:
-            self._n_branches.value += 1
+        self._n_branches.value += 1
         if taken:
-            if self._track:
-                self._n_branches_taken.value += 1
+            self._n_branches_taken.value += 1
             return _branch_result(action.target)
         return _OK
 

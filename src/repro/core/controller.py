@@ -46,9 +46,7 @@ from ..obs.events import (
     WalkerWake,
     WalkerYield,
 )
-from ..obs.processors import LegacyTraceProcessor
 from ..sim import Component, MessageQueue, Simulator
-from ..sim.stats import STATS_COUNTERS, STATS_FULL
 from .actions import ActionExecutor, ActionError
 from .config import XCacheConfig
 from .dataram import DataRAM
@@ -148,16 +146,9 @@ class Controller(Component):
         self.metaio_in: MessageQueue[Message] = MessageQueue(
             f"{self.name}.metaio", capacity=0, on_push=self.wake
         )
-        # Legacy ring-buffer tracing rides the obs bus: assigning
-        # `controller.tracer = Tracer()` attaches a digest-compatible
-        # LegacyTraceProcessor (see the `tracer` property below).
-        self._legacy_tracer = None
-        self._legacy_bridge = None
         # persistent DRAM fill callback: the per-fill context rides on the
         # request's tag cookie instead of a fresh closure per block
         self._fill_cb = self._on_dram_fill
-        self._count_stats = self.stats_level >= STATS_COUNTERS
-        self._hist_stats = self.stats_level >= STATS_FULL
         self._load_to_use_hist = self.stats.histogram("load_to_use")
         self._internal: Deque[Message] = deque()
         self._execq: Deque[_RoutineExec] = deque()
@@ -177,34 +168,13 @@ class Controller(Component):
     def ensure_bus(self):
         """Create/return the bus, sharing it with the meta-tag array.
 
-        Every arming path (capture attach, tracer assignment, direct
-        ``observe``) funnels through here, so the array's fill/evict
-        publish sites see the same bus as the controller's.
+        Every arming path (capture attach, direct ``observe``) funnels
+        through here, so the array's fill/evict publish sites see the
+        same bus as the controller's.
         """
         bus = super().ensure_bus()
         self.metatags.bus = bus
         return bus
-
-    @property
-    def tracer(self):
-        """The attached legacy :class:`~repro.sim.trace.Tracer` (or None).
-
-        Setting a tracer arms the controller's event bus with a
-        :class:`~repro.obs.processors.LegacyTraceProcessor` bridge that
-        reproduces the seed tracer's exact ``(cycle, component, kind,
-        detail)`` stream, so trace digests are unchanged.
-        """
-        return self._legacy_tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        if self._legacy_bridge is not None and self.bus is not None:
-            self.bus.detach(self._legacy_bridge)
-        self._legacy_tracer = tracer
-        self._legacy_bridge = None
-        if tracer is not None:
-            self._legacy_bridge = LegacyTraceProcessor(tracer)
-            self.ensure_bus().attach(self._legacy_bridge)
 
     # ------------------------------------------------------------------
     # datapath-facing API (MetaIO)
@@ -238,8 +208,7 @@ class Controller(Component):
         msg = Message(EV_META_LOAD, tag=tag, fields=fields,
                       issued_at=self.sim.now)
         self.metaio_in.enq(msg)
-        if self._count_stats:
-            self.stats.inc("meta_loads")
+        self.stats.inc("meta_loads")
         bus = self.bus
         if bus is not None:
             self.metatags.announce(bus)
@@ -261,8 +230,7 @@ class Controller(Component):
         msg = Message(EV_META_STORE, tag=tag, fields=fields,
                       issued_at=self.sim.now)
         self.metaio_in.enq(msg)
-        if self._count_stats:
-            self.stats.inc("meta_stores")
+        self.stats.inc("meta_stores")
         bus = self.bus
         if bus is not None:
             self.metatags.announce(bus)
@@ -294,14 +262,12 @@ class Controller(Component):
         wid = walker.walk_id
         request = self.dram.request
         if write:
-            if self._count_stats:
-                self.stats.inc("dram_writes", blocks)
+            self.stats.inc("dram_writes", blocks)
             for block in range(first, last + 1, bb):
                 request(MemRequest(block, is_write=True, walk_id=wid),
                         _drop_response)
             return blocks
-        if self._count_stats:
-            self.stats.inc("dram_fills", blocks)
+        self.stats.inc("dram_fills", blocks)
         walker.fills_outstanding += blocks
         tag = walker.tag
         for block in range(first, last + 1, bb):
@@ -406,8 +372,7 @@ class Controller(Component):
     def _respond(self, request: Message, status: int, data: bytes,
                  latency: int) -> None:
         done = self.sim.now + latency
-        if self._hist_stats:
-            self._load_to_use_hist.add(done - request.issued_at)
+        self._load_to_use_hist.add(done - request.issued_at)
         handler = self.on_response
         if handler is None:
             return
@@ -424,8 +389,7 @@ class Controller(Component):
     def _serve_hit(self, msg: Message, entry: MetaTagEntry) -> None:
         now = self.sim.now
         self.metatags.touch(entry, now)
-        if self._count_stats:
-            self.stats.inc("hits")
+        self.stats.inc("hits")
         bus = self.bus
         take = bool(msg.fields.get("take"))
         if msg.fields.get("preload"):
@@ -531,8 +495,7 @@ class Controller(Component):
                 served += 1
                 continue
             entry = self.metatags.lookup(msg.tag)
-            if self._count_stats:
-                self.stats.inc("tag_probes")
+            self.stats.inc("tag_probes")
             if entry is not None and entry.servable:
                 self.metaio_in.remove(msg)
                 if msg.event == EV_META_STORE:
@@ -653,8 +616,7 @@ class Controller(Component):
         walker.inflight = inflight
         walker.routines_run += 1
         self._execq.append(inflight)
-        if self._count_stats:
-            self.stats.inc("routines_dispatched")
+        self.stats.inc("routines_dispatched")
         bus = self.bus
         if bus is not None:
             # per-category cost accounting taxes every executed action,
@@ -710,10 +672,8 @@ class Controller(Component):
     def _complete_walker(self, walker: WalkerRun,
                          ex: Optional[_RoutineExec] = None) -> None:
         now = self.sim.now
-        if self._count_stats:
-            self.stats.inc("walks_completed")
-        if self._hist_stats:
-            self.stats.histogram("walk_latency").add(now - walker.started_at)
+        self.stats.inc("walks_completed")
+        self.stats.histogram("walk_latency").add(now - walker.started_at)
         bus = self.bus
         # req_ids answered by this retire (replayed stores excluded:
         # their journey continues through MetaIO); only tracked when a

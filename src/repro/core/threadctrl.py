@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Deque, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Optional, Sequence, Tuple
 
 from ..mem.dram import DRAMModel, MemRequest, MemResponse
 from ..obs.events import (
@@ -69,30 +69,6 @@ class _Walk:
     on_fill: Optional[Callable[[MemResponse], None]] = None
 
 
-def _merge_compute_steps(steps: Sequence[WalkStep]) -> Tuple[WalkStep, ...]:
-    """Merge adjacent compute steps into one busy interval.
-
-    Each compute step costs ``max(1, cycles)`` wall-clock cycles, so
-    only runs where *every* step has ``cycles >= 1`` may merge —
-    Σ max(1, cᵢ) == max(1, Σ cᵢ) holds exactly then; a zero-cycle step
-    would lose its cycle inside a merge. DRAM steps are never touched
-    (they publish yield events and block on fills).
-    """
-    out: List[WalkStep] = []
-    acc = 0
-    for step in steps:
-        if step.kind == "compute" and step.cycles >= 1:
-            acc += step.cycles
-            continue
-        if acc:
-            out.append(WalkStep("compute", cycles=acc))
-            acc = 0
-        out.append(step)
-    if acc:
-        out.append(WalkStep("compute", cycles=acc))
-    return tuple(out)
-
-
 class ThreadController(Component):
     """Blocking-thread walker execution on ``num_pipelines`` pipelines.
 
@@ -134,13 +110,11 @@ class ThreadController(Component):
     # walk submission/execution
     # ------------------------------------------------------------------
     def submit(self, steps: Sequence[WalkStep]) -> None:
-        """Queue one walk; it runs when a pipeline frees up. Adjacent
-        compute steps run as one busy interval (same timing, one kernel
-        wake-up instead of several)."""
+        """Queue one walk; it runs when a pipeline frees up."""
         uid = self._next_uid
         self._next_uid = uid + 1
-        self._pending.append(_Walk(_merge_compute_steps(steps),
-                                   submitted_at=self.sim.now, uid=uid))
+        self._pending.append(_Walk(tuple(steps), submitted_at=self.sim.now,
+                                   uid=uid))
         bus = self.bus
         if bus is not None and bus.wants(RequestArrive):
             bus.publish(RequestArrive(cycle=self.sim.now,

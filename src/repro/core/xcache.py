@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..mem.dram import DRAMConfig, DRAMModel
 from ..mem.layout import MemoryImage
 from ..obs import capture as obs_capture
-from ..sim import new_simulator
+from ..sim import Simulator
 from .config import XCacheConfig
 from .controller import Controller, MetaResponse
 from .walker import CompiledWalker
@@ -40,7 +40,7 @@ class XCacheSystem:
                  image: Optional[MemoryImage] = None,
                  dram_config: DRAMConfig = DRAMConfig(),
                  store_merge: str = "fadd") -> None:
-        self.sim = new_simulator()
+        self.sim = Simulator()
         self.image = image if image is not None else MemoryImage()
         self.dram = DRAMModel(self.sim, self.image, dram_config)
         self.controller = Controller(self.sim, config, program, self.dram,
@@ -60,10 +60,10 @@ class XCacheSystem:
     def ensure_bus(self):
         """One shared event bus across controller, DRAM, and kernel.
 
-        The controller's bus is authoritative (a legacy ``tracer``
-        assignment may already have created it); DRAM and the simulation
-        kernel are pointed at the same instance so one subscription sees
-        the whole system.
+        The controller's bus is authoritative (a direct
+        ``controller.ensure_bus()`` may already have created it); DRAM and
+        the simulation kernel are pointed at the same instance so one
+        subscription sees the whole system.
         """
         bus = self.controller.ensure_bus()
         self.dram.bus = bus

@@ -32,7 +32,7 @@ from ..data.hashindex import HashIndex
 from ..mem.addrcache import AddressCache, CacheConfig
 from ..mem.dram import DRAMConfig, DRAMModel
 from ..mem.layout import MemoryImage
-from ..sim import new_simulator
+from ..sim import Simulator
 from .base import RunResult
 from .walkers import build_hash_walker
 from .widx import WidxWorkload, WidxAddressModel, _HashProbeEngine, \
@@ -156,7 +156,7 @@ class DasxBaselineModel:
                  dram_config: DRAMConfig = DRAMConfig()) -> None:
         self.workload = workload
         self.round_size = round_size
-        self.sim = new_simulator()
+        self.sim = Simulator()
         self.image = MemoryImage()
         self.dram = DRAMModel(self.sim, self.image, dram_config)
         cfg = cache_config or matched_cache_config(table3_config("dasx"))

@@ -39,7 +39,7 @@ from ..data.graphs import Graph, GraphLayout, pagerank_event_driven
 from ..mem.addrcache import AddressCache, CacheConfig
 from ..mem.dram import DRAMConfig, DRAMModel, MemRequest
 from ..mem.layout import MemoryImage
-from ..sim import new_simulator
+from ..sim import Simulator
 from .base import RunResult
 from .walkers import build_event_walker
 
@@ -296,7 +296,7 @@ class GraphPulseAddressModel:
         self.damping = damping
         self.epsilon = epsilon
         self.num_pes = num_pes
-        self.sim = new_simulator()
+        self.sim = Simulator()
         self.image = MemoryImage()
         self.dram = DRAMModel(self.sim, self.image, dram_config)
         if cache_config is None:

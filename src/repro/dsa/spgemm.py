@@ -38,7 +38,7 @@ from ..data.csr import CSRLayout, SparseMatrix, spgemm_gustavson
 from ..mem.addrcache import AddressCache, CacheConfig
 from ..mem.dram import DRAMConfig, DRAMModel
 from ..mem.layout import MemoryImage
-from ..sim import new_simulator
+from ..sim import Simulator
 from .base import RunResult
 from .walkers import build_row_walker
 from .widx import matched_cache_config
@@ -282,7 +282,7 @@ class SpGEMMAddressModel:
         self.dsa = "sparch" if algorithm == "outer" else "gamma"
         xcfg = xcache_config if xcache_config is not None \
             else table3_config(self.dsa)
-        self.sim = new_simulator()
+        self.sim = Simulator()
         self.image = MemoryImage()
         self.dram = DRAMModel(self.sim, self.image, dram_config)
         self.cache = AddressCache(self.sim, self.dram,

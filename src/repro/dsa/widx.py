@@ -34,7 +34,7 @@ from ..data.hashindex import HashIndex
 from ..mem.addrcache import AddressCache, CacheConfig
 from ..mem.dram import DRAMConfig, DRAMModel
 from ..mem.layout import MemoryImage
-from ..sim import Component, Simulator, new_simulator
+from ..sim import Component, Simulator
 from .base import RequestPump, RunResult
 from .walkers import build_hash_walker
 
@@ -214,7 +214,7 @@ class _AddressVariantBase:
                  cache_config: Optional[CacheConfig] = None,
                  dram_config: DRAMConfig = DRAMConfig()) -> None:
         self.workload = workload
-        self.sim = new_simulator()
+        self.sim = Simulator()
         self.image = MemoryImage()
         self.dram = DRAMModel(self.sim, self.image, dram_config)
         cfg = cache_config or matched_cache_config(table3_config("widx"))

@@ -27,7 +27,7 @@ from ..core.threadctrl import ThreadController, WalkStep
 from ..dsa.widx import WidxXCacheModel
 from ..mem.dram import DRAMModel
 from ..mem.layout import MemoryImage
-from ..sim import new_simulator
+from ..sim import Simulator
 from ..workloads.tpch import make_widx_workload
 from .profiles import get_profile
 from .report import ExperimentReport
@@ -68,7 +68,7 @@ def measure_occupancy(off_chip: float, num_keys: int = 1024,
     coro_occ = ctrl.xregs.occupancy_byte_cycles
 
     # --- threads: same walks, coarse batches, blocking DRAM steps ------
-    sim = new_simulator()
+    sim = Simulator()
     image = MemoryImage()
     dram = DRAMModel(sim, image, model.system.dram.config)
     threads = ThreadController(sim, dram, num_pipelines=4,

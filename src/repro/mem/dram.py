@@ -33,7 +33,6 @@ from typing import Callable, List, Optional
 
 from ..obs.events import DRAMComplete, DRAMIssue
 from ..sim import Component, Simulator
-from ..sim.stats import STATS_COUNTERS, STATS_FULL
 from .layout import MemoryImage
 
 __all__ = ["DRAMConfig", "MemRequest", "MemResponse", "DRAMModel"]
@@ -152,8 +151,6 @@ class DRAMModel(Component):
         self._bank_free_at: List[int] = [0] * config.num_banks
         self._bus_free_at = 0
         self._resp_pool: List[MemResponse] = []
-        self._count_stats = self.stats_level >= STATS_COUNTERS
-        self._hist_stats = self.stats_level >= STATS_FULL
         self._latency_hist = self.stats.histogram("latency")
 
     # ------------------------------------------------------------------
@@ -207,12 +204,10 @@ class DRAMModel(Component):
         self._bank_free_at[bank_index] = data_ready
         self._bus_free_at = done
 
-        if self._count_stats:
-            self.stats.inc(row_stat)
-            self.stats.inc("writes" if req.is_write else "reads")
-            self.stats.inc("bytes", cfg.block_bytes)
-            if self._hist_stats:
-                self._latency_hist.add(done - now)
+        self.stats.inc(row_stat)
+        self.stats.inc("writes" if req.is_write else "reads")
+        self.stats.inc("bytes", cfg.block_bytes)
+        self._latency_hist.add(done - now)
 
         if req.is_write:
             if req.data is not None:

@@ -2,19 +2,19 @@
 
 A zero-cost-when-off telemetry subsystem: typed events
 (:mod:`repro.obs.events`), a per-type-subscription bus
-(:mod:`repro.obs.bus`), processors that fold the stream into metrics or
-forward it to the legacy tracer (:mod:`repro.obs.processors`), and
-exporters for JSONL and Perfetto/Chrome-trace output
-(:mod:`repro.obs.export`). On top of the stream sit the
-cycle-attribution profiler (:mod:`repro.obs.prof`), per-request span
-trees (:mod:`repro.obs.spans`) with critical-path why-slow analysis
-(:mod:`repro.obs.critpath`, CLI ``python -m repro.obs.explain``),
-windowed time-series sampling (:mod:`repro.obs.timeseries`), the
-pathology watchdog (:mod:`repro.obs.watchdog`), and a benchmark
-regression + SLO gate (``python -m repro.obs.regress``).
-:mod:`repro.obs.capture` wires it into the experiment harness
-(``--events`` / ``--perfetto`` / ``--metrics-summary`` / ``--prof`` /
-``--timeseries`` / ``--spans`` / ``--explain-top`` / ``--watchdog``).
+(:mod:`repro.obs.bus`), processors that fold the stream into metrics
+(:mod:`repro.obs.processors`), and exporters for JSONL and
+Perfetto/Chrome-trace output (:mod:`repro.obs.export`). On top of the
+stream sit the cycle-attribution profiler (:mod:`repro.obs.prof`),
+per-request span trees (:mod:`repro.obs.spans`) with critical-path
+why-slow analysis (:mod:`repro.obs.critpath`, CLI ``python -m
+repro.obs.explain``), windowed time-series sampling
+(:mod:`repro.obs.timeseries`), the pathology watchdog
+(:mod:`repro.obs.watchdog`), and a benchmark regression + SLO gate
+(``python -m repro.obs.regress``). :mod:`repro.obs.capture` wires it
+into the experiment harness (``--events`` / ``--perfetto`` /
+``--metrics-summary`` / ``--prof`` / ``--timeseries`` / ``--spans`` /
+``--explain-top`` / ``--watchdog``).
 
 Quick start::
 
@@ -54,7 +54,6 @@ from .events import (
 from .bus import EventBus
 from .processors import (
     EventProcessor,
-    LegacyTraceProcessor,
     MetricsProcessor,
     NullProcessor,
     ProgressProcessor,
@@ -91,7 +90,7 @@ __all__ = [
     "EventBus",
     # processors
     "EventProcessor", "TypedEventProcessor", "MetricsProcessor",
-    "ProgressProcessor", "LegacyTraceProcessor", "NullProcessor",
+    "ProgressProcessor", "NullProcessor",
     "summarize_metrics",
     # spans / critical path
     "SpanAssembler", "RequestSpan", "WalkSpan", "WalkPhase", "EpisodeRef",

@@ -11,37 +11,23 @@
   p50/p95/p99), mergeable across runs and workers via
   ``StatGroup.merge``.
 * :class:`ProgressProcessor` — a low-frequency heartbeat for long runs.
-* :class:`LegacyTraceProcessor` — the seed's ring-buffer
-  :class:`~repro.sim.trace.Tracer` reimplemented as one bus subscriber,
-  emitting byte-identical ``(cycle, component, kind, detail)`` tuples
-  so golden-trace digests are unchanged.
 * :class:`NullProcessor` — a no-op sink for overhead benchmarking.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
 from repro.sim.stats import StatGroup
 
-from .events import (
-    EVENT_TYPES,
-    Event,
-    Fill,
-    Hit,
-    Merge,
-    Miss,
-    WalkerDispatch,
-    WalkerRetire,
-)
+from .events import EVENT_TYPES, Event, Hit
 
 __all__ = [
     "EventProcessor",
     "TypedEventProcessor",
     "MetricsProcessor",
     "ProgressProcessor",
-    "LegacyTraceProcessor",
     "NullProcessor",
     "summarize_metrics",
 ]
@@ -217,47 +203,3 @@ class ProgressProcessor(EventProcessor):
         flush = getattr(self.stream, "flush", None)
         if flush is not None:
             flush()
-
-
-class LegacyTraceProcessor(EventProcessor):
-    """Feeds a ring-buffer :class:`~repro.sim.trace.Tracer` from the bus.
-
-    Maps the typed events back onto the seed tracer's string kinds with
-    the exact detail tuples the old inline ``tracer.emit`` calls built,
-    so ``Tracer.digest()`` over a bridged run equals the seed's digest
-    for the same simulation. Events with no legacy kind (wake, yield,
-    DRAM, stalls, ...) are not subscribed and never reach the tracer.
-    """
-
-    def __init__(self, tracer) -> None:
-        self.tracer = tracer
-
-    def subscriptions(self) -> Tuple[Type[Event], ...]:
-        return (Hit, Merge, Miss, WalkerDispatch, WalkerRetire, Fill)
-
-    def handle(self, event: Event) -> None:
-        emit = self.tracer.emit
-        cls = event.__class__
-        if cls is Hit:
-            if not event.status:
-                return  # nowalk miss: the seed tracer never emitted it
-            if event.store:
-                emit(event.cycle, event.component, "store_hit",
-                     tag=event.tag)
-            else:
-                emit(event.cycle, event.component, "hit", tag=event.tag,
-                     take=event.take)
-        elif cls is Fill:
-            emit(event.cycle, event.component, "fill", tag=event.tag,
-                 addr=event.addr)
-        elif cls is WalkerDispatch:
-            emit(event.cycle, event.component, "dispatch", tag=event.tag,
-                 routine=event.routine)
-        elif cls is Miss:
-            emit(event.cycle, event.component, "walk_start", tag=event.tag,
-                 event=event.op)
-        elif cls is WalkerRetire:
-            emit(event.cycle, event.component, "retire", tag=event.tag,
-                 found=event.found, lifetime=event.lifetime)
-        elif cls is Merge:
-            emit(event.cycle, event.component, "merge", tag=event.tag)

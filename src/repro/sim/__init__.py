@@ -6,41 +6,14 @@ latency-insensitive message queues between modules, and activity-driven
 clocked components.
 """
 
-from .kernel import (
-    KERNELS,
-    HeapSimulator,
-    SimulationError,
-    Simulator,
-    default_kernel,
-    new_simulator,
-    set_default_kernel,
-    use_kernel,
-)
+from .kernel import SimulationError, Simulator
 from .queues import MessageQueue, QueueEmptyError, QueueFullError
 from .component import Component
-from .stats import (
-    STATS_COUNTERS,
-    STATS_FULL,
-    STATS_OFF,
-    Counter,
-    Histogram,
-    StatGroup,
-    geomean,
-    set_stats_level,
-    stats_level,
-    stats_scope,
-)
-from .trace import TraceEvent, Tracer, trace_digest
+from .stats import Counter, Histogram, StatGroup, geomean
 
 __all__ = [
     "Simulator",
-    "HeapSimulator",
     "SimulationError",
-    "KERNELS",
-    "new_simulator",
-    "default_kernel",
-    "set_default_kernel",
-    "use_kernel",
     "MessageQueue",
     "QueueFullError",
     "QueueEmptyError",
@@ -49,13 +22,4 @@ __all__ = [
     "Histogram",
     "StatGroup",
     "geomean",
-    "STATS_OFF",
-    "STATS_COUNTERS",
-    "STATS_FULL",
-    "stats_level",
-    "set_stats_level",
-    "stats_scope",
-    "Tracer",
-    "TraceEvent",
-    "trace_digest",
 ]

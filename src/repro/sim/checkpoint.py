@@ -14,18 +14,19 @@ stats, cursors, messages, scheduled events. Event callbacks are bound
 methods and ``functools.partial``\\ s of bound methods — pickle's
 memoization preserves callback identity against the owning components.
 
-Wire format (version 2)::
+Wire format (version 3)::
 
-    b"XCKPT2\\n" | u32 header_len | header JSON | pickle payload
+    b"XCKPT3\\n" | u32 header_len | header JSON | pickle payload
 
-Version 1 snapshots also carried compiled-routine state; this build
-rejects them with :class:`SnapshotVersionError`.
+Version 1 snapshots also carried compiled-routine state, and version 2
+ones a kernel name and stats level; this build rejects both with
+:class:`SnapshotVersionError` before unpickling their payload.
 
-The header records the format version, snapshot cycle, kernel name,
-model class, payload length + sha256 (the *snapshot digest*), and a
-geometry digest. Restores fail loudly with typed errors — torn file,
-version mismatch, geometry mismatch, non-fork-safe override — never a
-silently wrong simulation.
+The header records the format version, snapshot cycle, model class,
+payload length + sha256 (the *snapshot digest*), and a geometry digest.
+Restores fail loudly with typed errors — torn file, version mismatch,
+geometry mismatch, non-fork-safe override — never a silently wrong
+simulation.
 
 **Snapshot-fork sweeps**: :func:`apply_fork_overrides` re-points the
 restored config at new *fork-safe* values — post-warmup knobs (back-end
@@ -65,8 +66,8 @@ __all__ = [
     "finish_model",
 ]
 
-SNAPSHOT_FORMAT = 2
-_MAGIC = b"XCKPT2\n"
+SNAPSHOT_FORMAT = 3
+_MAGIC = b"XCKPT3\n"
 
 
 class SnapshotError(RuntimeError):
@@ -120,15 +121,6 @@ def _system_of(model: Any):
     return system
 
 
-def _kernel_name(sim: Any) -> str:
-    from .kernel import KERNELS
-
-    for name, cls in KERNELS.items():
-        if type(sim) is cls:
-            return name
-    return type(sim).__name__
-
-
 def geometry_digest(model: Any) -> str:
     """Digest of everything a fork must NOT change.
 
@@ -166,10 +158,9 @@ def save_model(path: str, model: Any) -> Dict[str, Any]:
 
     The model must be quiescent (between ``sim.run()`` calls). File
     handles don't pickle: detach capture exporters before snapshotting
-    (ring-buffer tracers and in-memory observers are fine).
+    (in-memory observers are fine).
     """
     from ..core import messages
-    from .stats import _stats_level
 
     system = _system_of(model)
     sim = system.sim
@@ -191,9 +182,7 @@ def save_model(path: str, model: Any) -> Dict[str, Any]:
     header = {
         "format": SNAPSHOT_FORMAT,
         "cycle": sim.now,
-        "kernel": _kernel_name(sim),
         "model_class": type(model).__name__,
-        "stats_level": _stats_level,
         "geometry": geometry_digest(model),
         "payload_bytes": len(payload),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),

@@ -14,7 +14,7 @@ no per-event closure allocation on the steady state.
 from __future__ import annotations
 
 from .kernel import Simulator
-from .stats import StatGroup, stats_level
+from .stats import StatGroup
 
 __all__ = ["Component"]
 
@@ -26,7 +26,6 @@ class Component:
         self.sim = sim
         self.name = name
         self.stats = StatGroup(name)
-        self.stats_level = stats_level()
         # observability: publish sites test `self.bus is not None` and
         # pay one attribute load when nobody is listening
         self.bus = None

@@ -12,40 +12,23 @@ waiting on a DRAM burst) cost nothing. Components that need per-cycle
 behaviour while active (the controller pipeline) reschedule themselves
 each cycle and stop rescheduling when their queues drain.
 
-Two schedulers share one API:
-
-* :class:`Simulator` (the default) is a hybrid calendar queue: a ring of
-  per-cycle buckets covers the near future (one list per cycle, drained
-  in a single pass), and a heap holds far-future overflow. Near-future
-  scheduling is a bare ``list.append`` — no tuple, no sequence number,
-  no heap rebalancing — and all same-cycle events run in one bucket
-  drain instead of N heap pops. When the ring is idle, ``now`` jumps
-  straight to the next populated cycle.
-* :class:`HeapSimulator` is the original pure-``heapq`` scheduler, kept
-  as the reference implementation: the golden-trace tests assert both
-  kernels produce cycle-identical event orderings, and the kernel
-  microbenchmark reports the speedup of one over the other.
-
-Both preserve the same ordering contract: events scheduled for the same
-cycle run in FIFO order of scheduling.
+The scheduler is a hybrid calendar queue: a ring of per-cycle buckets
+covers the near future (one list per cycle, drained in a single pass),
+and a heap holds far-future overflow. Near-future scheduling is a bare
+``list.append`` — no tuple, no sequence number, no heap rebalancing —
+and all same-cycle events run in one bucket drain instead of N heap
+pops. When the ring is idle, ``now`` jumps straight to the next
+populated cycle. Events scheduled for the same cycle run in FIFO order
+of scheduling (the kernel tests check this against a plain ``heapq``
+reference).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Type, Union
+from typing import Callable, List, Optional, Tuple
 
-__all__ = [
-    "Simulator",
-    "HeapSimulator",
-    "SimulationError",
-    "KERNELS",
-    "new_simulator",
-    "set_default_kernel",
-    "default_kernel",
-    "use_kernel",
-]
+__all__ = ["Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -128,50 +111,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _next_cycle(self) -> Optional[int]:
-        """The earliest populated cycle, or None when drained."""
-        far = self._far
-        if self._ring_count:
-            ring = self._ring
-            mask = self._mask
-            base = self.now
-            for d in range(self._horizon):
-                if ring[(base + d) & mask]:
-                    cycle = base + d
-                    if far and far[0][0] < cycle:
-                        return far[0][0]
-                    return cycle
-        if far:
-            return far[0][0]
-        return None
-
-    def step(self) -> bool:
-        """Run all events of the next pending cycle.
-
-        Returns False when no events remain.
-        """
-        cycle = self._next_cycle()
-        if cycle is None:
-            return False
-        self.now = cycle
-        executed = 0
-        far = self._far
-        while far and far[0][0] == cycle:
-            fn = heappop(far)[2]
-            fn()
-            executed += 1
-        bucket = self._ring[cycle & self._mask]
-        i = 0
-        while i < len(bucket):
-            fn = bucket[i]
-            i += 1
-            fn()
-        executed += i
-        del bucket[:i]
-        self._ring_count -= i
-        self.events_executed += executed
-        return True
-
     def run(self, until: Optional[int] = None, max_events: int = 500_000_000) -> int:
         """Run until the event queue drains (or ``until`` cycles elapse).
 
@@ -269,161 +208,3 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now}, pending={self.pending})"
 
-
-class HeapSimulator:
-    """The original pure-``heapq`` scheduler (reference kernel).
-
-    Kept verbatim from the seed so the golden-trace tests can assert the
-    calendar-queue :class:`Simulator` is semantics-preserving, and so the
-    kernel microbenchmark has a stable "before" to measure against.
-    """
-
-    def __init__(self) -> None:
-        self.now: int = 0
-        self.events_executed: int = 0
-        self.bus = None
-        self._queue: List[Tuple[int, int, Callable[[], None]]] = []
-        self._seq = 0
-        self._running = False
-        self._stopped = False
-
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
-    def call_at(self, cycle: int, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` to run at absolute ``cycle``."""
-        if cycle < self.now:
-            raise SimulationError(
-                f"cannot schedule at cycle {cycle}; now is {self.now}"
-            )
-        self._seq += 1
-        heappush(self._queue, (cycle, self._seq, fn))
-
-    def call_after(self, delay: int, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` to run ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.call_at(self.now + delay, fn)
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run all events of the next pending cycle.
-
-        Returns False when no events remain.
-        """
-        if not self._queue:
-            return False
-        cycle = self._queue[0][0]
-        self.now = cycle
-        while self._queue and self._queue[0][0] == cycle:
-            _, _, fn = heappop(self._queue)
-            fn()
-            self.events_executed += 1
-        return True
-
-    def run(self, until: Optional[int] = None, max_events: int = 500_000_000) -> int:
-        """Run until the event queue drains (or ``until`` cycles elapse).
-
-        Returns the final cycle. ``max_events`` counts *callbacks
-        executed* (not cycles advanced) and guards against livelock in a
-        buggy model; hitting it raises :class:`SimulationError`. The
-        running total is surfaced as :attr:`events_executed`.
-        """
-        if self._running:
-            raise SimulationError("re-entrant run()")
-        self._running = True
-        self._stopped = False
-        events = 0
-        bus = self.bus
-        if bus is not None:
-            from ..obs.events import RunStart
-            bus.publish(RunStart(cycle=self.now, component="kernel"))
-        try:
-            while self._queue and not self._stopped:
-                cycle = self._queue[0][0]
-                if until is not None and cycle > until:
-                    self.now = until
-                    break
-                self.now = cycle
-                _, _, fn = heappop(self._queue)
-                fn()
-                events += 1
-                if events > max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events at cycle {self.now}; "
-                        "likely a livelocked model"
-                    )
-        finally:
-            self._running = False
-            self.events_executed += events
-            if bus is not None:
-                from ..obs.events import RunEnd
-                bus.publish(RunEnd(cycle=self.now, component="kernel",
-                                   events_executed=self.events_executed))
-        return self.now
-
-    def stop(self) -> None:
-        """Stop a run() in progress after the current event."""
-        self._stopped = True
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self._queue)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HeapSimulator(now={self.now}, pending={self.pending})"
-
-
-# ----------------------------------------------------------------------
-# kernel selection
-# ----------------------------------------------------------------------
-AnySimulator = Union[Simulator, HeapSimulator]
-
-KERNELS: Dict[str, Type] = {
-    "bucket": Simulator,
-    "heap": HeapSimulator,
-}
-
-_default_kernel = "bucket"
-
-
-def default_kernel() -> str:
-    """Name of the kernel :func:`new_simulator` currently builds."""
-    return _default_kernel
-
-
-def set_default_kernel(name: str) -> str:
-    """Select the kernel built by :func:`new_simulator`; returns the old."""
-    global _default_kernel
-    if name not in KERNELS:
-        raise KeyError(f"unknown kernel {name!r}; have {sorted(KERNELS)}")
-    previous = _default_kernel
-    _default_kernel = name
-    return previous
-
-
-@contextmanager
-def use_kernel(name: str) -> Iterator[None]:
-    """Temporarily select the simulation kernel (golden-trace tests)::
-
-        with use_kernel("heap"):
-            report = run_experiment("fig04", "ci")
-    """
-    previous = set_default_kernel(name)
-    try:
-        yield
-    finally:
-        set_default_kernel(previous)
-
-
-def new_simulator() -> AnySimulator:
-    """Build a simulator of the currently selected kernel.
-
-    Every model constructs its clock through this factory, so a single
-    :func:`use_kernel` scope switches the whole system between the
-    calendar-queue kernel and the heapq reference.
-    """
-    return KERNELS[_default_kernel]()

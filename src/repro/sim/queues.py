@@ -7,9 +7,7 @@ the Python analogue: a bounded FIFO with ready/valid semantics and an
 optional wakeup callback so a consumer can sleep until traffic arrives.
 
 Traffic statistics (peak depth, enqueue/dequeue totals) feed the
-occupancy studies and are gathered at the default stats level; at
-``STATS_OFF`` the enq/deq fast paths skip all bookkeeping (see
-:mod:`repro.sim.stats`). The level is sampled once at construction.
+occupancy studies.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ from __future__ import annotations
 from collections import deque
 from itertools import islice
 from typing import Callable, Deque, Generic, Iterable, List, Optional, TypeVar
-
-from .stats import STATS_COUNTERS, stats_level
 
 __all__ = ["MessageQueue", "QueueFullError", "QueueEmptyError"]
 
@@ -41,8 +37,8 @@ class MessageQueue(Generic[T]):
     Statistics (peak depth, total traffic) feed the occupancy studies.
     """
 
-    __slots__ = ("name", "capacity", "on_push", "_items", "_track_stats",
-                 "total_enqueued", "total_dequeued", "peak_depth")
+    __slots__ = ("name", "capacity", "on_push", "_items", "total_enqueued",
+                 "total_dequeued", "peak_depth")
 
     def __init__(self, name: str = "q", capacity: int = 0,
                  on_push: Optional[Callable[[], None]] = None) -> None:
@@ -50,7 +46,6 @@ class MessageQueue(Generic[T]):
         self.capacity = capacity
         self.on_push = on_push
         self._items: Deque[T] = deque()
-        self._track_stats = stats_level() >= STATS_COUNTERS
         self.total_enqueued = 0
         self.total_dequeued = 0
         self.peak_depth = 0
@@ -82,11 +77,10 @@ class MessageQueue(Generic[T]):
         if 0 < self.capacity <= len(items):
             raise QueueFullError(f"queue {self.name!r} full (cap={self.capacity})")
         items.append(item)
-        if self._track_stats:
-            self.total_enqueued += 1
-            depth = len(items)
-            if depth > self.peak_depth:
-                self.peak_depth = depth
+        self.total_enqueued += 1
+        depth = len(items)
+        if depth > self.peak_depth:
+            self.peak_depth = depth
         if self.on_push is not None:
             self.on_push()
 
@@ -97,8 +91,7 @@ class MessageQueue(Generic[T]):
     def deq(self) -> T:
         if not self._items:
             raise QueueEmptyError(f"queue {self.name!r} empty")
-        if self._track_stats:
-            self.total_dequeued += 1
+        self.total_dequeued += 1
         return self._items.popleft()
 
     def peek(self) -> T:
@@ -117,14 +110,12 @@ class MessageQueue(Generic[T]):
         except ValueError:
             raise QueueEmptyError(
                 f"item not present in queue {self.name!r}") from None
-        if self._track_stats:
-            self.total_dequeued += 1
+        self.total_dequeued += 1
 
     def drain(self) -> List[T]:
         """Dequeue everything at once (testing/teardown helper)."""
         out = list(self._items)
-        if self._track_stats:
-            self.total_dequeued += len(self._items)
+        self.total_dequeued += len(self._items)
         self._items.clear()
         return out
 

@@ -4,72 +4,19 @@ Every timed component keeps a :class:`StatGroup` of named counters and
 histograms. The experiment harness aggregates these into the rows the
 paper's figures report (memory accesses, action counts, occupancy, energy
 events).
-
-Statistics bookkeeping on the hot paths (per-event counter increments,
-per-request latency histograms, queue peak-depth tracking) can be
-compiled out via the global *stats level*:
-
-* ``STATS_OFF`` (0) — hot-path bookkeeping skipped entirely; reports
-  built from counters will be empty. Microbenchmark mode.
-* ``STATS_COUNTERS`` (1) — counters and queue traffic totals, but no
-  histograms. Enough for the figure-14/15/16 aggregate rows.
-* ``STATS_FULL`` (2, the default) — everything, including the latency
-  and occupancy histograms the figure-4/7 studies read.
-
-Components sample the level once at construction (the branch compiles
-down to a cached boolean test), so change it *before* building a model —
-:func:`stats_scope` makes that ergonomic.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = [
     "Counter",
     "Histogram",
     "StatGroup",
     "geomean",
-    "STATS_OFF",
-    "STATS_COUNTERS",
-    "STATS_FULL",
-    "stats_level",
-    "set_stats_level",
-    "stats_scope",
 ]
-
-STATS_OFF = 0
-STATS_COUNTERS = 1
-STATS_FULL = 2
-
-_stats_level = STATS_FULL
-
-
-def stats_level() -> int:
-    """The global statistics level (see module docstring)."""
-    return _stats_level
-
-
-def set_stats_level(level: int) -> int:
-    """Set the global statistics level; returns the previous level."""
-    global _stats_level
-    if level not in (STATS_OFF, STATS_COUNTERS, STATS_FULL):
-        raise ValueError(f"stats level must be 0, 1 or 2, got {level!r}")
-    previous = _stats_level
-    _stats_level = level
-    return previous
-
-
-@contextmanager
-def stats_scope(level: int) -> Iterator[None]:
-    """Temporarily set the stats level (build models inside the scope)."""
-    previous = set_stats_level(level)
-    try:
-        yield
-    finally:
-        set_stats_level(previous)
 
 
 class Counter:

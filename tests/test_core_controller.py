@@ -1,5 +1,7 @@
 """Integration-grade unit tests for the X-Cache controller pipeline."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import (
@@ -15,6 +17,14 @@ from repro.core import (
     XCacheSystem,
     compile_walker,
     op,
+)
+from repro.obs.events import (
+    Fill,
+    Hit,
+    Merge,
+    Miss,
+    WalkerDispatch,
+    WalkerRetire,
 )
 
 
@@ -242,3 +252,53 @@ def test_eviction_frees_victim_sectors(mini_walker):
     ram = system.controller.dataram
     assert ram.used_sectors <= config.entries
     assert system.controller.metatags.stats.get("evictions") > 50
+
+
+# ----------------------------------------------------------------------
+# the controller's event stream, observed through its bus
+# ----------------------------------------------------------------------
+TRACED = (Miss, WalkerDispatch, Fill, WalkerRetire, Hit, Merge)
+
+
+def _record(system):
+    events = []
+    system.controller.ensure_bus().subscribe(events.append, TRACED)
+    return events
+
+
+def _kinds(events):
+    return Counter(type(e).__name__ for e in events)
+
+
+def test_controller_publishes_walk_events(mini_system):
+    events = _record(mini_system)
+    addr = mini_system.image.alloc_u64_array([1])
+    mini_system.load((1,), walk_fields={"addr": addr})
+    mini_system.run()
+    mini_system.load((1,), walk_fields={"addr": addr})
+    mini_system.run()
+    assert _kinds(events) == {"Miss": 1, "WalkerDispatch": 2,  # Default+Wait
+                              "Fill": 1, "WalkerRetire": 1, "Hit": 1}
+
+
+def test_one_dispatch_per_routine_and_retire_after_walk_start(mini_system):
+    events = _record(mini_system)
+    addr = mini_system.image.alloc_u64_array(list(range(6)))
+    for i in range(6):
+        mini_system.load((i,), walk_fields={"addr": addr + 8 * i})
+    mini_system.run()
+    kinds = _kinds(events)
+    assert kinds["Miss"] == kinds["WalkerRetire"] == kinds["Fill"] == 6
+    assert kinds["WalkerDispatch"] == 12
+    starts = {e.tag: e.cycle for e in events if isinstance(e, Miss)}
+    for retire in (e for e in events if isinstance(e, WalkerRetire)):
+        assert retire.cycle > starts[retire.tag]
+
+
+def test_duplicate_miss_publishes_merge(mini_system):
+    events = _record(mini_system)
+    addr = mini_system.image.alloc_u64_array([1])
+    mini_system.load((1,), walk_fields={"addr": addr})
+    mini_system.load((1,), walk_fields={"addr": addr})
+    mini_system.run()
+    assert _kinds(events)["Merge"] == 1

@@ -91,29 +91,9 @@ def test_walk_latency_histogram():
     assert hist.mean > 5
 
 
-def test_adjacent_compute_steps_merge():
-    from repro.core.threadctrl import _merge_compute_steps
-
-    steps = (WalkStep("compute", cycles=3), WalkStep("compute", cycles=2),
-             WalkStep("dram", addr=64), WalkStep("compute", cycles=1))
-    assert _merge_compute_steps(steps) == (
-        WalkStep("compute", cycles=5), WalkStep("dram", addr=64),
-        WalkStep("compute", cycles=1))
-
-
-def test_zero_cycle_compute_step_stays_separate():
-    # a zero-cycle step costs max(1, 0) = 1 wall cycle; merging it would
-    # erase that cycle
-    from repro.core.threadctrl import _merge_compute_steps
-
-    steps = (WalkStep("compute", cycles=2), WalkStep("compute", cycles=0),
-             WalkStep("compute", cycles=2))
-    assert _merge_compute_steps(steps) == steps
-
-
 def test_merged_compute_keeps_walk_timing():
-    """Merging must not change a walk's wall-clock time: every compute
-    step costs max(1, cycles), merged or not."""
+    """Back-to-back compute steps each cost max(1, cycles) wall cycles:
+    a zero-cycle step still takes its cycle."""
     sim, threads = make_threads(pipelines=1)
     cycles = (2, 3, 0, 1, 4)
     threads.submit(tuple(WalkStep("compute", cycles=c) for c in cycles))

@@ -1,79 +1,65 @@
-"""Golden-trace determinism: bucketed kernel vs the reference heap kernel.
+"""Golden event stream: a pinned digest of a whole traced Widx run.
 
-The bucketed scheduler is only a performance change; it must execute the
-*identical* event sequence the seed heapq kernel did. These tests run
-real experiment drivers under both kernels and compare
-
-* the per-cycle event trace digest of a traced Widx run (any reorder,
-  even within one cycle, changes the hash), and
-* the fully rendered reports of fig04 and fig07 at the ``ci`` profile
-  (string equality — every measured number must match).
+A JSONL export of every event the controller's bus carries (requests,
+hits, misses, merges, walker dispatch/wake/yield/retire, fills,
+evictions, ...) is hashed and compared with a committed literal. Any
+reordering, missing or extra event (even within one cycle) or changed
+field changes the digest, so this pins the kernel's ordering, the
+controller's behaviour and checkpoint/restore at once.
 """
 
-import pytest
+import hashlib
+import io
 
-from repro.harness import run_experiment
-from repro.sim import Tracer, use_kernel
+from repro.core.messages import reset_ids
+from repro.obs.export import JsonlExporter
 from repro.workloads.tpch import make_widx_workload
 
+GOLDEN_WIDX_SHA256 = \
+    "3b50e4052d7dfd8632a02572ee1df5d5cf0a4f10b9c7dd021eb89589a08ccb2a"
 
-def _traced_widx_run(kernel: str):
+
+def _traced_widx_model():
     from repro.dsa.widx import WidxXCacheModel
 
+    reset_ids()
     workload = make_widx_workload(
         num_keys=512, num_probes=1024, num_buckets=512,
         skew=1.3, hash_cycles=10, seed=3,
     )
-    with use_kernel(kernel):
-        model = WidxXCacheModel(workload, window=16)
-        tracer = Tracer(capacity=100_000)
-        model.system.controller.tracer = tracer
-        result = model.run()
-    return tracer, result
+    model = WidxXCacheModel(workload, window=16)
+    buf = io.StringIO()
+    model.system.controller.ensure_bus().attach(JsonlExporter(buf))
+    return model, buf
 
 
-def test_widx_trace_digest_matches_heap_kernel():
-    heap_trace, heap_result = _traced_widx_run("heap")
-    bucket_trace, bucket_result = _traced_widx_run("bucket")
-    assert heap_trace.total_emitted > 0
-    assert bucket_trace.digest() == heap_trace.digest()
-    assert bucket_result.cycles == heap_result.cycles
-    assert bucket_result.dram_accesses == heap_result.dram_accesses
+def _digest(buf) -> str:
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.parametrize("exp_id", ["fig04", "fig07"])
-def test_experiment_reports_identical_across_kernels(exp_id):
-    with use_kernel("heap"):
-        heap_report = run_experiment(exp_id, "ci").render()
-    with use_kernel("bucket"):
-        bucket_report = run_experiment(exp_id, "ci").render()
-    assert bucket_report == heap_report
+def test_widx_event_stream_matches_golden_digest():
+    model, buf = _traced_widx_model()
+    result = model.run()
+    assert result.cycles > 0
+    assert _digest(buf) == GOLDEN_WIDX_SHA256
 
 
 def test_widx_trace_digest_survives_snapshot_restore(tmp_path):
     """run-to-mid → snapshot → restore → run-to-end must emit the
-    *identical* event trace a straight run emits — the same golden
-    digest that pins the kernel rewrite pins checkpoint/restore."""
+    *identical* event stream a straight run emits."""
     from repro.sim import checkpoint as ck
 
-    straight_trace, straight_result = _traced_widx_run("bucket")
+    straight, straight_buf = _traced_widx_model()
+    straight_result = straight.run()
+    assert _digest(straight_buf) == GOLDEN_WIDX_SHA256
 
-    from repro.dsa.widx import WidxXCacheModel
-
-    workload = make_widx_workload(
-        num_keys=512, num_probes=1024, num_buckets=512,
-        skew=1.3, hash_cycles=10, seed=3,
-    )
-    with use_kernel("bucket"):
-        model = WidxXCacheModel(workload, window=16)
-        tracer = Tracer(capacity=100_000)
-        model.system.controller.tracer = tracer
-        ck.warm_model(model, straight_result.cycles // 2)
-        ck.save_model(str(tmp_path / "traced.ckpt"), model)
-        del model, tracer
-        restored, header = ck.load_model(str(tmp_path / "traced.ckpt"))
-        resumed_result = ck.finish_model(restored)
-        resumed_tracer = restored.system.controller.tracer
+    model, buf = _traced_widx_model()
+    ck.warm_model(model, straight_result.cycles // 2)
+    ck.save_model(str(tmp_path / "traced.ckpt"), model)
+    del model, buf
+    restored, header = ck.load_model(str(tmp_path / "traced.ckpt"))
+    resumed_result = ck.finish_model(restored)
+    (exporter,) = restored.system.controller.bus.processors
     assert header["cycle"] == straight_result.cycles // 2
-    assert resumed_tracer.digest() == straight_trace.digest()
+    assert _digest(exporter._stream) == GOLDEN_WIDX_SHA256
     assert resumed_result == straight_result

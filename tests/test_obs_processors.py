@@ -1,4 +1,4 @@
-"""Tests for obs processors: typed dispatch, metrics, the legacy bridge."""
+"""Tests for obs processors: typed dispatch, metrics, progress."""
 
 import io
 
@@ -6,20 +6,15 @@ import pytest
 
 from repro.obs import (
     EventBus,
-    Fill,
     Hit,
     Merge,
     MetricsProcessor,
     Miss,
     ProgressProcessor,
     TypedEventProcessor,
-    WalkerDispatch,
     WalkerRetire,
-    WalkerWake,
     summarize_metrics,
 )
-from repro.obs.processors import LegacyTraceProcessor
-from repro.sim import Tracer
 from repro.sim.stats import Histogram, StatGroup
 
 
@@ -169,76 +164,19 @@ def test_progress_processor_heartbeats():
 
 
 # ----------------------------------------------------------------------
-# LegacyTraceProcessor: digest-identical to inline emits
+# system integration: observe() and a direct controller-bus attach
 # ----------------------------------------------------------------------
-def test_legacy_bridge_matches_inline_emits():
-    inline = Tracer()
-    inline.emit(1, "ctl", "walk_start", tag=(7,), event="MetaLoad")
-    inline.emit(1, "ctl", "dispatch", tag=(7,), routine="Default@MetaLoad")
-    inline.emit(40, "ctl", "fill", tag=(7,), addr=4096)
-    inline.emit(41, "ctl", "retire", tag=(7,), found=True, lifetime=40)
-    inline.emit(50, "ctl", "hit", tag=(7,), take=False)
-    inline.emit(51, "ctl", "store_hit", tag=(7,))
-    inline.emit(52, "ctl", "merge", tag=(7,))
-
-    bridged = Tracer()
-    bus = EventBus()
-    bus.attach(LegacyTraceProcessor(bridged))
-    bus.publish(Miss(cycle=1, component="ctl", tag=(7,), op="MetaLoad"))
-    bus.publish(WalkerDispatch(cycle=1, component="ctl", tag=(7,),
-                               routine="Default@MetaLoad"))
-    bus.publish(Fill(cycle=40, component="ctl", tag=(7,), addr=4096,
-                     nbytes=64))
-    bus.publish(WalkerRetire(cycle=41, component="ctl", tag=(7,),
-                             found=True, lifetime=40))
-    bus.publish(Hit(cycle=50, component="ctl", tag=(7,)))
-    bus.publish(Hit(cycle=51, component="ctl", tag=(7,), store=True))
-    bus.publish(Merge(cycle=52, component="ctl", tag=(7,)))
-
-    assert bridged.digest() == inline.digest()
-
-
-def test_legacy_bridge_ignores_non_legacy_events():
-    tracer = Tracer()
-    bus = EventBus()
-    bus.attach(LegacyTraceProcessor(tracer))
-    bus.publish(WalkerWake(cycle=3, component="ctl", tag=(7,),
-                           reason="Fill"))
-    assert len(tracer) == 0
-    assert tracer.total_emitted == 0
-
-
-# ----------------------------------------------------------------------
-# system integration: observe() + legacy tracer coexist
-# ----------------------------------------------------------------------
-def test_observe_and_tracer_share_one_bus(mini_system):
-    tracer = Tracer()
-    mini_system.controller.tracer = tracer
+def test_observe_and_controller_bus_share_one_bus(mini_system):
+    direct = mini_system.controller.ensure_bus().attach(_HitsOnly())
     metrics = mini_system.observe(MetricsProcessor())
     addr = mini_system.image.alloc_u64_array([1])
     mini_system.load((1,), walk_fields={"addr": addr})
     mini_system.run()
     mini_system.load((1,), walk_fields={"addr": addr})
     mini_system.run()
-    assert tracer.count("hit") == 1 and tracer.count("retire") == 1
+    assert len(direct.hits) == 1 and len(direct.retires) == 1
     assert metrics.stats.get("hits") == 1
     assert metrics.stats.get("misses") == 1
     assert metrics.stats.get("walks_completed") == 1
     assert metrics.stats.histogram("miss_latency").count == 1
     assert metrics.stats.get("dram_reads") == 1
-
-
-def test_tracer_swap_detaches_old_bridge(mini_system):
-    first, second = Tracer(), Tracer()
-    mini_system.controller.tracer = first
-    mini_system.controller.tracer = second
-    addr = mini_system.image.alloc_u64_array([1])
-    mini_system.load((1,), walk_fields={"addr": addr})
-    mini_system.run()
-    assert len(first) == 0
-    assert second.count("walk_start") == 1
-    mini_system.controller.tracer = None
-    assert mini_system.controller.tracer is None
-    mini_system.load((2,), walk_fields={"addr": addr})
-    mini_system.run()
-    assert second.count("walk_start") == 1  # detached, saw nothing new

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    STATS_FULL,
-    STATS_OFF,
-    MessageQueue,
-    QueueEmptyError,
-    QueueFullError,
-    stats_level,
-    stats_scope,
-)
+from repro.sim import MessageQueue, QueueEmptyError, QueueFullError
 
 
 def test_fifo_order():
@@ -114,49 +106,3 @@ def test_bool_reflects_emptiness():
     assert not q
     q.enq(0)
     assert q
-
-
-# ----------------------------------------------------------------------
-# stats gating
-# ----------------------------------------------------------------------
-
-def test_default_level_keeps_full_stats():
-    # Fig. 7's occupancy study reads traffic counters and peak depth off
-    # harness-constructed queues; the default level must keep them live.
-    assert stats_level() == STATS_FULL
-    q = MessageQueue()
-    q.enq_all(range(4))
-    q.deq()
-    assert q.total_enqueued == 4
-    assert q.total_dequeued == 1
-    assert q.peak_depth == 4
-
-
-def test_stats_off_skips_counters():
-    with stats_scope(STATS_OFF):
-        q = MessageQueue()
-    q.enq_all(range(4))
-    q.deq()
-    assert q.total_enqueued == 0
-    assert q.total_dequeued == 0
-    assert q.peak_depth == 0
-    # functional behaviour is untouched
-    assert len(q) == 3
-    assert q.deq() == 1
-
-
-def test_stats_level_sampled_at_construction():
-    with stats_scope(STATS_OFF):
-        cold = MessageQueue()
-    hot = MessageQueue()
-    cold.enq(1)
-    hot.enq(1)
-    assert cold.total_enqueued == 0
-    assert hot.total_enqueued == 1
-
-
-def test_stats_scope_restores_level():
-    before = stats_level()
-    with stats_scope(STATS_OFF):
-        assert stats_level() == STATS_OFF
-    assert stats_level() == before

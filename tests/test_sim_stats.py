@@ -6,13 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim import Counter, Histogram, StatGroup, geomean
-from repro.sim.stats import (
-    STATS_COUNTERS,
-    STATS_FULL,
-    STATS_OFF,
-    stats_level,
-    stats_scope,
-)
 
 
 def test_counter_increments():
@@ -147,42 +140,6 @@ def test_statgroup_merge_is_commutative_on_buckets():
     ba.merge(b), ba.merge(a)
     assert ab.histogram("h").items() == ba.histogram("h").items()
     assert ab.histogram("h").total == ba.histogram("h").total
-
-
-def test_stats_scope_restores_level():
-    base = stats_level()
-    with stats_scope(STATS_OFF):
-        assert stats_level() == STATS_OFF
-    assert stats_level() == base
-
-
-def test_stats_scope_nesting():
-    base = stats_level()
-    with stats_scope(STATS_COUNTERS):
-        assert stats_level() == STATS_COUNTERS
-        with stats_scope(STATS_OFF):
-            assert stats_level() == STATS_OFF
-            with stats_scope(STATS_FULL):
-                assert stats_level() == STATS_FULL
-            assert stats_level() == STATS_OFF
-        assert stats_level() == STATS_COUNTERS
-    assert stats_level() == base
-
-
-def test_stats_scope_restores_on_exception():
-    base = stats_level()
-    with pytest.raises(RuntimeError):
-        with stats_scope(STATS_OFF):
-            raise RuntimeError("boom")
-    assert stats_level() == base
-
-
-def test_stats_scope_rejects_bad_level():
-    with pytest.raises(ValueError):
-        with stats_scope(9):
-            pass  # pragma: no cover
-
-
 def test_statgroup_reset():
     g = StatGroup("g")
     g.inc("x", 5)
