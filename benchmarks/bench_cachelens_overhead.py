@@ -18,7 +18,8 @@ simulation it observes:
   so scheduler noise on shared runners is not mistaken for lens cost,
   and the memo cache is cleared before every run so each one simulates
   fully.  ``cachelens_overhead_x`` (armed/unarmed, lower is better,
-  1.0 = free) is the gated metric: CI holds it via an explicit
+  1.0 = free; reported unclamped, so a value below 1.0 shows the
+  noise floor) is the gated metric: CI holds it via an explicit
   ``--tolerance`` and the full (non-smoke) pytest run asserts the 1.11
   ceiling directly, i.e. an armed run keeps >=90% of unarmed
   throughput.
@@ -50,6 +51,7 @@ from repro.harness.suite import clear_cache
 from repro.obs.capture import CaptureSpec
 from repro.obs.cachelens import MISS_CLASSES, CacheLensProcessor
 from repro.obs.events import CacheFill, CacheModel, Hit, Miss
+from repro.svc.telemetry import MetricsRegistry
 
 EXPERIMENT = "fig04"
 PROFILE = "ci"
@@ -60,22 +62,25 @@ SMOKE_ENV = "REPRO_BENCH_SMOKE"
 
 
 def drive(spec: CaptureSpec):
-    """One fully-simulated run; returns (cpu-seconds, lens summary|None).
+    """One fully-simulated run; returns (cpu-seconds, lens misses).
 
-    GC is collected before and disabled during the timed region so a
+    The miss count is what the run folded into a metrics registry
+    (``sim_cache_misses_total``, 0 when the lens is off). GC is
+    collected before and disabled during the timed region so a
     collection triggered by the *previous* run's garbage doesn't land
     inside this run's measurement.
     """
     clear_cache()
-    telemetry: dict = {}
+    registry = MetricsRegistry()
     gc.collect()
     gc.disable()
     start = time.process_time()
-    execute_one(EXPERIMENT, PROFILE, spec, telemetry=telemetry)
+    execute_one(EXPERIMENT, PROFILE, spec, metrics=registry)
     elapsed = time.process_time() - start
     gc.enable()
     clear_cache()
-    return elapsed, telemetry.get("cachelens")
+    misses = registry.by_label("sim_cache_misses_total", "cache")
+    return elapsed, sum(misses.values())
 
 
 def drive_lens_events(num_events: int) -> float:
@@ -110,7 +115,7 @@ def drive_lens_events(num_events: int) -> float:
 def compare(rounds: int = DEFAULT_ROUNDS,
             num_events: int = DEFAULT_EVENTS) -> dict:
     unarmed_times, armed_times = [], []
-    lens_holder = [None]
+    misses_holder = [0]
 
     def pairs(n: int) -> None:
         # alternate within-pair order each round so slow drift never
@@ -118,10 +123,10 @@ def compare(rounds: int = DEFAULT_ROUNDS,
         for i in range(n):
             if i % 2 == 0:
                 unarmed_times.append(drive(CaptureSpec())[0])
-                elapsed, lens_holder[0] = drive(CaptureSpec(misses=True))
+                elapsed, misses_holder[0] = drive(CaptureSpec(misses=True))
                 armed_times.append(elapsed)
             else:
-                elapsed, lens_holder[0] = drive(CaptureSpec(misses=True))
+                elapsed, misses_holder[0] = drive(CaptureSpec(misses=True))
                 armed_times.append(elapsed)
                 unarmed_times.append(drive(CaptureSpec())[0])
 
@@ -141,9 +146,7 @@ def compare(rounds: int = DEFAULT_ROUNDS,
         extensions += 1
     unarmed = min(unarmed_times)
     armed = min(armed_times)
-    lens_summary = lens_holder[0]
-    assert lens_summary, "armed run produced no lens summary"
-    misses = sum(e["misses"] for e in lens_summary.values())
+    misses = misses_holder[0]
     assert misses > 0, "armed run classified no misses"
     return {
         "benchmark": "cachelens_overhead",
@@ -154,7 +157,7 @@ def compare(rounds: int = DEFAULT_ROUNDS,
         "misses_classified": misses,
         "unarmed_runs_per_sec": round(1.0 / unarmed, 3),
         "armed_runs_per_sec": round(1.0 / armed, 3),
-        "cachelens_overhead_x": round(max(armed / unarmed, 1.0), 4),
+        "cachelens_overhead_x": round(armed / unarmed, 4),
         "lens_events_per_sec": round(drive_lens_events(num_events)),
     }
 

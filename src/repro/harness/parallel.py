@@ -30,10 +30,13 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..obs.capture import Capture, CaptureSpec, use_capture
 from .suite import SUITE_CACHE_ENV
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..svc.telemetry import MetricsRegistry
 
 __all__ = ["run_serial", "run_parallel", "execute_one",
            "SHARED_SUITE_EXPERIMENTS"]
@@ -45,7 +48,8 @@ SHARED_SUITE_EXPERIMENTS = ("fig14", "fig15", "fig16")
 def execute_one(exp_id: str, profile: str,
                 spec: Optional[CaptureSpec] = None,
                 on_attach: Optional[Callable] = None,
-                telemetry: Optional[dict] = None) -> Tuple[str, bool]:
+                metrics: Optional["MetricsRegistry"] = None
+                ) -> Tuple[str, bool]:
     """Run one experiment; return (rendered report, all_ok).
 
     When a :class:`CaptureSpec` rides along, the experiment runs inside
@@ -62,12 +66,13 @@ def execute_one(exp_id: str, profile: str,
     health watchdog — to every system the driver builds; passing it
     forces a capture scope even when ``spec`` exports nothing.
 
-    Pass a dict as ``telemetry`` to receive what the capture observed
-    beyond its file exports: per-kind watchdog warning counts
-    (``"watchdog"``) and the cache-lens why-miss summary
-    (``"cachelens"``) — the hook the service worker uses to land
-    harness-path pathologies and cache health in its
-    :class:`~repro.svc.telemetry.MetricsRegistry`.
+    Pass a :class:`~repro.svc.telemetry.MetricsRegistry` as ``metrics``
+    to fold in what the capture observed beyond its file exports: one
+    ``watchdog_warnings_total{kind}`` per warning and, with the cache
+    lens armed, each cache's ``sim_cache_hit_rate``,
+    ``sim_cache_conflict_share`` and ``sim_cache_misses_total`` — how
+    the service worker reports harness-path pathologies and cache
+    health.
     """
     from . import run_experiment
 
@@ -81,13 +86,18 @@ def execute_one(exp_id: str, profile: str,
             report = run_experiment(exp_id, profile)
     finally:
         summary = capture.finish()
-        if telemetry is not None:
-            counts: dict = {}
+        if metrics is not None:
             for warning in capture.watchdog_warnings:
-                counts[warning.kind] = counts.get(warning.kind, 0) + 1
-            telemetry["watchdog"] = counts
+                metrics.inc("watchdog_warnings_total", kind=warning.kind)
             if capture.spec.wants_misses:
-                telemetry["cachelens"] = capture.merged_cachelens()
+                lens = capture.merged_cachelens()
+                for cache, entry in sorted(lens.items()):
+                    metrics.set("sim_cache_hit_rate", entry["hit_rate"],
+                                cache=cache)
+                    metrics.set("sim_cache_conflict_share",
+                                entry["conflict_share"], cache=cache)
+                    metrics.inc("sim_cache_misses_total", entry["misses"],
+                                cache=cache)
     rendered = report.render()
     if summary:
         rendered = f"{rendered}\n{summary}"
@@ -102,19 +112,13 @@ def run_serial(targets: Sequence[str], profile: str,
 
 
 def run_parallel(targets: Sequence[str], profile: str, jobs: int,
-                 cache_dir: Optional[str] = None,
-                 capture: Optional[CaptureSpec] = None,
-                 telemetry: Optional[dict] = None
+                 capture: Optional[CaptureSpec] = None
                  ) -> List[Tuple[str, bool]]:
     """Fan experiments out over a warm pool of ``jobs`` workers.
 
     Returns ``(rendered_report, all_ok)`` pairs in ``targets`` order —
-    the same sequence :func:`run_serial` produces. ``cache_dir`` is the
-    shared suite cache directory; a temporary one is created (and
-    removed) when not given. Pass a dict as ``telemetry`` to receive the
-    inner service's observability state: its ``metrics()`` dict and the
-    registry ``snapshot`` (mergeable across batches via
-    :func:`repro.svc.telemetry.merge_snapshots`).
+    the same sequence :func:`run_serial` produces. The shared suite
+    cache lives in a temporary directory removed afterwards.
     """
     if jobs <= 1 or len(targets) <= 1:
         return run_serial(targets, profile, capture)
@@ -122,9 +126,7 @@ def run_parallel(targets: Sequence[str], profile: str, jobs: int,
     from ..svc.jobs import JobSpec
     from ..svc.service import Service
 
-    own_cache = cache_dir is None
-    if own_cache:
-        cache_dir = tempfile.mkdtemp(prefix="repro-suite-cache-")
+    cache_dir = tempfile.mkdtemp(prefix="repro-suite-cache-")
     previous = os.environ.get(SUITE_CACHE_ENV)
     # set before Service starts: workers inherit the environment
     os.environ[SUITE_CACHE_ENV] = cache_dir
@@ -152,14 +154,10 @@ def run_parallel(targets: Sequence[str], profile: str, jobs: int,
             for t in targets:
                 payload = handles[t].result()
                 results.append((payload["rendered"], payload["all_ok"]))
-            if telemetry is not None:
-                telemetry["metrics"] = svc.metrics()
-                telemetry["snapshot"] = svc.telemetry_snapshot()
             return results
     finally:
         if previous is None:
             os.environ.pop(SUITE_CACHE_ENV, None)
         else:
             os.environ[SUITE_CACHE_ENV] = previous
-        if own_cache:
-            shutil.rmtree(cache_dir, ignore_errors=True)
+        shutil.rmtree(cache_dir, ignore_errors=True)

@@ -157,24 +157,9 @@ def sweep_points(grid: Mapping[str, Sequence[Any]]
     :class:`~repro.sim.checkpoint.ForkOverrideError` *before* any
     simulation runs.
     """
-    from ..sim.checkpoint import (
-        FORK_SAFE_DRAM_FIELDS,
-        FORK_SAFE_FIELDS,
-        ForkOverrideError,
-    )
+    from ..sim.checkpoint import check_fork_overrides
 
-    for field in grid:
-        name = field[len("dram."):] if field.startswith("dram.") else None
-        if name is not None:
-            if name not in FORK_SAFE_DRAM_FIELDS:
-                raise ForkOverrideError(
-                    f"dram.{name} is not fork-safe; fork-safe DRAM "
-                    f"fields: {sorted(FORK_SAFE_DRAM_FIELDS)}")
-        elif field not in FORK_SAFE_FIELDS:
-            raise ForkOverrideError(
-                f"{field!r} is not fork-safe (geometry-changing sweeps "
-                f"need one warmup per point — use the straight harness); "
-                f"fork-safe fields: {sorted(FORK_SAFE_FIELDS)}")
+    check_fork_overrides(grid)
     points: List[Dict[str, Any]] = [{}]
     for field in sorted(grid):
         values = list(grid[field])

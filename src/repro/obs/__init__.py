@@ -56,7 +56,6 @@ from .processors import (
     EventProcessor,
     MetricsProcessor,
     NullProcessor,
-    ProgressProcessor,
     TypedEventProcessor,
     summarize_metrics,
 )
@@ -90,8 +89,7 @@ __all__ = [
     "EventBus",
     # processors
     "EventProcessor", "TypedEventProcessor", "MetricsProcessor",
-    "ProgressProcessor", "NullProcessor",
-    "summarize_metrics",
+    "NullProcessor", "summarize_metrics",
     # spans / critical path
     "SpanAssembler", "RequestSpan", "WalkSpan", "WalkPhase", "EpisodeRef",
     "CritPathAggregator", "BLAME_BUCKETS", "blame_request", "verify_request",

@@ -395,6 +395,7 @@ class _LensState:
             "would_hit_more_sets": self.would_sets,
             "reuse": {reuse_bucket_label(b): n
                       for b, n in sorted(self.reuse.items())},
+            "conflict_sets": dict(self.conflict_sets),
         }
         out.update(self.by_class)
         return out
@@ -523,15 +524,9 @@ class CacheLensProcessor(TypedEventProcessor):
             return []
         return _rank_sets(state.conflict_sets, k)
 
-    def conflict_sets_by_cache(self) -> Dict[str, Dict[int, int]]:
-        """Per-cache conflict-miss counts per set (mergeable sums)."""
-        return {name: dict(state.conflict_sets)
-                for name, state in self._states.items()}
-
     def report(self) -> str:
         """Text block for the harness report / explain CLI."""
-        return why_miss_report(self.summary(),
-                               self.conflict_sets_by_cache())
+        return why_miss_report(self.summary())
 
 
 def _rank_sets(counts: Dict[int, int], k: int) -> List[Tuple[int, int]]:
@@ -540,12 +535,12 @@ def _rank_sets(counts: Dict[int, int], k: int) -> List[Tuple[int, int]]:
 
 
 def why_miss_report(summary: Dict[str, Dict[str, object]],
-                    conflict_sets: Optional[Dict[str, Dict[int, int]]] = None,
                     k: int = 5) -> str:
     """Render the why-miss text block from a (possibly merged) summary.
 
     Works on live processor output and on
-    :func:`merge_summaries`-folded dicts from ``--parallel`` workers.
+    :func:`merge_summaries`-folded dicts from ``--parallel`` workers;
+    each cache's ``conflict_sets`` names its ``k`` hottest sets.
     """
     from repro.harness.report import why_miss_table
 
@@ -560,7 +555,7 @@ def why_miss_report(summary: Dict[str, Dict[str, object]],
     if table:
         lines.append(table)
     for name in summary:
-        top = _rank_sets((conflict_sets or {}).get(name, {}), k)
+        top = _rank_sets(summary[name].get("conflict_sets", {}), k)
         if top:
             detail = " ".join(f"set{idx}={count}" for idx, count in top)
             lines.append(f"  {name} hottest conflict sets: {detail}")
@@ -600,10 +595,11 @@ _SUM_KEYS = ("accesses", "hits", "misses", "merges", "nowalk", "stalls",
 def merge_summaries(summaries) -> Dict[str, Dict[str, object]]:
     """Fold per-run :meth:`CacheLensProcessor.summary` dicts into one.
 
-    Pure counter sums keyed by component name — commutative and
-    associative, so ``--parallel`` workers and repeated service jobs
-    merge order-independently. Derived ratios (hit_rate,
-    conflict_share) are recomputed from the summed counters.
+    Pure counter sums keyed by component name (the reuse histogram and
+    per-set conflict counts included) — commutative and associative,
+    so ``--parallel`` workers and repeated service jobs merge
+    order-independently. Derived ratios (hit_rate, conflict_share) are
+    recomputed from the summed counters.
     """
     merged: Dict[str, Dict[str, object]] = {}
     for summary in summaries:
@@ -615,14 +611,16 @@ def merge_summaries(summaries) -> Dict[str, Dict[str, object]]:
                     "kind": entry.get("kind", "meta"),
                     "tag_class": entry.get("tag_class", ""),
                     "reuse": {},
+                    "conflict_sets": {},
                 }
                 for key in _SUM_KEYS:
                     slot[key] = 0
             for key in _SUM_KEYS:
                 slot[key] += entry.get(key, 0)
-            reuse = slot["reuse"]
-            for label, count in entry.get("reuse", {}).items():
-                reuse[label] = reuse.get(label, 0) + count
+            for field in ("reuse", "conflict_sets"):
+                counts = slot[field]
+                for bucket, count in entry.get(field, {}).items():
+                    counts[bucket] = counts.get(bucket, 0) + count
     for slot in merged.values():
         if slot["kind"] == "addr":
             total = (slot["hits"] + slot["misses"] + slot["merges"]

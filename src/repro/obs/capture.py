@@ -261,15 +261,6 @@ class Capture:
         (counter sums — order-independent under ``--parallel``)."""
         return merge_summaries(lens.summary() for lens in self._lenses)
 
-    def merged_conflict_sets(self) -> Dict[str, Dict[int, int]]:
-        merged: Dict[str, Dict[int, int]] = {}
-        for lens in self._lenses:
-            for name, counts in lens.conflict_sets_by_cache().items():
-                slot = merged.setdefault(name, {})
-                for set_index, count in counts.items():
-                    slot[set_index] = slot.get(set_index, 0) + count
-        return merged
-
     @property
     def spans_dropped(self) -> int:
         return sum(asm.dropped for asm in self._assemblers)
@@ -308,18 +299,8 @@ class Capture:
 
             merged = self.merged_critpath()
             if self.spec.spans_path:
-                suite = self.spec.exp_id or "run"
-                doc = slo_summary(merged, suite)
-                if lens_summary:
-                    # fold cache-contents health into the SLO document
-                    # so obs.regress --slo can budget hit-rate and
-                    # conflict share next to latency percentiles
-                    for name, comp in doc["components"].items():
-                        entry = lens_summary.get(name)
-                        if entry is not None:
-                            comp["hit_rate"] = entry["hit_rate"]
-                            comp["conflict_share"] = (
-                                entry["conflict_share"])
+                doc = slo_summary(merged, self.spec.exp_id or "run",
+                                  lens=lens_summary)
                 with open(self.spec.spans_path, "w",
                           encoding="utf-8") as fh:
                     json.dump(doc, fh, indent=1, sort_keys=True)
@@ -333,8 +314,7 @@ class Capture:
                     self.spec.heatmap_path,
                     [(i, lens.heat_rows())
                      for i, lens in enumerate(self._lenses)])
-            pieces.append(why_miss_report(lens_summary,
-                                          self.merged_conflict_sets()))
+            pieces.append(why_miss_report(lens_summary))
         if self._watchdogs:
             warnings = self.watchdog_warnings
             lines = ["-- watchdog (repro.obs.watchdog) --",

@@ -210,8 +210,7 @@ class CritPathAggregator:
             ours = self._by_component.get(name)
             if ours is None:
                 ours = self._by_component[name] = _ComponentStats()
-            for value, weight in theirs.latency.items():
-                ours.latency.add(value, weight)
+            ours.latency.merge(theirs.latency)
             for bucket, cycles in theirs.blame.items():
                 ours.blame[bucket] += cycles
             for outcome, n in theirs.outcomes.items():

@@ -107,13 +107,12 @@ def replay_events(source, top: int = 5, verify: bool = True
     return agg, assemblers
 
 
-def replay_misses(source, reuse_sample: int = 8
-                  ) -> Tuple[Dict[str, dict], Dict[str, Dict[int, int]]]:
+def replay_misses(source, reuse_sample: int = 8) -> Dict[str, dict]:
     """Rebuild cache-lens state from a JSONL trace (path or iterable).
 
-    Returns ``(merged_summary, conflict_sets)`` with cache names
-    run-namespaced exactly like :func:`replay_events` spans, so the two
-    halves of the report line up. ``reuse_sample`` must match the rate
+    Returns the merged why-miss summary with cache names run-namespaced
+    exactly like :func:`replay_events` spans, so the two halves of the
+    report line up. ``reuse_sample`` must match the rate
     the trace was captured with for the reuse histogram to reproduce
     the live one (sampling is deterministic, so at the same rate it
     does, bit for bit).
@@ -146,14 +145,11 @@ def replay_misses(source, reuse_sample: int = 8
         if close:
             fh.close()
     summaries = []
-    conflicts: Dict[str, Dict[int, int]] = {}
     for run, lens in lenses.items():
         prefix = f"run{run}/" if run else ""
         summaries.append({prefix + name: entry
                           for name, entry in lens.summary().items()})
-        for name, counts in lens.conflict_sets_by_cache().items():
-            conflicts[prefix + name] = counts
-    return merge_summaries(summaries), conflicts
+    return merge_summaries(summaries)
 
 
 def _blame_line(blame: Dict[str, int]) -> str:
@@ -246,9 +242,21 @@ def explain_report(agg: CritPathAggregator, dropped: int = 0,
     return "\n".join(lines)
 
 
-def slo_summary(agg: CritPathAggregator, suite: str) -> dict:
-    """The machine-readable summary ``repro.obs.regress --slo`` reads."""
-    return {"suite": suite, "components": agg.summary_dict()}
+def slo_summary(agg: CritPathAggregator, suite: str,
+                lens: Optional[Dict[str, dict]] = None) -> dict:
+    """The machine-readable summary ``repro.obs.regress --slo`` reads.
+
+    With a why-miss ``lens`` summary, each component the lens observed
+    also carries its ``hit_rate`` and ``conflict_share``, so the gate
+    can budget cache health next to latency percentiles.
+    """
+    components = agg.summary_dict()
+    for name, comp in components.items():
+        entry = (lens or {}).get(name)
+        if entry is not None:
+            comp["hit_rate"] = entry["hit_rate"]
+            comp["conflict_share"] = entry["conflict_share"]
+    return {"suite": suite, "components": components}
 
 
 def format_job_header(entry: dict) -> str:
@@ -294,11 +302,9 @@ def _run_live(exp_id: str, profile: str, top: int, misses: bool = False,
     with capture_scope(spec) as cap:
         report = run_experiment(exp_id, profile)
     assert cap is not None
-    agg = cap.merged_critpath()
     lens_summary = cap.merged_cachelens() if misses else None
-    lens_conflicts = cap.merged_conflict_sets() if misses else None
-    return agg, cap.spans_dropped, report.render(), lens_summary, \
-        lens_conflicts
+    return (cap.merged_critpath(), cap.spans_dropped, report.render(),
+            lens_summary)
 
 
 def main(argv=None) -> int:
@@ -332,7 +338,7 @@ def main(argv=None) -> int:
     parser.add_argument("--reuse-sample", type=int, default=8,
                         metavar="N",
                         help="reuse-distance scan stride for --misses "
-                             "(default: 1, exact)")
+                             "(default: 8; 1 = exact)")
     parser.add_argument("--json", default=None, metavar="PATH.json",
                         help="also write the SLO-gate summary JSON")
     parser.add_argument("--suite", default=None,
@@ -368,12 +374,12 @@ def main(argv=None) -> int:
         agg, _assemblers = replay_events(events_path, top=args.top)
         suite = args.suite or f"job{args.job}"
         dropped = 0
-        lens_summary = lens_conflicts = None
+        lens_summary = None
         if args.misses:
-            lens_summary, lens_conflicts = replay_misses(
+            lens_summary = replay_misses(
                 events_path, reuse_sample=args.reuse_sample)
     elif args.run is not None:
-        agg, dropped, _report, lens_summary, lens_conflicts = _run_live(
+        agg, dropped, _report, lens_summary = _run_live(
             args.run, args.profile, args.top, misses=args.misses,
             reuse_sample=args.reuse_sample)
         suite = args.suite or args.run
@@ -381,24 +387,18 @@ def main(argv=None) -> int:
         agg, _assemblers = replay_events(args.events, top=args.top)
         suite = args.suite or args.events.rsplit("/", 1)[-1]
         dropped = 0
-        lens_summary = lens_conflicts = None
+        lens_summary = None
         if args.misses:
-            lens_summary, lens_conflicts = replay_misses(
+            lens_summary = replay_misses(
                 args.events, reuse_sample=args.reuse_sample)
 
     print(explain_report(agg, dropped=dropped, top=args.top))
     if lens_summary is not None:
         from .cachelens import why_miss_report
 
-        print(why_miss_report(lens_summary, lens_conflicts))
+        print(why_miss_report(lens_summary))
     if args.json:
-        doc = slo_summary(agg, suite)
-        if lens_summary:
-            for name, comp in doc["components"].items():
-                entry = lens_summary.get(name)
-                if entry is not None:
-                    comp["hit_rate"] = entry["hit_rate"]
-                    comp["conflict_share"] = entry["conflict_share"]
+        doc = slo_summary(agg, suite, lens=lens_summary)
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")

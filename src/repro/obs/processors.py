@@ -10,13 +10,11 @@
   load-to-use / miss-latency / DRAM-latency histograms with
   p50/p95/p99), mergeable across runs and workers via
   ``StatGroup.merge``.
-* :class:`ProgressProcessor` — a low-frequency heartbeat for long runs.
 * :class:`NullProcessor` — a no-op sink for overhead benchmarking.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, Optional, Tuple, Type
 
 from repro.sim.stats import StatGroup
@@ -27,7 +25,6 @@ __all__ = [
     "EventProcessor",
     "TypedEventProcessor",
     "MetricsProcessor",
-    "ProgressProcessor",
     "NullProcessor",
     "summarize_metrics",
 ]
@@ -181,25 +178,3 @@ def summarize_metrics(stats: StatGroup) -> str:
     if extras:
         lines.append(" ".join(extras))
     return "\n".join(lines)
-
-
-class ProgressProcessor(EventProcessor):
-    """Writes a heartbeat line every ``interval`` events."""
-
-    def __init__(self, interval: int = 100_000, stream=None) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.interval = interval
-        self.stream = stream if stream is not None else sys.stderr
-        self.seen = 0
-
-    def handle(self, event: Event) -> None:
-        self.seen += 1
-        if self.seen % self.interval == 0:
-            self.stream.write(
-                f"[obs] {self.seen} events, cycle {event.cycle}\n")
-
-    def close(self) -> None:
-        flush = getattr(self.stream, "flush", None)
-        if flush is not None:
-            flush()

@@ -23,7 +23,7 @@ while machine-portable ratios stay gated with doubled tolerance.
 Per-metric overrides: ``--tolerance name=frac`` (repeatable). An
 explicit override is exempt from smoke relaxation — it gates at
 exactly the given fraction even under ``--smoke``, which is how
-hard bounds like ``telemetry_overhead_x`` survive shared CI.
+hard bounds like ``cachelens_overhead_x`` survive shared CI.
 
 **SLO mode** (``--slo SLO.json``) gates *request-latency* budgets
 instead of benchmark records: the positional files are span summaries
@@ -118,7 +118,7 @@ def compare_records(fresh: Dict, baseline: Dict, *,
             continue
         # an explicit --tolerance is a contract, not a default: it is
         # never smoke-scaled and never downgraded to a sanity check —
-        # how machine-portable bounds (telemetry_overhead_x) stay
+        # how machine-portable bounds (cachelens_overhead_x) stay
         # gated at full strength on shared CI hardware
         pinned = name in tolerances
         tol = tolerances.get(name, DEFAULT_TOLERANCE)

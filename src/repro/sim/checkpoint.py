@@ -45,7 +45,7 @@ import os
 import pickle
 import random
 import struct as _struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -61,6 +61,7 @@ __all__ = [
     "read_header",
     "snapshot_digest",
     "geometry_digest",
+    "check_fork_overrides",
     "apply_fork_overrides",
     "warm_model",
     "finish_model",
@@ -292,33 +293,41 @@ def load_model(path: str, overrides: Optional[Dict[str, Any]] = None,
 # ----------------------------------------------------------------------
 # fork overrides
 # ----------------------------------------------------------------------
-def apply_fork_overrides(model: Any,
-                         overrides: Dict[str, Any]) -> Dict[str, Any]:
-    """Apply post-warmup config overrides to a restored model.
+def check_fork_overrides(keys: Iterable[str]) -> None:
+    """Raise :class:`ForkOverrideError` unless every key is fork-safe.
 
     Keys are :class:`~repro.core.config.XCacheConfig` field names, or
-    ``dram.<field>`` for DRAM timing. Every key is validated against
-    the fork-safe whitelist; a geometry-changing key raises
-    :class:`ForkOverrideError`. Returns the normalized override dict.
+    ``dram.<field>`` for DRAM timing. The one check behind snapshot
+    forks, fork sweeps and the service's ``ckpt:`` submits.
     """
-    xc: Dict[str, Any] = {}
-    dr: Dict[str, Any] = {}
-    for key, value in sorted(overrides.items()):
+    for key in keys:
         if key.startswith("dram."):
-            name = key[len("dram."):]
-            if name not in FORK_SAFE_DRAM_FIELDS:
-                raise ForkOverrideError(
-                    f"dram.{name} is not fork-safe; fork-safe DRAM "
-                    f"fields: {sorted(FORK_SAFE_DRAM_FIELDS)}")
-            dr[name] = int(value)
-        elif key in FORK_SAFE_FIELDS:
-            xc[key] = int(value)
+            safe = key[len("dram."):] in FORK_SAFE_DRAM_FIELDS
         else:
+            safe = key in FORK_SAFE_FIELDS
+        if not safe:
             raise ForkOverrideError(
                 f"{key!r} is not fork-safe (geometry-changing overrides "
                 f"need a fresh warmup); fork-safe fields: "
                 f"{sorted(FORK_SAFE_FIELDS)} plus "
                 f"dram.{{{','.join(sorted(FORK_SAFE_DRAM_FIELDS))}}}")
+
+
+def apply_fork_overrides(model: Any,
+                         overrides: Dict[str, Any]) -> Dict[str, Any]:
+    """Apply post-warmup config overrides to a restored model.
+
+    Every key is validated by :func:`check_fork_overrides`. Returns the
+    normalized override dict.
+    """
+    check_fork_overrides(sorted(overrides))
+    xc: Dict[str, Any] = {}
+    dr: Dict[str, Any] = {}
+    for key, value in sorted(overrides.items()):
+        if key.startswith("dram."):
+            dr[key[len("dram."):]] = int(value)
+        else:
+            xc[key] = int(value)
     system = _system_of(model)
     controller = system.controller
     if xc:

@@ -90,6 +90,11 @@ class Histogram:
     def items(self) -> List[Tuple[int, int]]:
         return sorted(self.buckets.items())
 
+    def merge(self, other: "Histogram") -> None:
+        """Accumulate another histogram's samples (order-independent)."""
+        for value, weight in other.buckets.items():
+            self.add(value, weight)
+
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Histogram({self.name}, n={self.count}, mean={self.mean:.2f}, "
                 f"range=[{self.min_seen},{self.max_seen}])")
@@ -131,9 +136,7 @@ class StatGroup:
         for name, counter in other.counters.items():
             self.counter(name).inc(counter.value)
         for name, hist in other.histograms.items():
-            mine = self.histogram(name)
-            for value, weight in hist.buckets.items():
-                mine.add(value, weight)
+            self.histogram(name).merge(hist)
 
     def reset(self) -> None:
         for counter in self.counters.values():

@@ -35,7 +35,6 @@ __all__ = [
     "canonical_json",
     "code_version",
     "digest_of",
-    "merge_snapshots",
     "render_prometheus",
     "sweep_specs",
 ]
@@ -60,7 +59,6 @@ _EXPORTS = {
     "canonical_json": "store",
     "code_version": "store",
     "digest_of": "store",
-    "merge_snapshots": "telemetry",
     "render_prometheus": "telemetry",
     "sweep_specs": "service",
 }

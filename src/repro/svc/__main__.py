@@ -61,21 +61,13 @@ def _client(args):
 
 
 def _parse_grid(pairs: List[str]) -> dict:
-    """``field=v1,v2`` strings → {field: [typed values]}."""
-    grid = {}
-    for pair in pairs:
-        field, _, values = pair.partition("=")
-        if not values:
-            raise SystemExit(f"bad --grid entry {pair!r} "
-                             f"(want field=v1,v2,...)")
-        typed = []
-        for raw in values.split(","):
-            try:
-                typed.append(json.loads(raw))
-            except json.JSONDecodeError:
-                typed.append(raw)  # not JSON: keep the bare string
-        grid[field] = typed
-    return grid
+    """``--grid field=v1,v2`` strings → {field: [typed values]}."""
+    from ..harness.sweep import parse_grid_entries
+
+    try:
+        return parse_grid_entries(pairs)
+    except ValueError as exc:
+        raise SystemExit(f"--grid: {exc}")
 
 
 # ----------------------------------------------------------------------

@@ -181,12 +181,7 @@ class ServiceServer:
         response: Dict[str, Any] = {"ok": True,
                                     "metrics": self.service.metrics()}
         if request.get("prom"):
-            try:
-                response["prom"] = self.service.prometheus()
-            except RuntimeError as exc:
-                conn.send({"ok": False, "kind": "invalid",
-                           "error": str(exc)})
-                return
+            response["prom"] = self.service.prometheus()
         conn.send(response)
 
     def _op_history(self, conn, request: dict) -> None:

@@ -12,18 +12,19 @@ results), so repeated suite jobs in one worker are near-free.
 The pool owns process lifecycle only; scheduling policy lives in
 :class:`repro.svc.service.Service`:
 
-* **spawned, not forked** — workers use the ``spawn`` start method by
-  default so a worker is a faithful model of a fresh service process
-  (and so forking a multi-threaded coordinator can never deadlock a
-  child);
+* **spawned, not forked** — workers use the ``spawn`` start method so
+  a worker is a faithful model of a fresh service process (and so
+  forking a multi-threaded coordinator can never deadlock a child);
 * **crash detection** — each worker's pipe and process sentinel are
   polled together; an EOF or a dead sentinel surfaces exactly one
   ``died`` message and the slot is respawned automatically (the service
   retries the in-flight job on the replacement);
 * **health** — workers attach a :class:`repro.obs.watchdog
-  .WatchdogProcessor` to every system they simulate and report
-  per-job pathology counts, which the pool folds into per-worker
-  health (``WorkerPool.health()``).
+  .WatchdogProcessor` to every system they simulate. Each job returns a
+  :class:`~repro.svc.telemetry.MetricsRegistry` snapshot (watchdog
+  warnings, simulated cache health) that :meth:`WorkerPool.poll` folds
+  into the pool's registry and per-worker health
+  (``WorkerPool.health()``).
 
 Fault injection for tests: when ``REPRO_SVC_CRASH_ONCE`` names a path
 and that file does not exist yet, the next worker to pick up a job
@@ -47,12 +48,16 @@ from multiprocessing import connection as mp_connection
 from typing import Dict, List, Optional, Tuple
 
 from .jobs import JobSpec
+from .telemetry import MetricsRegistry
 
 __all__ = ["WorkerPool", "WorkerHandle", "CRASH_ONCE_ENV",
            "CRASH_AFTER_CKPT_ENV"]
 
 CRASH_ONCE_ENV = "REPRO_SVC_CRASH_ONCE"
 CRASH_AFTER_CKPT_ENV = "REPRO_SVC_CRASH_AFTER_CKPT"
+
+#: multiprocessing start method of every worker
+START_METHOD = "spawn"
 
 #: (kind, worker, job_id, payload) — what :meth:`WorkerPool.poll` yields
 PoolMessage = Tuple[str, "WorkerHandle", Optional[int], dict]
@@ -61,14 +66,6 @@ PoolMessage = Tuple[str, "WorkerHandle", Optional[int], dict]
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
-
-def _watchdog_counts(dogs) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for dog in dogs:
-        for warning in dog.warnings:
-            counts[warning.kind] = counts.get(warning.kind, 0) + 1
-    return counts
-
 
 def _resolve_profile(spec: JobSpec) -> str:
     """The profile name to run under, materializing sweep overrides."""
@@ -170,15 +167,18 @@ def _execute_ckpt(spec: JobSpec, send_progress) -> Tuple[str, bool, dict]:
 
 def _execute_spec(spec: JobSpec, health: bool, send_progress,
                   jobs_before: int, job_id: Optional[int] = None) -> dict:
-    """Run one job in this worker; returns the result payload."""
+    """Run one job in this worker; returns the result payload.
+
+    ``payload["metrics"]`` is the job's own registry snapshot (watchdog
+    warnings, lens-armed cache health), which the pool merges.
+    """
     from ..core.messages import reset_ids
 
     started = time.perf_counter()
+    registry = MetricsRegistry()
     streams: list = []
-    dogs: list = []
     suite_warm = None
     capture_paths: Optional[Dict[str, str]] = None
-    capture_telemetry: dict = {}
     ckpt_extras: dict = {}
 
     if spec.experiment.startswith("sleep:"):
@@ -217,8 +217,13 @@ def _execute_spec(spec: JobSpec, health: bool, send_progress,
         if capture is not None:
             capture_paths = capture.output_paths() or None
 
+        # a capture that arms its own watchdog already counts every
+        # warning into the registry; a second one would count each twice
+        health_dog = health and not (capture is not None
+                                     and capture.watchdog)
+        dogs: list = []
         on_attach = None
-        if health or spec.stream_interval > 0:
+        if health_dog or spec.stream_interval > 0:
             from ..obs.watchdog import WatchdogProcessor
             from .stream import StreamProcessor
 
@@ -228,18 +233,16 @@ def _execute_spec(spec: JobSpec, health: bool, send_progress,
                     proc = StreamProcessor(send_progress, run,
                                            spec.stream_interval)
                     streams.append(bus.attach(proc))
-                if health:
+                if health_dog:
                     dogs.append(bus.attach(WatchdogProcessor()))
 
         rendered, all_ok = execute_one(
             spec.experiment, _resolve_profile(spec), capture,
-            on_attach=on_attach, telemetry=capture_telemetry)
+            on_attach=on_attach, metrics=registry)
+        for dog in dogs:
+            for warning in dog.warnings:
+                registry.inc("watchdog_warnings_total", kind=warning.kind)
 
-    # harness-path watchdogs (armed via the capture spec, not worker
-    # health) fold into the same per-kind counts the registry scrapes
-    watchdog = _watchdog_counts(dogs)
-    for kind, count in (capture_telemetry.get("watchdog") or {}).items():
-        watchdog[kind] = watchdog.get(kind, 0) + count
     return {
         "ok": True,
         "rendered": rendered,
@@ -248,8 +251,7 @@ def _execute_spec(spec: JobSpec, health: bool, send_progress,
         "worker_jobs_before": jobs_before,
         "suite_warm": suite_warm,
         "events_seen": sum(s.seen for s in streams),
-        "watchdog": watchdog,
-        "cachelens": capture_telemetry.get("cachelens"),
+        "metrics": registry.snapshot(),
         "capture_paths": capture_paths,
         "checkpoints": ckpt_extras.get("checkpoints", 0),
         "resumed_from": ckpt_extras.get("resumed_from", 0),
@@ -365,22 +367,24 @@ class WorkerPool:
     """N long-lived worker processes with crash detection + replacement."""
 
     def __init__(self, workers: int = 2, health: bool = True,
-                 start_method: str = "spawn", registry=None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.size = workers
         self.health_enabled = health
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self._slots: List[WorkerHandle] = []
         self._ids = itertools.count(1)
-        self.restarts = 0
-        #: per-kind totals of worker-reported watchdog pathologies —
-        #: health reports feed metrics, they are not merely logged
-        self.watchdog_counts: Dict[str, int] = {}
-        # telemetry registry (repro.svc.telemetry.MetricsRegistry) the
-        # owning Service shares with the pool; None = standalone pool
-        self.registry = registry
+        # the owning Service shares its registry; a standalone pool
+        # keeps its own. Worker results and restarts are counted here.
+        self.registry = (registry if registry is not None
+                         else MetricsRegistry())
         self._started = False
+
+    @property
+    def restarts(self) -> int:
+        """Worker slots respawned after a death or kill."""
+        return int(self.registry.value("worker_restarts_total"))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -467,30 +471,12 @@ class WorkerPool:
                         handle.ready = True
                     elif kind == "result":
                         handle.jobs_done += 1
-                        watchdog = payload.get("watchdog") or {}
-                        handle.warnings += sum(watchdog.values())
-                        for warn_kind, count in sorted(watchdog.items()):
-                            self.watchdog_counts[warn_kind] = (
-                                self.watchdog_counts.get(warn_kind, 0)
-                                + count)
-                            if self.registry is not None:
-                                self.registry.inc(
-                                    "watchdog_warnings_total", count,
-                                    kind=warn_kind)
-                        if self.registry is not None:
-                            lens = payload.get("cachelens") or {}
-                            for cache, entry in sorted(lens.items()):
-                                self.registry.set(
-                                    "sim_cache_hit_rate",
-                                    entry.get("hit_rate", 0.0),
-                                    cache=cache)
-                                self.registry.set(
-                                    "sim_cache_conflict_share",
-                                    entry.get("conflict_share", 0.0),
-                                    cache=cache)
-                                self.registry.inc(
-                                    "sim_cache_misses_total",
-                                    entry.get("misses", 0), cache=cache)
+                        job_metrics = payload.get("metrics") or {}
+                        warned = job_metrics.get("watchdog_warnings_total")
+                        if warned:
+                            handle.warnings += sum(
+                                count for _key, count in warned["series"])
+                        self.registry.merge(job_metrics)
                         handle.job_id = None
                     messages.append((kind, handle, job_id, payload))
             except (EOFError, OSError):
@@ -507,9 +493,7 @@ class WorkerPool:
         return messages
 
     def _replace(self, handle: WorkerHandle) -> None:
-        self.restarts += 1
-        if self.registry is not None:
-            self.registry.set("worker_restarts_total", self.restarts)
+        self.registry.inc("worker_restarts_total")
         self._slots[self._slots.index(handle)] = self._spawn()
 
     def kill(self, handle: WorkerHandle) -> None:

@@ -49,7 +49,7 @@ from .telemetry import LEDGER_ENV, JobSpan, MetricsRegistry, RunLedger
 
 __all__ = ["Service", "sweep_specs"]
 
-#: legacy one-shot counter key -> registry counter family
+#: ``metrics()`` job-count key -> the registry counter family behind it
 _COUNTER_FAMILIES = {
     "submitted": "jobs_submitted_total",
     "admitted": "jobs_admitted_total",
@@ -106,14 +106,17 @@ class Service:
 
     ``store`` may be a :class:`ResultStore`, a directory path, None
     (deduplication disabled — every job simulates), or the default
-    ``"memory"`` (process-local store).
+    ``"memory"`` (process-local store). Every count the service keeps
+    lives in :attr:`registry`, which is always on; the run ledger is
+    armed by its path (``ledger``, default: ``$REPRO_SVC_LEDGER``).
     """
+
+    #: crash retries a job gets; the next worker death fails it
+    MAX_ATTEMPTS = 2
 
     def __init__(self, workers: int = 2,
                  store: Union[ResultStore, str, os.PathLike, None] = "memory",
-                 max_pending: int = 64, max_attempts: int = 2,
-                 health: bool = True, start_method: str = "spawn",
-                 telemetry: bool = True,
+                 max_pending: int = 64, health: bool = True,
                  ledger: Union[str, os.PathLike, None] = "env",
                  ) -> None:
         if store == "memory":
@@ -122,29 +125,20 @@ class Service:
             self.store = store
         else:
             self.store = ResultStore(store)
-        self.registry: Optional[MetricsRegistry] = (
-            MetricsRegistry() if telemetry else None)
+        self.registry = MetricsRegistry()
+        self._declare_metrics(self.registry)
         if ledger == "env":
             ledger = os.environ.get(LEDGER_ENV) or None
         self.ledger: Optional[RunLedger] = (
-            RunLedger(ledger) if (telemetry and ledger) else None)
+            RunLedger(ledger) if ledger else None)
         self.queue = JobQueue(max_pending=max_pending)
         self.pool = WorkerPool(workers=workers, health=health,
-                               start_method=start_method,
                                registry=self.registry)
-        self.max_attempts = max_attempts
         self.jobs: Dict[int, Job] = {}
         self._inflight: Dict[str, Job] = {}   # digest -> pending/running job
         self._lock = threading.RLock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._counters = {
-            "submitted": 0, "admitted": 0, "rejected": 0,
-            "store_hits": 0, "coalesced": 0, "completed": 0,
-            "failed": 0, "cancelled": 0, "retries": 0,
-        }
-        if self.registry is not None:
-            self._declare_metrics(self.registry)
 
     @staticmethod
     def _declare_metrics(reg: MetricsRegistry) -> None:
@@ -191,8 +185,8 @@ class Service:
                     "Worker-measured execution time of executed jobs.")
         reg.summary("job_store_write_seconds",
                     "Result-store write time of executed jobs.")
-        # cache-contents health from lens-armed jobs (--misses captures);
-        # labelled per simulated cache by the pool when results land
+        # cache-contents health from lens-armed jobs (--misses captures),
+        # labelled per simulated cache; folded in from worker snapshots
         reg.gauge("sim_cache_hit_rate",
                   "Hit rate of a simulated cache, from the last "
                   "lens-armed job that observed it.")
@@ -201,12 +195,10 @@ class Service:
         reg.counter("sim_cache_misses_total",
                     "Simulated cache misses observed by lens-armed jobs.")
 
-    def _count(self, key: str, amount: int = 1) -> None:
-        """Bump a legacy one-shot counter and its registry family
-        (caller holds the lock)."""
-        self._counters[key] += amount
-        if self.registry is not None:
-            self.registry.inc(_COUNTER_FAMILIES[key], amount)
+    def _count(self, key: str) -> None:
+        """Bump one job-count family (caller holds the lock, so
+        :meth:`metrics` reads the nine counts consistently)."""
+        self.registry.inc(_COUNTER_FAMILIES[key])
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -317,12 +309,10 @@ class Service:
 
     def subscribe(self, job: Job, maxsize: int = 256) -> Subscription:
         """A progress stream for ``job`` (ends when the job finishes)."""
-        on_drop = None
-        if self.registry is not None:
-            reg = self.registry
-            on_drop = (lambda count:
-                       reg.inc("stream_dropped_total", count))
-        sub = Subscription(maxsize=maxsize, on_drop=on_drop)
+        reg = self.registry
+        sub = Subscription(
+            maxsize=maxsize,
+            on_drop=lambda count: reg.inc("stream_dropped_total", count))
         with self._lock:
             if job.state.finished:
                 sub.close()
@@ -350,18 +340,21 @@ class Service:
         with self._lock:
             running = sum(1 for j in self.jobs.values()
                           if j.state is JobState.RUNNING)
-            out: Dict[str, Any] = dict(self._counters)
+            out: Dict[str, Any] = {
+                key: self.registry.value(family)
+                for key, family in _COUNTER_FAMILIES.items()}
         out["pending"] = self.queue.pending
         out["running"] = running
         out["worker_restarts"] = self.pool.restarts
         out["store"] = (self.store.stats.as_dict()
                         if self.store is not None else None)
         out["workers"] = self.pool.health()
-        out["watchdog"] = dict(self.pool.watchdog_counts)
+        out["watchdog"] = self.registry.by_label("watchdog_warnings_total",
+                                                 "kind")
         out["telemetry"] = self.telemetry_snapshot()
         return out
 
-    def telemetry_snapshot(self) -> Optional[dict]:
+    def telemetry_snapshot(self) -> dict:
         """The registry snapshot with scrape-time state folded in.
 
         Instantaneous gauges (queue depth, busy workers) and the store's
@@ -369,8 +362,6 @@ class Service:
         snapshot is idempotent and never double-counts.
         """
         reg = self.registry
-        if reg is None:
-            return None
         with self._lock:
             running = sum(1 for j in self.jobs.values()
                           if j.state is JobState.RUNNING)
@@ -380,7 +371,6 @@ class Service:
         reg.set("workers_total", len(health))
         reg.set("workers_busy",
                 sum(1 for w in health if w.get("state") == "busy"))
-        reg.set("worker_restarts_total", self.pool.restarts)
         if self.store is not None:
             stats = self.store.stats
             reg.set("store_hits_total", stats.hits)
@@ -394,10 +384,7 @@ class Service:
         """The current registry state as Prometheus text exposition."""
         from .telemetry import render_prometheus
 
-        snapshot = self.telemetry_snapshot()
-        if snapshot is None:
-            raise RuntimeError("service started with telemetry=False")
-        return render_prometheus(snapshot)
+        return render_prometheus(self.telemetry_snapshot())
 
     def history(self, limit: int = 0) -> List[dict]:
         """The run-ledger entries written so far (last ``limit`` if >0)."""
@@ -418,11 +405,7 @@ class Service:
                     raise ValueError(f"bad sleep spec {spec.experiment!r}")
             elif spec.experiment.startswith("ckpt:"):
                 from ..harness.sweep import SWEEP_DSAS
-                from ..sim.checkpoint import (
-                    FORK_SAFE_DRAM_FIELDS,
-                    FORK_SAFE_FIELDS,
-                    ForkOverrideError,
-                )
+                from ..sim.checkpoint import check_fork_overrides
 
                 dsa = spec.experiment.split(":", 1)[1]
                 if dsa not in SWEEP_DSAS:
@@ -431,17 +414,7 @@ class Service:
                 # reject geometry-changing fork overrides at submit time
                 # (the worker would too, but a clear error beats a
                 # FAILED job with a traceback payload)
-                for key, _value in spec.fork_overrides:
-                    name = (key[len("dram."):]
-                            if key.startswith("dram.") else None)
-                    safe = (name in FORK_SAFE_DRAM_FIELDS
-                            if name is not None
-                            else key in FORK_SAFE_FIELDS)
-                    if not safe:
-                        raise ForkOverrideError(
-                            f"fork override {key!r} is not fork-safe; "
-                            f"fork-safe fields: {sorted(FORK_SAFE_FIELDS)} "
-                            f"plus dram.{{{','.join(sorted(FORK_SAFE_DRAM_FIELDS))}}}")
+                check_fork_overrides(key for key, _ in spec.fork_overrides)
                 if spec.checkpoint_every > 0 and not spec.checkpoint_dir:
                     raise ValueError(
                         "checkpoint_every > 0 needs a checkpoint_dir "
@@ -536,7 +509,6 @@ class Service:
                 "worker_jobs_before": payload.get("worker_jobs_before"),
                 "suite_warm": payload.get("suite_warm"),
                 "events_seen": payload.get("events_seen"),
-                "watchdog": payload.get("watchdog"),
                 "capture_paths": payload.get("capture_paths"),
                 "attempts": job.attempts,
                 "checkpoints": payload.get("checkpoints", 0),
@@ -549,7 +521,7 @@ class Service:
             job = self.jobs.get(job_id)
             if job is None or job.state is not JobState.RUNNING:
                 return  # idle crash or cancelled job: slot already respawned
-            if job.attempts > self.max_attempts:
+            if job.attempts > self.MAX_ATTEMPTS:
                 job.error = (f"worker died {job.attempts} times "
                              f"(exitcode of last: "
                              f"{handle.process.exitcode})")
@@ -591,8 +563,7 @@ class Service:
         job.stamp("finished")
         self._inflight.pop(job.digest, None)
         span = self.job_span(job)
-        if (self.registry is not None and state is JobState.DONE
-                and not job.from_store):
+        if state is JobState.DONE and not job.from_store:
             reg = self.registry
             reg.observe("job_latency_seconds", span.end_to_end,
                         experiment=job.spec.experiment)
@@ -602,8 +573,7 @@ class Service:
             reg.observe("job_store_write_seconds", span.store_write)
         if self.ledger is not None:
             self.ledger.record(self._ledger_entry(job, span))
-            if self.registry is not None:
-                self.registry.inc("ledger_entries_total")
+            self.registry.inc("ledger_entries_total")
         job._done.set()
         for sub in job._subscribers:
             sub.close()

@@ -5,13 +5,16 @@ bus, profiler, span trees, critical-path SLO gates) — all measured in
 *simulated cycles*. The service that actually runs jobs lives in host
 wall-clock time, and this module is its observability plane:
 
-* :class:`MetricsRegistry` — a lock-cheap counter/gauge/summary registry
-  covering queue depth, admission rejects, worker restarts, store
-  hit/miss/coalesced, and per-experiment job latency percentiles
-  (p50/p95/p99 via the same sparse-histogram machinery
-  :class:`~repro.sim.stats.StatGroup` uses for simulated latencies).
-  Snapshots are JSON-able, merge deterministically (sharded services,
-  ``--parallel`` fan-outs), and render as Prometheus text exposition.
+* :class:`MetricsRegistry` — the one place the service keeps its
+  numbers: a lock-cheap counter/gauge/summary registry covering job
+  outcomes, queue depth, admission rejects, worker restarts, store
+  hit/miss/coalesced, watchdog warnings, simulated cache health, and
+  per-experiment job latency percentiles (p50/p95/p99 from the same
+  :class:`~repro.sim.stats.Histogram` that backs the simulated-cycle
+  percentiles). Always on. Snapshots are JSON-able, each worker's
+  per-job snapshot folds into the service registry through one
+  :meth:`~MetricsRegistry.merge`, and they render as Prometheus text
+  exposition.
 * :class:`JobSpan` — the per-job lifecycle span: monotonic host
   timestamps stamped at every transition (submitted → admitted →
   dispatched → running → stored/failed/retried) assembled into an exact
@@ -40,7 +43,6 @@ import math
 import os
 import pathlib
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (
     Any,
     Callable,
@@ -54,6 +56,7 @@ from typing import (
     Union,
 )
 
+from ..sim.stats import Histogram
 from .store import canonical_json
 
 __all__ = [
@@ -62,7 +65,6 @@ __all__ = [
     "RunLedger",
     "MetricsHTTPServer",
     "render_prometheus",
-    "merge_snapshots",
     "render_top",
     "QUANTILES",
     "LEDGER_ENV",
@@ -94,56 +96,14 @@ def _quantize_us(value_us: int) -> int:
     return (value_us // scale) * scale
 
 
-class _Summary:
-    """Sparse quantized histogram over microsecond buckets.
-
-    The same sorted-bucket/weighted-count machinery as
-    :class:`repro.sim.stats.Histogram` (which backs the simulated-cycle
-    percentiles), specialised to wall-clock seconds: observations are
-    quantized microseconds, quantiles come back in seconds.
-    """
-
-    __slots__ = ("buckets", "count", "sum_us")
-
-    def __init__(self) -> None:
-        self.buckets: Dict[int, int] = {}
-        self.count = 0
-        self.sum_us = 0
-
-    def observe(self, seconds: float) -> None:
-        us = _quantize_us(int(round(seconds * 1e6)))
-        self.buckets[us] = self.buckets.get(us, 0) + 1
-        self.count += 1
-        self.sum_us += us
-
-    def quantile(self, q: float) -> float:
-        if not self.count:
-            return 0.0
-        need = q * self.count
-        seen = 0
-        for value in sorted(self.buckets):
-            seen += self.buckets[value]
-            if seen >= need:
-                return value / 1e6
-        return max(self.buckets) / 1e6
-
-    def as_jsonable(self) -> dict:
-        return {"count": self.count, "sum_us": self.sum_us,
-                "buckets": sorted(self.buckets.items())}
-
-    @classmethod
-    def from_jsonable(cls, data: Mapping) -> "_Summary":
-        out = cls()
-        out.count = int(data.get("count", 0))
-        out.sum_us = int(data.get("sum_us", 0))
-        out.buckets = {int(v): int(w) for v, w in data.get("buckets", ())}
-        return out
-
-    def merge(self, other: "_Summary") -> None:
-        for value, weight in other.buckets.items():
-            self.buckets[value] = self.buckets.get(value, 0) + weight
-        self.count += other.count
-        self.sum_us += other.sum_us
+def _histogram_from_wire(series: Iterable[Mapping]) -> Histogram:
+    """One microsecond :class:`Histogram` holding every wire-form
+    (``{"count", "sum_us", "buckets"}``) summary series given."""
+    hist = Histogram("summary_us")
+    for value in series:
+        for bucket, weight in value.get("buckets", ()):
+            hist.add(int(bucket), int(weight))
+    return hist
 
 
 class MetricsRegistry:
@@ -153,48 +113,52 @@ class MetricsRegistry:
     lookups, scrapes) — never per simulated event, so the registry costs
     nothing on the simulation hot path. Metric families are declared
     with :meth:`counter` / :meth:`gauge` / :meth:`summary` (idempotent;
-    declaring pre-registers a zero-valued series so exposition includes
-    the metric before its first increment), and bumped with
-    :meth:`inc` / :meth:`set` / :meth:`observe`. Label sets are
-    canonicalized, so two processes bumping the same series merge
-    losslessly via :func:`merge_snapshots`.
+    declaring a counter or gauge pre-registers its zero-valued series so
+    exposition includes the metric before its first update) and bumped
+    with :meth:`inc` / :meth:`set` / :meth:`observe`, which create an
+    undeclared family on first use without that zero. A summary series
+    is a :class:`~repro.sim.stats.Histogram` of quantized microseconds.
+    Label sets are canonicalized, so a worker's :meth:`snapshot` folds
+    into the service registry losslessly via :meth:`merge`.
     """
 
     def __init__(self, namespace: str = "repro_svc") -> None:
         self.namespace = namespace
         self._lock = threading.Lock()
-        # name -> {"type", "help", "series": {label_items: value|_Summary}}
+        # name -> {"type", "help", "series": {label_items: value|Histogram}}
         self._families: Dict[str, dict] = {}
 
     # ------------------------------------------------------------------
     # declaration
     # ------------------------------------------------------------------
-    def _declare(self, name: str, kind: str, help_text: str) -> dict:
+    def _family(self, name: str, kind: str, help_text: str = "") -> dict:
+        """The family ``name`` (created as ``kind`` if new; caller holds
+        the lock)."""
         family = self._families.get(name)
         if family is None:
             family = self._families[name] = {
                 "type": kind, "help": help_text, "series": {}}
-            if kind in ("counter", "gauge"):
-                family["series"][()] = 0
         elif family["type"] != kind:
             raise ValueError(
                 f"metric {name!r} already declared as {family['type']}")
         return family
 
-    def counter(self, name: str, help_text: str = "") -> "MetricsRegistry":
+    def _declare(self, name: str, kind: str,
+                 help_text: str) -> "MetricsRegistry":
         with self._lock:
-            self._declare(name, "counter", help_text)
+            family = self._family(name, kind, help_text)
+            if kind != "summary":
+                family["series"].setdefault((), 0)
         return self
+
+    def counter(self, name: str, help_text: str = "") -> "MetricsRegistry":
+        return self._declare(name, "counter", help_text)
 
     def gauge(self, name: str, help_text: str = "") -> "MetricsRegistry":
-        with self._lock:
-            self._declare(name, "gauge", help_text)
-        return self
+        return self._declare(name, "gauge", help_text)
 
     def summary(self, name: str, help_text: str = "") -> "MetricsRegistry":
-        with self._lock:
-            self._declare(name, "summary", help_text)
-        return self
+        return self._declare(name, "summary", help_text)
 
     # ------------------------------------------------------------------
     # updates
@@ -203,8 +167,7 @@ class MetricsRegistry:
             **labels: Any) -> None:
         key = _label_key(labels)
         with self._lock:
-            family = self._declare(name, "counter", "")
-            series = family["series"]
+            series = self._family(name, "counter")["series"]
             series[key] = series.get(key, 0) + amount
 
     def set(self, name: str, value: Union[int, float],
@@ -213,20 +176,40 @@ class MetricsRegistry:
         monotonic total (how store stats sync into the scrape)."""
         key = _label_key(labels)
         with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = self._declare(name, "gauge", "")
+            family = self._families.get(name) or self._family(name, "gauge")
             family["series"][key] = value
 
     def observe(self, name: str, seconds: float, **labels: Any) -> None:
         key = _label_key(labels)
         with self._lock:
-            family = self._declare(name, "summary", "")
-            series = family["series"]
-            summary = series.get(key)
-            if summary is None:
-                summary = series[key] = _Summary()
-            summary.observe(seconds)
+            series = self._family(name, "summary")["series"]
+            hist = series.get(key)
+            if hist is None:
+                hist = series[key] = Histogram(name)
+            hist.add(_quantize_us(int(round(seconds * 1e6))))
+
+    def merge(self, snapshot: Mapping[str, dict]) -> None:
+        """Fold another registry's :meth:`snapshot` into this one.
+
+        Counters and summaries add; a gauge series takes the incoming
+        value (a worker's reading is newer than ours). Folding the
+        parts of one update sequence, in order, into an empty registry
+        renders exactly what one registry fed the whole sequence does.
+        """
+        with self._lock:
+            for name, incoming in snapshot.items():
+                family = self._family(name, incoming["type"],
+                                      incoming.get("help", ""))
+                series = family["series"]
+                for key, value in incoming["series"]:
+                    items = tuple((str(k), str(v)) for k, v in key)
+                    if family["type"] == "summary":
+                        series.setdefault(items, Histogram(name)).merge(
+                            _histogram_from_wire([value]))
+                    elif family["type"] == "gauge":
+                        series[items] = value
+                    else:
+                        series[items] = series.get(items, 0) + value
 
     # ------------------------------------------------------------------
     # reads
@@ -239,6 +222,16 @@ class MetricsRegistry:
                 return default
             return family["series"].get(_label_key(labels), default)
 
+    def by_label(self, name: str, label: str) -> Dict[str, Union[int, float]]:
+        """A counter or gauge family's series keyed by one label's value
+        (series without that label are left out)."""
+        with self._lock:
+            family = self._families.get(name)
+            series = family["series"] if family is not None else {}
+            return {dict(key)[label]: value
+                    for key, value in sorted(series.items())
+                    if label in dict(key)}
+
     def snapshot(self) -> Dict[str, dict]:
         """A JSON-able copy of every family (the wire/merge format)."""
         with self._lock:
@@ -248,8 +241,9 @@ class MetricsRegistry:
                 series = []
                 for key in sorted(family["series"]):
                     value = family["series"][key]
-                    if isinstance(value, _Summary):
-                        value = value.as_jsonable()
+                    if isinstance(value, Histogram):
+                        value = {"count": value.count, "sum_us": value.total,
+                                 "buckets": value.items()}
                     series.append([list(map(list, key)), value])
                 out[name] = {"type": family["type"],
                              "help": family["help"], "series": series}
@@ -257,60 +251,6 @@ class MetricsRegistry:
 
     def render(self) -> str:
         return render_prometheus(self.snapshot(), namespace=self.namespace)
-
-    def load(self, snapshot: Mapping[str, dict]) -> None:
-        """Replace this registry's contents with a snapshot's (used to
-        rebuild a registry from a merged snapshot)."""
-        with self._lock:
-            self._families = _families_from_snapshot(snapshot)
-
-
-def _families_from_snapshot(snapshot: Mapping[str, dict]) -> Dict[str, dict]:
-    families: Dict[str, dict] = {}
-    for name, family in snapshot.items():
-        series: Dict[LabelItems, Any] = {}
-        for key, value in family.get("series", ()):
-            items = tuple((str(k), str(v)) for k, v in key)
-            if family.get("type") == "summary":
-                value = _Summary.from_jsonable(value)
-            series[items] = value
-        families[name] = {"type": family.get("type", "counter"),
-                          "help": family.get("help", ""), "series": series}
-    return families
-
-
-def merge_snapshots(snapshots: Sequence[Mapping[str, dict]]
-                    ) -> Dict[str, dict]:
-    """Merge registry snapshots deterministically.
-
-    Counters and summaries accumulate; gauges take the maximum (a gauge
-    is a point-in-time reading, so "max across shards" is the only
-    order-independent choice that never hides saturation). The result
-    is independent of snapshot order — the property the ``--parallel``
-    merge test pins.
-    """
-    merged = MetricsRegistry()
-    families = merged._families
-    for snap in snapshots:
-        for name, incoming in _families_from_snapshot(snap).items():
-            family = families.get(name)
-            if family is None:
-                families[name] = incoming
-                continue
-            kind = family["type"]
-            for key, value in incoming["series"].items():
-                mine = family["series"].get(key)
-                if mine is None:
-                    family["series"][key] = value
-                elif kind == "summary":
-                    mine.merge(value)
-                elif kind == "gauge":
-                    family["series"][key] = max(mine, value)
-                else:
-                    family["series"][key] = mine + value
-            if incoming["help"] and not family["help"]:
-                family["help"] = incoming["help"]
-    return merged.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -353,18 +293,17 @@ def render_prometheus(snapshot: Mapping[str, dict],
         lines.append(f"# TYPE {full} {family.get('type', 'counter')}")
         for key, value in family.get("series", ()):
             if family.get("type") == "summary":
-                summary = (value if isinstance(value, _Summary)
-                           else _Summary.from_jsonable(value))
+                hist = _histogram_from_wire([value])
                 for q in QUANTILES:
                     labels = _format_labels(
                         list(key) + [("quantile", f"{q:g}")])
                     lines.append(
                         f"{full}{labels} "
-                        f"{_format_value(summary.quantile(q))}")
+                        f"{_format_value(hist.percentile(q) / 1e6)}")
                 tail = _format_labels(key)
                 lines.append(f"{full}_sum{tail} "
-                             f"{_format_value(summary.sum_us / 1e6)}")
-                lines.append(f"{full}_count{tail} {summary.count}")
+                             f"{_format_value(hist.total / 1e6)}")
+                lines.append(f"{full}_count{tail} {hist.count}")
             else:
                 lines.append(
                     f"{full}{_format_labels(key)} {_format_value(value)}")
@@ -545,6 +484,10 @@ class MetricsHTTPServer:
 
     def __init__(self, provider: Callable[[], str],
                  host: str = "127.0.0.1", port: int = 0) -> None:
+        # imported here, not at module level: every service worker
+        # imports this module for its registry and never serves HTTP
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -624,13 +567,10 @@ def _snapshot_value(snapshot: Mapping[str, dict], name: str,
 
 
 def _snapshot_summary(snapshot: Mapping[str, dict],
-                      name: str) -> _Summary:
-    merged = _Summary()
+                      name: str) -> Histogram:
     family = snapshot.get(name) or {}
-    for _key, value in family.get("series", ()):
-        if isinstance(value, Mapping):
-            merged.merge(_Summary.from_jsonable(value))
-    return merged
+    return _histogram_from_wire(value for _key, value
+                                in family.get("series", ()))
 
 
 def render_top(metrics: Mapping[str, Any],
@@ -684,10 +624,11 @@ def render_top(metrics: Mapping[str, Any],
         f"running={metrics.get('running', 0)} "
         f"throughput={rate:.2f} jobs/s")
     lines.append(
-        f"latency   p50={latency.quantile(0.5):.3f}s "
-        f"p95={latency.quantile(0.95):.3f}s "
-        f"p99={latency.quantile(0.99):.3f}s (n={latency.count}) | "
-        f"queue-wait p99={queue_wait.quantile(0.99):.3f}s")
+        f"latency   p50={latency.percentile(0.5) / 1e6:.3f}s "
+        f"p95={latency.percentile(0.95) / 1e6:.3f}s "
+        f"p99={latency.percentile(0.99) / 1e6:.3f}s "
+        f"(n={latency.count}) | "
+        f"queue-wait p99={queue_wait.percentile(0.99) / 1e6:.3f}s")
     lines.append(
         f"store     hit-rate={hit_rate:.1f}% hits={hits} "
         f"misses={store.get('misses', 0)} "

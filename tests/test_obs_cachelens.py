@@ -335,7 +335,9 @@ def test_merge_summaries_order_independent():
 
 
 def test_why_miss_report_renders_and_conserves():
-    text = why_miss_report(_small_summary(4, 1), {"ctl": {3: 1}})
+    summary = _small_summary(4, 1)
+    summary["ctl"]["conflict_sets"] = {3: 1}
+    text = why_miss_report(summary)
     assert "conservation=ok" in text
     assert "compulsory" in text and "+ways" in text
     assert "hottest conflict sets: set3=1" in text
@@ -412,24 +414,24 @@ def test_fig14_ci_miss_taxonomy_conservation():
 
 def test_replay_misses_matches_live(tmp_path):
     """explain --misses over a JSONL capture reproduces the live lens."""
-    from repro.harness.parallel import execute_one
+    from repro.harness import run_experiment
     from repro.harness.suite import clear_cache
-    from repro.obs.capture import CaptureSpec
+    from repro.obs.capture import CaptureSpec, capture_scope
     from repro.obs.explain import replay_misses
 
     events = str(tmp_path / "ev.jsonl")
     clear_cache()
     try:
-        telemetry = {}
-        execute_one("fig04", "ci",
-                    CaptureSpec(events_path=events, misses=True),
-                    telemetry=telemetry)
+        spec = CaptureSpec(events_path=events, misses=True)
+        with capture_scope(spec.for_experiment("fig04")) as cap:
+            run_experiment("fig04", "ci")
+        live = cap.merged_cachelens()
     finally:
         clear_cache()
-    live = telemetry["cachelens"]
-    replayed, conflicts = replay_misses(str(tmp_path / "ev.fig04.jsonl"))
+    replayed = replay_misses(str(tmp_path / "ev.fig04.jsonl"))
     assert replayed == live
-    assert isinstance(conflicts, dict)
+    # the per-set conflict counts ride in the summary and survive replay
+    assert any(entry["conflict_sets"] for entry in live.values())
 
 
 def test_perfetto_cache_counter_tracks():

@@ -1,6 +1,4 @@
-"""Tests for obs processors: typed dispatch, metrics, progress."""
-
-import io
+"""Tests for obs processors: typed dispatch and metrics."""
 
 import pytest
 
@@ -10,7 +8,6 @@ from repro.obs import (
     Merge,
     MetricsProcessor,
     Miss,
-    ProgressProcessor,
     TypedEventProcessor,
     WalkerRetire,
     summarize_metrics,
@@ -145,22 +142,6 @@ def test_metrics_groups_merge_across_runs():
     assert total.get("requests") == 8
     assert total.histogram("load_to_use").count == 6
     assert total.histogram("miss_latency").percentile(0.99) == 100
-
-
-# ----------------------------------------------------------------------
-# ProgressProcessor
-# ----------------------------------------------------------------------
-def test_progress_processor_heartbeats():
-    out = io.StringIO()
-    p = ProgressProcessor(interval=2, stream=out)
-    bus = EventBus()
-    bus.attach(p)
-    for i in range(5):
-        bus.publish(_hit(cycle=i))
-    bus.close()
-    lines = out.getvalue().strip().splitlines()
-    assert len(lines) == 2
-    assert "2 events" in lines[0] and "4 events" in lines[1]
 
 
 # ----------------------------------------------------------------------

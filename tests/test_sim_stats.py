@@ -63,6 +63,24 @@ def test_empty_histogram_defaults():
     assert h.percentile(0.5) == 0
 
 
+def test_histogram_merge_adds_samples_and_range():
+    a, b = Histogram("a"), Histogram("b")
+    for v in (5, 7, 7):
+        a.add(v)
+    b.add(2, weight=2)
+    b.add(9)
+    a.merge(b)
+    assert a.items() == [(2, 2), (5, 1), (7, 2), (9, 1)]
+    assert (a.count, a.total) == (6, 32)
+    assert (a.min_seen, a.max_seen) == (2, 9)
+    # merging into an empty histogram copies the range; empty is a no-op
+    empty = Histogram("e")
+    empty.merge(b)
+    assert (empty.min_seen, empty.max_seen, empty.count) == (2, 9, 3)
+    empty.merge(Histogram("none"))
+    assert empty.items() == b.items()
+
+
 def test_histogram_items_sorted():
     h = Histogram("lat")
     for v in (5, 1, 3, 1):

@@ -101,11 +101,11 @@ def test_repeated_crashes_fail_the_job(tmp_path, monkeypatch):
     # a marker path that can never exist: the worker crashes every time
     marker = tmp_path / "no-such-dir" / "crash-always"
     monkeypatch.setenv(CRASH_ONCE_ENV, str(marker))
-    with Service(workers=1, health=False, max_attempts=2) as svc:
+    with Service(workers=1, health=False) as svc:
         job = svc.submit(JobSpec(experiment="sleep:0.1"))
         with pytest.raises(JobFailed, match="died"):
             job.result(timeout=120)
-        assert job.attempts == svc.max_attempts + 1
+        assert job.attempts == Service.MAX_ATTEMPTS + 1
         assert svc.store.stats.stores == 0
 
 
