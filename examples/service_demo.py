@@ -34,15 +34,14 @@ def main() -> None:
         assert stats.misses == 1
 
         # -- 2. the store: a finished digest resolves without a worker --
-        suite = JobSpec(experiment="suite", profile="ci",
-                        workloads=("dasx",))
-        cold = svc.submit(suite).result(timeout=120)["metadata"]
+        fig07 = JobSpec(experiment="fig07", profile="ci")
+        cold = svc.submit(fig07).result(timeout=120)["metadata"]
         start = time.perf_counter()
-        again = svc.submit(suite)
+        again = svc.submit(fig07)
         again.result(timeout=5)
         resolved_ms = (time.perf_counter() - start) * 1000
         assert again.from_store
-        print(f"suite simulated in {cold['duration_s']*1000:.0f} ms; "
+        print(f"fig07 simulated in {cold['duration_s']*1000:.0f} ms; "
               f"identical resubmit resolved from the store in "
               f"{resolved_ms:.2f} ms")
 

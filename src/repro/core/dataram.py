@@ -114,18 +114,6 @@ class DataRAM:
         self._storage[base:base + len(data)] = data
         self.stats.inc("bytes_written", len(data))
 
-    def peek_sectors(self, start: int, end: int) -> bytes:
-        """Read sectors [start, end) without touching access stats.
-
-        Inspection only (verify-mode shadow reads, tests): the energy
-        model must see exactly one accounted access per architectural
-        read, so anything that merely *looks* goes through here.
-        """
-        if not (0 <= start <= end <= self.num_sectors):
-            raise IndexError(f"range [{start},{end}) outside RAM")
-        return bytes(self._storage[start * self.sector_bytes:
-                                   end * self.sector_bytes])
-
     def read_sectors(self, start: int, end: int) -> bytes:
         """Read sectors [start, end) — the hit-port data return."""
         if not (0 <= start <= end <= self.num_sectors):

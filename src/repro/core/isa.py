@@ -233,9 +233,3 @@ class Action:
         for key, value in self.attrs:
             parts.append(f"{key}={value!r}")
         return f"<{' '.join(parts)}>"
-
-
-def make_action(op: Opcode, **kwargs) -> Action:
-    """Keyword-friendly action constructor used by the walker DSL."""
-    attrs = tuple(sorted(kwargs.pop("attrs", {}).items()))
-    return Action(op, attrs=attrs, **kwargs)

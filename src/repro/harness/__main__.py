@@ -1,13 +1,15 @@
 """CLI: ``python -m repro.harness [exp ...] [--profile ci|quick|full]``.
 
 Runs the requested experiments (default: all) and prints each report.
-``--parallel N`` fans independent experiments over N worker processes;
-output is printed in request order either way, so serial and parallel
-runs produce byte-identical reports. Exits non-zero if any paper
-expectation missed.
+``--parallel N`` fans experiments over N worker processes, except
+fig14/15/16, which share one suite and run in this process; output is
+printed in request order either way, so serial and parallel runs
+produce byte-identical reports. Exits non-zero if any paper expectation
+missed.
 
 Observability (the ``repro.obs`` plane; all flags compose with
-``--parallel`` — each experiment's capture lives in its worker):
+``--parallel`` — each experiment's capture lives in the process that
+runs it):
 
 * ``--events t.jsonl`` streams every typed event as JSON lines, one
   file per experiment (``t.fig04.jsonl``, ...);
@@ -37,8 +39,9 @@ Observability (the ``repro.obs`` plane; all flags compose with
 * ``--reuse-sample N`` computes the Mattson reuse-distance scan on
   every Nth access (1 = exact; larger = cheaper).
 
-Experiments that reload the memoized fig-14 suite from a warm cache
-export events only for the systems actually simulated in-process.
+fig15 and fig16 reuse the suite fig14 (or whichever of the three runs
+first) simulated in the same run, so they capture no events of their
+own, serial or parallel.
 """
 
 from __future__ import annotations

@@ -4,20 +4,15 @@ Every experiment driver is an independent, deterministic function of
 ``(exp_id, profile)``, so the figure set fans out over worker processes.
 Since the ``repro.svc`` service layer landed, the fan-out rides the
 **warm worker pool** (:class:`repro.svc.service.Service`) instead of a
-throwaway ``multiprocessing.Pool``: workers are long-lived, so repeated
-suite runs in one process reuse the in-memory fig-14 suite memo and the
-compiled microcode it carries, instead of paying the compile cost per
-batch. Two things make the parallel run produce byte-identical reports
-to the serial one:
+throwaway ``multiprocessing.Pool``. Two things make the parallel run
+produce byte-identical reports to the serial one:
 
 * results come back as *rendered report strings* and are printed in the
   caller's requested order, regardless of completion order;
-* the figs. 14/15/16 shared suite is simulated **once** (a ``suite``
-  job submitted ahead of them) and published to a disk cache (see
-  ``REPRO_SUITE_CACHE`` in :mod:`repro.harness.suite`) before the
-  suite-consuming experiments dispatch, so the three workers that
-  consume it reload the identical pickled runs instead of
-  re-simulating.
+* figs. 14/15/16 share one memoized suite (:mod:`repro.harness.suite`),
+  so they run in the calling process, in request order, while the pool
+  runs everything else: the suite simulates once, inside the capture
+  scope of the first of them, exactly as in a serial run.
 
 :func:`execute_one` is the single-experiment execution path shared by
 the serial runner and the service workers: it runs one driver inside an
@@ -27,13 +22,9 @@ report.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..obs.capture import Capture, CaptureSpec, use_capture
-from .suite import SUITE_CACHE_ENV
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..svc.telemetry import MetricsRegistry
@@ -117,47 +108,29 @@ def run_parallel(targets: Sequence[str], profile: str, jobs: int,
     """Fan experiments out over a warm pool of ``jobs`` workers.
 
     Returns ``(rendered_report, all_ok)`` pairs in ``targets`` order —
-    the same sequence :func:`run_serial` produces. The shared suite
-    cache lives in a temporary directory removed afterwards.
+    the same sequence :func:`run_serial` produces. The suite-sharing
+    experiments run here, while the pool works through the rest.
     """
-    if jobs <= 1 or len(targets) <= 1:
+    pooled = [t for t in targets if t not in SHARED_SUITE_EXPERIMENTS]
+    if jobs <= 1 or len(targets) <= 1 or not pooled:
         return run_serial(targets, profile, capture)
 
     from ..svc.jobs import JobSpec
     from ..svc.service import Service
 
-    cache_dir = tempfile.mkdtemp(prefix="repro-suite-cache-")
-    previous = os.environ.get(SUITE_CACHE_ENV)
-    # set before Service starts: workers inherit the environment
-    os.environ[SUITE_CACHE_ENV] = cache_dir
-    suite_targets = [t for t in targets if t in SHARED_SUITE_EXPERIMENTS]
-    try:
-        with Service(workers=min(jobs, len(targets)), store=None,
-                     health=False,
-                     max_pending=len(targets) + 1) as svc:
-            # The shared suite simulates once, concurrently with the
-            # non-suite experiments; fig14/15/16 dispatch only after it
-            # lands on disk, then reload it instead of re-simulating.
-            warm = (svc.submit(JobSpec(experiment="suite", profile=profile))
-                    if suite_targets else None)
-            handles = {
-                t: svc.submit(JobSpec(experiment=t, profile=profile,
-                                      capture=capture))
-                for t in targets if t not in SHARED_SUITE_EXPERIMENTS}
-            if warm is not None:
-                warm.result()
-                for t in suite_targets:
-                    handles[t] = svc.submit(
-                        JobSpec(experiment=t, profile=profile,
-                                capture=capture))
-            results: List[Tuple[str, bool]] = []
-            for t in targets:
+    with Service(workers=min(jobs, len(pooled)), store=None, health=False,
+                 max_pending=len(pooled)) as svc:
+        handles = {t: svc.submit(JobSpec(experiment=t, profile=profile,
+                                         capture=capture))
+                   for t in pooled}
+        local = iter(run_serial(
+            [t for t in targets if t in SHARED_SUITE_EXPERIMENTS],
+            profile, capture))
+        results: List[Tuple[str, bool]] = []
+        for t in targets:
+            if t in handles:
                 payload = handles[t].result()
                 results.append((payload["rendered"], payload["all_ok"]))
-            return results
-    finally:
-        if previous is None:
-            os.environ.pop(SUITE_CACHE_ENV, None)
-        else:
-            os.environ[SUITE_CACHE_ENV] = previous
-        shutil.rmtree(cache_dir, ignore_errors=True)
+            else:
+                results.append(next(local))
+    return results

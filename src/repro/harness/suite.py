@@ -2,42 +2,17 @@
 
 Figures 14, 15, and 16 all consume the same runs (runtime, traffic, and
 energy of X-Cache vs the hardwired baseline vs the address-tagged
-comparator), so the suite executes once per profile and is memoized.
-
-Two memoization layers stack:
-
-* in-process — a plain dict, as before;
-* on disk — when the ``REPRO_SUITE_CACHE`` environment variable names a
-  directory, finished suites are pickled there and reloaded on the next
-  miss. The parallel harness (``python -m repro.harness --parallel N``)
-  points every worker at one shared directory so the suite simulates
-  once instead of once per fig-14/15/16 worker.
-
-Disk entries are **content-addressed** the same way the service result
-store is (:mod:`repro.svc.store`): the filename digest is the canonical
-JSON digest of (profile, workloads, code version) — not ``repr()`` of a
-Python tuple — so a cache entry can never be served to a different code
-version, and any process that can compute the canonical key agrees on
-the path. Each pickle carries its key + format; a wrapper mismatch (an
-entry from an older repo revision or layout) is *invalidated* — treated
-as a miss and overwritten — never an error.
-
-Suites driven from a warm snapshot carry **snapshot provenance**
-(snapshot digest + fork overrides) as part of the identity key, both
-in-process and on disk — a forked run can never alias a straight run's
-cached result. Straight runs keep their pre-provenance keys, so a
-cache directory survives this extension unchanged.
+comparator), so the suite executes once per profile and is memoized in
+a plain in-process dict. The memo never crosses a process boundary: the
+parallel harness (``python -m repro.harness --parallel N``) runs
+fig14/15/16 in the calling process, so the suite simulates once per run
+and a capture observes exactly what a serial run observes.
 """
 
 from __future__ import annotations
 
-import os
-import pathlib
-import pickle
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-SUITE_CACHE_ENV = "REPRO_SUITE_CACHE"
+from typing import Dict, Optional, Tuple
 
 from ..dsa import (
     DasxAddressModel,
@@ -58,8 +33,7 @@ from ..workloads.graphgen import p2p_gnutella08
 from ..workloads.matrices import dense_spgemm_input
 from .profiles import Profile, get_profile
 
-__all__ = ["VariantSet", "run_fig14_suite", "SUITE_WORKLOADS", "clear_cache",
-           "SUITE_CACHE_ENV"]
+__all__ = ["VariantSet", "run_fig14_suite", "SUITE_WORKLOADS", "clear_cache"]
 
 # workload labels, in the order Figure 14's x-axis lists them
 SUITE_WORKLOADS: Tuple[str, ...] = (
@@ -103,86 +77,8 @@ _CACHE: Dict[tuple, Dict[str, VariantSet]] = {}
 
 
 def clear_cache() -> None:
-    """Forget in-process memoized suite runs (disk entries survive)."""
+    """Forget memoized suite runs."""
     _CACHE.clear()
-
-
-#: bumped when the pickled layout changes; older entries invalidate
-SUITE_CACHE_FORMAT = 2
-
-
-def _memo_key(profile: str, workloads: Tuple[str, ...],
-              provenance: Optional[dict] = None) -> tuple:
-    """The memo key for one suite run.
-
-    Without provenance this is the historical ``(profile, workloads)``
-    pair — existing cache directories stay valid. A snapshot-driven
-    suite appends a normalized ``(("fork_overrides", ...), ("snapshot",
-    ...))`` tuple so a forked run gets its own slot everywhere.
-    """
-    if not provenance:
-        return (profile, tuple(workloads))
-    items = tuple(sorted((str(k), str(v))
-                         for k, v in provenance.items()))
-    return (profile, tuple(workloads), items)
-
-
-def _canonical_key(key: tuple) -> dict:
-    """The content address of one suite run: config + workloads + code
-    (+ snapshot provenance when the suite was forked from a warmup)."""
-    from ..svc.store import code_version
-
-    out = {
-        "kind": "fig14-suite",
-        "profile": key[0],
-        "workloads": list(key[1]),
-        "code": code_version(),
-        "format": SUITE_CACHE_FORMAT,
-    }
-    if len(key) > 2 and key[2]:
-        out["provenance"] = [list(item) for item in key[2]]
-    return out
-
-
-def _disk_cache_path(key: tuple) -> Optional[pathlib.Path]:
-    root = os.environ.get(SUITE_CACHE_ENV)
-    if not root:
-        return None
-    from ..svc.store import digest_of
-
-    digest = digest_of(_canonical_key(key))[:16]
-    return pathlib.Path(root) / f"suite_{key[0]}_{digest}.pkl"
-
-
-def _disk_load(path: pathlib.Path,
-               key: tuple) -> Optional[Dict[str, VariantSet]]:
-    try:
-        with path.open("rb") as fh:
-            wrapped = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-        return None  # absent or torn write: fall through to a fresh run
-    # compat shim: entries written by older revisions (bare dicts, or a
-    # wrapper with a stale format/key) invalidate quietly — a fresh run
-    # overwrites them — instead of crashing or serving stale results
-    if (not isinstance(wrapped, dict)
-            or wrapped.get("format") != SUITE_CACHE_FORMAT
-            or wrapped.get("key") != _canonical_key(key)):
-        return None
-    return wrapped.get("suite")
-
-
-def _disk_store(path: pathlib.Path, key: tuple,
-                suite: Dict[str, VariantSet]) -> None:
-    wrapped = {"format": SUITE_CACHE_FORMAT, "key": _canonical_key(key),
-               "suite": suite}
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("wb") as fh:
-            pickle.dump(wrapped, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)  # atomic vs concurrent workers
-    except OSError:
-        pass  # cache is best-effort; the run itself already succeeded
 
 
 def _run_widx(label: str, profile: Profile) -> VariantSet:
@@ -230,26 +126,13 @@ def _run_spgemm(label: str, profile: Profile) -> VariantSet:
 
 
 def run_fig14_suite(profile: str = "full",
-                    workloads: Optional[Tuple[str, ...]] = None,
-                    provenance: Optional[dict] = None
+                    workloads: Optional[Tuple[str, ...]] = None
                     ) -> Dict[str, VariantSet]:
-    """Run (or fetch memoized) the full comparison suite.
-
-    ``provenance`` (e.g. ``{"snapshot": <payload sha256>,
-    "fork_overrides": {...}}``) marks a suite whose runs were warmed
-    from a snapshot: it becomes part of the memo identity in both
-    layers, so forked results never alias straight ones.
-    """
+    """Run (or fetch memoized) the full comparison suite."""
     selected = workloads if workloads is not None else SUITE_WORKLOADS
-    key = _memo_key(profile, tuple(selected), provenance)
+    key = (profile, tuple(selected))
     if key in _CACHE:
         return _CACHE[key]
-    disk_path = _disk_cache_path(key)
-    if disk_path is not None and disk_path.exists():
-        cached = _disk_load(disk_path, key)
-        if cached is not None:
-            _CACHE[key] = cached
-            return cached
     prof = get_profile(profile)
     out: Dict[str, VariantSet] = {}
     for label in selected:
@@ -264,6 +147,4 @@ def run_fig14_suite(profile: str = "full",
         else:
             raise KeyError(f"unknown suite workload {label!r}")
     _CACHE[key] = out
-    if disk_path is not None:
-        _disk_store(disk_path, key, out)
     return out

@@ -233,10 +233,6 @@ class CritPathAggregator:
         ordered = sorted(self._top, key=lambda t: (-t[0], t[1]))
         return [(span, blame) for _lat, _seq, span, blame in ordered]
 
-    def component_blame(self) -> Dict[str, Dict[str, int]]:
-        return {name: dict(comp.blame)
-                for name, comp in sorted(self._by_component.items())}
-
     def summary_dict(self) -> Dict[str, dict]:
         """JSON-ready per-DSA summary (the SLO gate's input)."""
         out: Dict[str, dict] = {}

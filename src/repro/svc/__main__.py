@@ -319,8 +319,8 @@ def _add_connect(sub) -> None:
 def _add_spec_args(sub) -> None:
     sub.add_argument("experiment",
                      help="harness id (fig04, tab01, ...), sleep:<s>, "
-                          "suite, or ckpt:<dsa> (checkpointable DSA "
-                          "run — snapshot forks + preemption)")
+                          "or ckpt:<dsa> (checkpointable DSA run — "
+                          "snapshot forks + preemption)")
     sub.add_argument("--profile", default="ci", choices=PROFILES)
     sub.add_argument("--priority", type=int, default=0)
     sub.add_argument("--stream-interval", type=int, default=0,

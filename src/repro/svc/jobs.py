@@ -52,11 +52,10 @@ class JobState(str, Enum):
 
 #: synthetic experiments the worker executes besides the harness ids:
 #: ``sleep:<seconds>`` (deterministic no-op, for backpressure/cancel
-#: tests and pacing probes), ``suite`` (run the memoized fig-14 suite,
-#: optionally restricted to ``JobSpec.workloads``) and ``ckpt:<dsa>``
-#: (one checkpointable DSA run — optionally forked from
-#: ``JobSpec.snapshot`` and preempted every ``checkpoint_every`` cycles)
-SYNTHETIC_PREFIXES = ("sleep:", "suite", "ckpt:")
+#: tests and pacing probes) and ``ckpt:<dsa>`` (one checkpointable DSA
+#: run — optionally forked from ``JobSpec.snapshot`` and preempted every
+#: ``checkpoint_every`` cycles)
+SYNTHETIC_PREFIXES = ("sleep:", "ckpt:")
 
 
 @dataclass(frozen=True)
@@ -64,18 +63,16 @@ class JobSpec:
     """One declarative simulation request (picklable, content-addressed).
 
     Fields that change the *result* (experiment, profile, overrides,
-    workloads, capture) are folded into the digest; scheduling hints
+    capture) are folded into the digest; scheduling hints
     (priority, stream_interval, tag) are not — two submits differing
     only in priority are still the same simulation.
     """
 
-    experiment: str                       # harness id, "sleep:S", "suite"
+    experiment: str                       # harness id, "sleep:S", "ckpt:D"
     profile: str = "ci"
     # (field, value) pairs applied over the named profile via
     # dataclasses.replace — the sweep front-end's parameter grid
     profile_overrides: Tuple[Tuple[str, Any], ...] = ()
-    # fig-14 suite subset for experiment="suite" (None = all workloads)
-    workloads: Optional[Tuple[str, ...]] = None
     capture: Optional[CaptureSpec] = None
     priority: int = 0                     # higher runs earlier
     stream_interval: int = 0              # forward every Nth bus event
@@ -103,8 +100,6 @@ class JobSpec:
         object.__setattr__(self, "fork_overrides",
                            tuple((str(k), v)
                                  for k, v in self.fork_overrides))
-        if self.workloads is not None:
-            object.__setattr__(self, "workloads", tuple(self.workloads))
 
     def canonical(self) -> Dict[str, Any]:
         """The digest pre-image: everything that determines the result."""
@@ -113,8 +108,6 @@ class JobSpec:
             "profile": self.profile,
             "profile_overrides": sorted(
                 [k, v] for k, v in self.profile_overrides),
-            "workloads": (list(self.workloads)
-                          if self.workloads is not None else None),
             "capture": asdict(self.capture) if self.capture else None,
             # snapshot provenance: a forked run's identity includes the
             # snapshot it warmed from (by content, not path) and the
@@ -130,9 +123,7 @@ class JobSpec:
 
     @property
     def is_synthetic(self) -> bool:
-        return (self.experiment == "suite"
-                or self.experiment.startswith("sleep:")
-                or self.experiment.startswith("ckpt:"))
+        return self.experiment.startswith(SYNTHETIC_PREFIXES)
 
 
 class JobFailed(RuntimeError):
@@ -254,7 +245,6 @@ class JobQueue:
         self.max_pending = max_pending
         self._heap: List[Tuple[float, int, Job]] = []
         self._seq = itertools.count()
-        self._pending = 0
         self._lock = threading.Lock()
         # EWMA of recent job durations, feeding the retry_after estimate
         self._avg_duration = 1.0
@@ -265,10 +255,11 @@ class JobQueue:
     def submit(self, job: Job, workers: int = 1) -> None:
         """Admit ``job`` or raise :class:`AdmissionBusy`."""
         with self._lock:
-            if self._pending >= self.max_pending:
+            pending = self._count_pending()
+            if pending >= self.max_pending:
                 retry_after = max(
-                    0.1, self._pending * self._avg_duration / max(1, workers))
-                raise AdmissionBusy(retry_after, self._pending)
+                    0.1, pending * self._avg_duration / max(1, workers))
+                raise AdmissionBusy(retry_after, pending)
             self._push(job, -job.spec.priority)
 
     def requeue_front(self, job: Job) -> None:
@@ -279,7 +270,12 @@ class JobQueue:
 
     def _push(self, job: Job, key: float) -> None:
         heapq.heappush(self._heap, (key, next(self._seq), job))
-        self._pending += 1
+
+    def _count_pending(self) -> int:
+        # caller holds the lock; a cancelled job's entry stays in the
+        # heap until pop() skips it, but frees its admission slot now
+        return sum(1 for _, _, job in self._heap
+                   if job.state is JobState.PENDING)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -289,7 +285,6 @@ class JobQueue:
         with self._lock:
             while self._heap:
                 _, _, job = heapq.heappop(self._heap)
-                self._pending -= 1
                 if job.state is JobState.PENDING:
                     return job
             return None
@@ -299,13 +294,8 @@ class JobQueue:
         with self._lock:
             self._avg_duration = 0.7 * self._avg_duration + 0.3 * seconds
 
-    def forget_cancelled(self, job: Job) -> None:
-        """Account a pending job cancelled in place (heap entry stays,
-        pop() will skip it; the admission bound frees immediately)."""
-        with self._lock:
-            self._pending = max(0, self._pending - 1)
-
     @property
     def pending(self) -> int:
+        """Admitted jobs still waiting (cancelled entries excluded)."""
         with self._lock:
-            return self._pending
+            return self._count_pending()

@@ -2,12 +2,8 @@
 
 Workers are **long-lived processes**: each one imports the simulator
 stack once, then executes job after job, so per-process costs — the
-interpreter boot, ``numpy``/harness imports, and above all the
-microcode build + routine/trace compilation that PR 5/6 made the
-dominant per-run setup cost — amortize across the pool's lifetime
-instead of being paid per job. A worker that has run the fig-14 suite
-additionally holds the suite's in-process memo (compiled programs and
-results), so repeated suite jobs in one worker are near-free.
+interpreter boot, ``numpy``/harness imports and the microcode build —
+amortize across the pool's lifetime instead of being paid per job.
 
 The pool owns process lifecycle only; scheduling policy lives in
 :class:`repro.svc.service.Service`:
@@ -75,18 +71,6 @@ def _resolve_profile(spec: JobSpec) -> str:
 
     return ensure_profile(derive_profile(spec.profile,
                                          dict(spec.profile_overrides)))
-
-
-def _render_suite(suite) -> str:
-    """Deterministic text for a ``suite`` job's VariantSets."""
-    lines = ["== suite: fig14/15/16 shared runs =="]
-    for label in sorted(suite):
-        vs = suite[label]
-        lines.append(
-            f"  {label}: xcache={vs.xcache.cycles} "
-            f"baseline={vs.baseline.cycles} addr={vs.addr.cycles} "
-            f"speedup={vs.speedup_vs_baseline:.3f}")
-    return "\n".join(lines)
 
 
 def _execute_ckpt(spec: JobSpec, send_progress) -> Tuple[str, bool, dict]:
@@ -177,7 +161,6 @@ def _execute_spec(spec: JobSpec, health: bool, send_progress,
     started = time.perf_counter()
     registry = MetricsRegistry()
     streams: list = []
-    suite_warm = None
     capture_paths: Optional[Dict[str, str]] = None
     ckpt_extras: dict = {}
 
@@ -187,18 +170,6 @@ def _execute_spec(spec: JobSpec, health: bool, send_progress,
                        "seconds": seconds})
         time.sleep(seconds)
         rendered, all_ok = f"== sleep: {seconds:g}s ==", True
-    elif spec.experiment == "suite":
-        from ..harness import suite as suite_mod
-
-        profile = _resolve_profile(spec)
-        selected = (spec.workloads if spec.workloads is not None
-                    else suite_mod.SUITE_WORKLOADS)
-        suite_warm = (suite_mod._memo_key(profile, tuple(selected))
-                      in suite_mod._CACHE)
-        reset_ids()
-        result = suite_mod.run_fig14_suite(profile, tuple(selected))
-        rendered = _render_suite(result)
-        all_ok = all(vs.all_checked for vs in result.values())
     elif spec.experiment.startswith("ckpt:"):
         reset_ids()
         rendered, all_ok, ckpt_extras = _execute_ckpt(spec, send_progress)
@@ -249,7 +220,6 @@ def _execute_spec(spec: JobSpec, health: bool, send_progress,
         "all_ok": all_ok,
         "duration_s": time.perf_counter() - started,
         "worker_jobs_before": jobs_before,
-        "suite_warm": suite_warm,
         "events_seen": sum(s.seen for s in streams),
         "metrics": registry.snapshot(),
         "capture_paths": capture_paths,

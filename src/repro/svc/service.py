@@ -301,8 +301,6 @@ class Service:
                 handle = self.pool.find(job.worker)
                 if handle is not None:
                     self.pool.kill(handle)
-            elif job.state is JobState.PENDING:
-                self.queue.forget_cancelled(job)
             self._finish(job, JobState.CANCELLED)
             self._count("cancelled")
             return True
@@ -425,8 +423,7 @@ class Service:
         if spec.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {spec.experiment!r}; have "
-                f"{sorted(EXPERIMENTS)} or sleep:<seconds> / suite / "
-                f"ckpt:<dsa>")
+                f"{sorted(EXPERIMENTS)} or sleep:<seconds> / ckpt:<dsa>")
 
     def _loop(self) -> None:
         while not self._stop.is_set():
@@ -507,7 +504,6 @@ class Service:
                 "duration_s": payload.get("duration_s"),
                 "worker_id": payload.get("worker_id"),
                 "worker_jobs_before": payload.get("worker_jobs_before"),
-                "suite_warm": payload.get("suite_warm"),
                 "events_seen": payload.get("events_seen"),
                 "capture_paths": payload.get("capture_paths"),
                 "attempts": job.attempts,

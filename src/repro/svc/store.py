@@ -15,12 +15,6 @@ result — never from inside the simulation, and never partially. Disk
 writes are atomic (``os.replace``) and every on-disk record is wrapped
 with a format version plus its own key, so a stale or foreign file
 invalidates (counts as a miss) instead of crashing.
-
-:func:`canonical_json` / :func:`digest_of` are also the keying
-primitives for the figure-suite disk cache
-(:mod:`repro.harness.suite`), replacing the old
-``sha256(repr(key))`` scheme that depended on Python's ``repr``
-stability.
 """
 
 from __future__ import annotations
@@ -125,8 +119,7 @@ class ResultStore:
 
     ``root=None`` keeps everything in process memory (tests, ephemeral
     pools). With a directory, each record lands in ``<digest>.json``
-    written atomically, so concurrent services can share one store the
-    way parallel harness workers share ``REPRO_SUITE_CACHE``.
+    written atomically, so concurrent services can share one store.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:

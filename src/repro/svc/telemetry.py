@@ -580,13 +580,11 @@ def render_top(metrics: Mapping[str, Any],
     """Render one ``svc top`` frame from a ``Service.metrics()`` dict.
 
     ``previous``/``dt`` (the prior poll and the seconds between) turn
-    the monotonic counters into rates: jobs/s completed and events
-    streamed since the last frame. Pure function — the CLI loop owns
+    the completed-jobs counter into a jobs/s rate. Pure function — the CLI loop owns
     polling and timing, tests feed it fabricated snapshots.
     """
     bold, dim, reset = (_BOLD, _DIM, _RESET) if color else ("", "", "")
     snap = metrics.get("telemetry") or {}
-    prev_snap = (previous or {}).get("telemetry") or {}
 
     completed = metrics.get("completed", 0)
     rate = 0.0
@@ -650,5 +648,4 @@ def render_top(metrics: Mapping[str, Any],
             f"warnings={w.get('warnings', 0)} "
             f"job={w.get('job') if w.get('job') is not None else '-'}"
             f"{reset}")
-    del prev_snap  # rates beyond completed/s not needed yet
     return "\n".join(lines) + "\n"

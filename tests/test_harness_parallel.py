@@ -1,12 +1,10 @@
-"""Parallel harness: byte-identical output and suite disk memoization."""
-
-import pickle
+"""Parallel harness: byte-identical output, fig-14 suite included."""
 
 import pytest
 
-from repro.harness import suite
 from repro.harness.parallel import run_parallel, run_serial
-from repro.harness.suite import SUITE_CACHE_ENV, run_fig14_suite
+from repro.harness.suite import clear_cache
+from repro.obs.capture import CaptureSpec
 
 
 # tab01/tab02 are metadata tables — cheap enough to run twice in a test
@@ -42,74 +40,15 @@ def test_cli_rejects_unknown_experiment():
         main(["no-such-figure"])
 
 
-def test_suite_disk_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv(SUITE_CACHE_ENV, str(tmp_path))
-    suite.clear_cache()
+def test_parallel_capture_observes_the_shared_suite():
+    """fig14 runs in the calling process under --parallel, so its
+    capture sees the suite it simulates, as a serial run's does."""
+    clear_cache()
     try:
-        first = run_fig14_suite("ci", workloads=("dasx",))
-        cached_files = list(tmp_path.glob("suite_ci_*.pkl"))
-        assert len(cached_files) == 1
-
-        # a second process would start cold: clear the in-memory layer
-        # and verify the reload comes from disk with identical numbers
-        suite.clear_cache()
-        reloaded = run_fig14_suite("ci", workloads=("dasx",))
-        assert reloaded["dasx"].xcache.cycles == first["dasx"].xcache.cycles
-        assert (reloaded["dasx"].speedup_vs_baseline
-                == first["dasx"].speedup_vs_baseline)
+        results = run_parallel(["fig14", "tab01"], "ci", jobs=2,
+                               capture=CaptureSpec(metrics=True))
     finally:
-        suite.clear_cache()
-
-
-def test_suite_disk_cache_tolerates_corruption(tmp_path, monkeypatch):
-    monkeypatch.setenv(SUITE_CACHE_ENV, str(tmp_path))
-    suite.clear_cache()
-    try:
-        run_fig14_suite("ci", workloads=("dasx",))
-        (cached,) = tmp_path.glob("suite_ci_*.pkl")
-        cached.write_bytes(b"not a pickle")
-        suite.clear_cache()
-        # torn/corrupt cache entry must fall through to a fresh run
-        result = run_fig14_suite("ci", workloads=("dasx",))
-        assert result["dasx"].all_checked
-        # and the fresh run repaired the disk entry
-        with cached.open("rb") as fh:
-            assert "dasx" in pickle.load(fh)["suite"]
-    finally:
-        suite.clear_cache()
-
-
-def test_suite_disk_cache_invalidates_old_format(tmp_path, monkeypatch):
-    """Entries written by older revisions are treated as misses.
-
-    The pre-service layout pickled the suite dict bare (no wrapper, no
-    key, filename digest from ``repr()``); such a file at today's path
-    must invalidate quietly — fresh run, overwritten entry — never crash
-    or serve a stale suite.
-    """
-    monkeypatch.setenv(SUITE_CACHE_ENV, str(tmp_path))
-    suite.clear_cache()
-    try:
-        key = ("ci", ("dasx",))
-        path = suite._disk_cache_path(key)
-        with path.open("wb") as fh:
-            pickle.dump({"dasx": "stale-old-format-entry"}, fh)
-        result = run_fig14_suite("ci", workloads=("dasx",))
-        assert result["dasx"].all_checked  # simulated fresh, not stale
-        with path.open("rb") as fh:
-            repaired = pickle.load(fh)
-        assert repaired["format"] == suite.SUITE_CACHE_FORMAT
-        assert repaired["key"] == suite._canonical_key(key)
-
-        # a wrapper whose key disagrees (e.g. another code version)
-        # also invalidates
-        suite.clear_cache()
-        stale_key = dict(suite._canonical_key(key), code="0" * 16)
-        with path.open("wb") as fh:
-            pickle.dump({"format": suite.SUITE_CACHE_FORMAT,
-                         "key": stale_key,
-                         "suite": {"dasx": "wrong-code-version"}}, fh)
-        result = run_fig14_suite("ci", workloads=("dasx",))
-        assert result["dasx"].all_checked
-    finally:
-        suite.clear_cache()
+        clear_cache()  # don't leak captured results into other tests
+    fig14, _ok = results[0]
+    assert "requests=" in fig14
+    assert "requests=0 " not in fig14

@@ -286,22 +286,6 @@ def test_jobspec_digest_folds_snapshot_provenance():
     assert hinted.digest() == forked.digest()
 
 
-def test_suite_memo_key_folds_snapshot_provenance(tmp_path, monkeypatch):
-    from repro.harness import suite
-
-    monkeypatch.setenv(suite.SUITE_CACHE_ENV, str(tmp_path))
-    plain = suite._memo_key("ci", ("dasx",))
-    assert plain == ("ci", ("dasx",))   # historical keys unchanged
-    forked = suite._memo_key("ci", ("dasx",),
-                             {"snapshot": "ab" * 32,
-                              "fork_overrides": {"num_exe": 2}})
-    assert forked != plain
-    assert "provenance" in suite._canonical_key(forked)
-    assert "provenance" not in suite._canonical_key(plain)
-    assert (suite._disk_cache_path(forked).name
-            != suite._disk_cache_path(plain).name)
-
-
 # ----------------------------------------------------------------------
 # service preemption: checkpoint → crash → resume, byte-identically
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ def test_override_container_spelling_is_normalized():
 
 def test_synthetic_detection():
     assert JobSpec(experiment="sleep:0.5").is_synthetic
-    assert JobSpec(experiment="suite").is_synthetic
+    assert JobSpec(experiment="ckpt:widx").is_synthetic
     assert not JobSpec(experiment="fig04").is_synthetic
 
 
@@ -116,9 +116,9 @@ def test_pop_skips_cancelled_entries():
     q.submit(doomed)
     q.submit(kept)
     doomed.state = JobState.CANCELLED
-    q.forget_cancelled(doomed)
     assert q.pending == 1
     assert q.pop() is kept
+    assert q.pending == 0
 
 
 def test_requeue_front_beats_every_priority():

@@ -1,6 +1,5 @@
-"""Worker pool: crash detection/replacement, deterministic crash-retry
-with byte-identical results, and the warm-pool speedup that justifies
-keeping workers alive."""
+"""Worker pool: crash detection/replacement and deterministic
+crash-retry with byte-identical results."""
 
 import time
 
@@ -107,23 +106,3 @@ def test_repeated_crashes_fail_the_job(tmp_path, monkeypatch):
             job.result(timeout=120)
         assert job.attempts == Service.MAX_ATTEMPTS + 1
         assert svc.store.stats.stores == 0
-
-
-# ----------------------------------------------------------------------
-# warm pool: the second suite run in a worker reuses the in-process memo
-# ----------------------------------------------------------------------
-
-def test_warm_worker_speeds_up_repeat_suite_runs():
-    """Satellite check for routing --parallel through the warm pool:
-    a long-lived worker's second suite job hits its in-process memo."""
-    spec = JobSpec(experiment="suite", profile="ci", workloads=("dasx",))
-    with Service(workers=1, store=None, health=False) as svc:
-        cold = svc.submit(spec).result(timeout=120)
-        warm = svc.submit(spec).result(timeout=120)
-    cold_meta, warm_meta = cold["metadata"], warm["metadata"]
-    assert cold_meta["suite_warm"] is False
-    assert warm_meta["suite_warm"] is True      # served from the memo
-    assert warm["rendered"] == cold["rendered"]
-    assert (cold_meta["duration_s"]
-            / max(warm_meta["duration_s"], 1e-9) > 1.3)
-    assert warm_meta["worker_jobs_before"] == 1  # same worker, second job

@@ -180,6 +180,25 @@ def test_cancel_pending_job():
         assert not svc.cancel(pending)  # already finished
 
 
+def test_pending_count_drops_cancelled_jobs():
+    """Sleep-free (the service never starts): a cancelled job leaves the
+    pending count at once, not again when pop() skips its entry, and
+    close() leaves nothing pending."""
+    svc = Service(workers=1, health=False)
+    job = svc.submit(JobSpec(experiment="sleep:1"))
+    assert svc.cancel(job)
+    assert svc.queue.pop() is None  # the cancelled entry is skipped
+    assert svc.metrics()["pending"] == 0
+    assert svc.registry.value("queue_depth") == 0
+    svc.close()
+
+    svc = Service(workers=1, health=False)
+    for seconds in (1, 2, 3):
+        svc.submit(JobSpec(experiment=f"sleep:{seconds}"))
+    svc.close()
+    assert svc.metrics()["pending"] == 0
+
+
 def test_cancel_running_job_kills_the_worker():
     with Service(workers=1, health=False) as svc:
         job = svc.submit(JobSpec(experiment="sleep:30"))

@@ -100,21 +100,3 @@ def test_disk_corruption_is_a_miss(tmp_path):
     path.write_text("definitely not json")
     fresh = ResultStore(tmp_path)
     assert fresh.get(digest) is None
-
-
-def test_suite_disk_key_uses_canonical_digest(tmp_path, monkeypatch):
-    """The fig-14 suite cache (satellite of this PR) keys by canonical
-    JSON + code version, not ``repr()`` of a tuple."""
-    from repro.harness import suite
-
-    monkeypatch.setenv(suite.SUITE_CACHE_ENV, str(tmp_path))
-    key = ("ci", ("dasx",))
-    path = suite._disk_cache_path(key)
-    expected = digest_of({
-        "kind": "fig14-suite",
-        "profile": "ci",
-        "workloads": ["dasx"],
-        "code": code_version(),
-        "format": suite.SUITE_CACHE_FORMAT,
-    })[:16]
-    assert path.name == f"suite_ci_{expected}.pkl"
