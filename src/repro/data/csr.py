@@ -16,6 +16,7 @@ Layout of a CSR matrix in the image (all little-endian)::
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -28,6 +29,8 @@ __all__ = [
     "spgemm_outer",
     "spgemm_gustavson",
 ]
+
+_PAIR = struct.Struct("<Qd")   # packed element record: col (padded), value
 
 
 class SparseMatrix:
@@ -262,20 +265,20 @@ class CSRLayout:
         pairs = 0
         if packed:
             pairs = image.alloc(cls.PAIR_BYTES * matrix.nnz, align=64)
+            records = bytearray(cls.PAIR_BYTES * matrix.nnz)
             for k, (col, val) in enumerate(zip(matrix.indices, matrix.values)):
-                image.write_u64(pairs + cls.PAIR_BYTES * k, col)
-                image.write_f64(pairs + cls.PAIR_BYTES * k + 8, val)
+                _PAIR.pack_into(records, cls.PAIR_BYTES * k, col, val)
+            image.write_block(pairs, records)
         return cls(matrix.rows, matrix.cols, matrix.nnz, row_ptr, col_idx,
                    values, pairs)
 
     @staticmethod
     def parse_pairs(data: bytes) -> List[Tuple[int, float]]:
         """Decode a packed-pair byte string (a hit's data return)."""
-        import struct as _struct
         out: List[Tuple[int, float]] = []
         for off in range(0, len(data) - 15, CSRLayout.PAIR_BYTES):
             col = int.from_bytes(data[off:off + 4], "little")
-            (val,) = _struct.unpack_from("<d", data, off + 8)
+            (val,) = struct.unpack_from("<d", data, off + 8)
             out.append((col, val))
         return out
 

@@ -18,7 +18,7 @@ exactly one block ("the data fill ... is a single node").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..mem.layout import MemoryImage
@@ -28,28 +28,20 @@ __all__ = ["HashIndex", "fnv1a64"]
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_NODE_HEAD = struct.Struct("<QQQ")   # key, rid, next
 
 
 def fnv1a64(key: int) -> int:
-    """FNV-1a over the key's 8 little-endian bytes.
+    """FNV-1a over the key's 8 little-endian bytes (two's complement, so
+    a negative key hashes as ``key mod 2**64``).
 
     Used as the index hash; the paper models expensive *string* hashing
     (TPC-H 19/20) as a latency parameter on top of this function.
     """
     h = _FNV_OFFSET
-    for _ in range(8):
-        h ^= key & 0xFF
-        h = (h * _FNV_PRIME) & _MASK64
-        key >>= 8
+    for byte in (key & _MASK64).to_bytes(8, "little"):
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
-
-
-@dataclass(frozen=True)
-class _Node:
-    addr: int
-    key: int
-    rid: int
-    next_addr: int
 
 
 class HashIndex:
@@ -79,26 +71,40 @@ class HashIndex:
         """Address of the root-pointer slot for ``bucket`` (the META access)."""
         return self.table_addr + 8 * bucket
 
-    def insert(self, key: int, rid: int) -> int:
-        """Insert at the head of the key's bucket; returns the node address."""
-        bucket = self.bucket_of(key)
-        root_entry = self.bucket_root_entry(bucket)
-        old_head = self.image.read_u64(root_entry)
-        node = self.image.alloc(self.NODE_BYTES, align=self.NODE_BYTES)
-        self.image.write_u64(node + self.KEY_OFF, key)
-        self.image.write_u64(node + self.RID_OFF, rid)
-        self.image.write_u64(node + self.NEXT_OFF, old_head)
-        self.image.write_u64(root_entry, node)
-        self.num_entries += 1
-        self._chain_lengths[bucket] = self._chain_lengths.get(bucket, 0) + 1
-        return node
-
     @classmethod
     def build(cls, image: MemoryImage, pairs: Iterable[Tuple[int, int]],
               num_buckets: int) -> "HashIndex":
+        """Lay out ``pairs`` as if each were inserted at the head of its
+        bucket, in order: one allocation for every node, then one block
+        write for the nodes and one for the bucket table.
+
+        Keys and RIDs are stored as u64, so one outside [0, 2**64) would
+        alias another; it raises :class:`ValueError` instead.
+        """
+        pairs = list(pairs)
+        for i, (key, rid) in enumerate(pairs):
+            if not (0 <= key <= _MASK64 and 0 <= rid <= _MASK64):
+                raise ValueError(f"pairs[{i}] = ({key}, {rid}): key and rid "
+                                 f"must lie in [0, 2**64)")
         index = cls(image, num_buckets)
-        for key, rid in pairs:
-            index.insert(key, rid)
+        if not pairs:   # alloc(0, align=64) would still move the break
+            return index
+        size = cls.NODE_BYTES
+        base = image.alloc(size * len(pairs), align=size)
+        nodes = bytearray(size * len(pairs))
+        heads = [MemoryImage.NULL] * num_buckets
+        chains = index._chain_lengths
+        mask = num_buckets - 1
+        pack_into = _NODE_HEAD.pack_into
+        for i, (key, rid) in enumerate(pairs):
+            bucket = fnv1a64(key) & mask
+            pack_into(nodes, size * i, key, rid, heads[bucket])
+            heads[bucket] = base + size * i
+            chains[bucket] = chains.get(bucket, 0) + 1
+        image.write_block(base, nodes)
+        image.write_block(index.table_addr,
+                          struct.pack(f"<{num_buckets}Q", *heads))
+        index.num_entries = len(pairs)
         return index
 
     # ------------------------------------------------------------------

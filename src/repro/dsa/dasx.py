@@ -21,8 +21,7 @@ Variants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.config import XCacheConfig, table3_config
 from ..core.controller import MetaResponse
@@ -35,8 +34,8 @@ from ..mem.layout import MemoryImage
 from ..sim import Simulator
 from .base import RunResult
 from .walkers import build_hash_walker
-from .widx import WidxWorkload, WidxAddressModel, _HashProbeEngine, \
-    matched_cache_config
+from .widx import WidxWorkload, _HashProbeEngine, _rid_reference, \
+    _walk_reference, matched_cache_config
 
 __all__ = ["DasxXCacheModel", "DasxBaselineModel", "DasxAddressModel"]
 
@@ -58,6 +57,7 @@ class DasxXCacheModel:
                                    dram_config=dram_config)
         self.index = HashIndex.build(self.system.image, workload.pairs,
                                      workload.num_buckets)
+        self._reference = _rid_reference(self.index, workload.probes)
         self._rounds: List[Sequence[int]] = [
             workload.probes[i:i + round_size]
             for i in range(0, len(workload.probes), round_size)
@@ -123,7 +123,7 @@ class DasxXCacheModel:
         self._outstanding = len(keys)
         for key in keys:
             msg = self.system.load((key,), walk_fields=self._walk_fields)
-            self._expected[msg.uid] = self.index.probe(key)
+            self._expected[msg.uid] = self._reference[key]
 
     def _on_response(self, resp: MetaResponse) -> None:
         self._last_done = max(self._last_done, resp.completed_at)
@@ -163,8 +163,9 @@ class DasxBaselineModel:
         self.cache = AddressCache(self.sim, self.dram, cfg)
         self.index = HashIndex.build(self.image, workload.pairs,
                                      workload.num_buckets)
+        self._reference = _walk_reference(self.index, workload.probes)
         self.engines = [
-            _HashProbeEngine(self.sim, self.cache, self.index,
+            _HashProbeEngine(self.sim, self.cache, self._reference,
                              workload.hash_cycles, f"collector{i}")
             for i in range(num_collectors)
         ]
@@ -209,7 +210,7 @@ class DasxBaselineModel:
                 return
             key = keys[pending["next"]]
             pending["next"] += 1
-            expected = self.index.probe(key)
+            expected = self._reference[key][0]
 
             def on_done(rid) -> None:
                 if rid != expected:

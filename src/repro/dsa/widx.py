@@ -24,10 +24,10 @@ Variants modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..core.config import XCacheConfig, table3_config
-from ..core.controller import Controller, MetaResponse
+from ..core.controller import MetaResponse
 from ..core.energy import EnergyModel
 from ..core.xcache import XCacheSystem
 from ..data.hashindex import HashIndex
@@ -85,6 +85,29 @@ def _build_index(image: MemoryImage, workload: WidxWorkload) -> HashIndex:
     return HashIndex.build(image, workload.pairs, workload.num_buckets)
 
 
+#: per probe key: (rid or None, node addresses walked, bucket-root entry)
+WalkTable = Dict[int, Tuple[Optional[int], Tuple[int, ...], int]]
+
+
+def _rid_reference(index: HashIndex,
+                   keys: Iterable[int]) -> Dict[int, Optional[int]]:
+    """The functional answer per distinct key, fixed from the image as
+    built, before the simulation starts: a model whose simulated memory
+    changes during the run fails its check against it."""
+    return {key: index.probe(key) for key in dict.fromkeys(keys)}
+
+
+def _walk_reference(index: HashIndex, keys: Iterable[int]) -> WalkTable:
+    """Like :func:`_rid_reference`, plus the accesses an address-tagged
+    engine replays for the key (see :class:`_HashProbeEngine`)."""
+    table: WalkTable = {}
+    for key in dict.fromkeys(keys):
+        rid, walk = index.probe_with_walk(key)
+        table[key] = (rid, tuple(walk),
+                      index.bucket_root_entry(index.bucket_of(key)))
+    return table
+
+
 class WidxXCacheModel:
     """Widx datapath over a programmed X-Cache."""
 
@@ -99,6 +122,7 @@ class WidxXCacheModel:
         self.system = XCacheSystem(self.config, program,
                                    dram_config=dram_config)
         self.index = _build_index(self.system.image, workload)
+        self._reference = _rid_reference(self.index, workload.probes)
         self.window = window
         self._expected: Dict[int, Optional[int]] = {}
         self._failures = 0
@@ -163,7 +187,7 @@ class WidxXCacheModel:
     def _issue(self, index: int) -> None:
         key = self.workload.probes[index]
         msg = self.system.load((key,), walk_fields={"table": self._table})
-        self._expected[msg.uid] = self.index.probe(key)
+        self._expected[msg.uid] = self._reference[key]
 
 
 class _HashProbeEngine(Component):
@@ -172,21 +196,21 @@ class _HashProbeEngine(Component):
     This is the translate-and-walk loop an address-tagged design cannot
     avoid: the engine computes the bucket address (hash), loads the root
     pointer through the cache, then loads nodes until the key matches.
+    The addresses come from the model's :data:`WalkTable`, computed once
+    per distinct key.
     """
 
     def __init__(self, sim: Simulator, cache: AddressCache,
-                 index: HashIndex, hash_cycles: int, name: str) -> None:
+                 reference: WalkTable, hash_cycles: int, name: str) -> None:
         super().__init__(sim, name)
         self.cache = cache
-        self.index = index
+        self.reference = reference
         self.hash_cycles = hash_cycles
 
     def probe(self, key: int, callback: Callable[[Optional[int]], None]) -> None:
         self.stats.inc("hashes")
         self.stats.inc("agen_ops", 2)
-        rid, walk = self.index.probe_with_walk(key)
-        bucket = self.index.bucket_of(key)
-        root = self.index.bucket_root_entry(bucket)
+        rid, walk, root = self.reference[key]
 
         def after_hash() -> None:
             self.cache.access(root, False, lambda _lat: self._walk(walk, 0,
@@ -195,7 +219,7 @@ class _HashProbeEngine(Component):
 
         self.sim.call_after(max(1, self.hash_cycles), after_hash)
 
-    def _walk(self, walk: List[int], i: int, rid: Optional[int],
+    def _walk(self, walk: Sequence[int], i: int, rid: Optional[int],
               callback: Callable[[Optional[int]], None]) -> None:
         if i >= len(walk):
             callback(rid)
@@ -220,8 +244,9 @@ class _AddressVariantBase:
         cfg = cache_config or matched_cache_config(table3_config("widx"))
         self.cache = AddressCache(self.sim, self.dram, cfg)
         self.index = _build_index(self.image, workload)
+        self._reference = _walk_reference(self.index, workload.probes)
         self.engines = [
-            _HashProbeEngine(self.sim, self.cache, self.index,
+            _HashProbeEngine(self.sim, self.cache, self._reference,
                              workload.hash_cycles, f"engine{i}")
             for i in range(num_engines)
         ]
@@ -236,7 +261,7 @@ class _AddressVariantBase:
             return
         key = self.workload.probes[self._next_probe]
         self._next_probe += 1
-        expected = self.index.probe(key)
+        expected = self._reference[key][0]
         started = self.sim.now
 
         def on_done(rid: Optional[int]) -> None:

@@ -11,12 +11,16 @@ accesses an address-based cache would have to make.
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
 
 __all__ = ["MemoryImage", "OutOfMemoryError"]
 
-_U_FORMATS = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
-_S_FORMATS = {1: "<b", 2: "<h", 4: "<i", 8: "<q"}
+_U_STRUCTS = {n: struct.Struct(f) for n, f in
+              ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))}
+_S_STRUCTS = {n: struct.Struct(f) for n, f in
+              ((1, "<b"), (2, "<h"), (4, "<i"), (8, "<q"))}
+_F64 = struct.Struct("<d")
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
 
 
 class OutOfMemoryError(MemoryError):
@@ -38,7 +42,6 @@ class MemoryImage:
         self.size = size
         self._data = bytearray(min(size, 1 << 16))
         self._brk = base
-        self.allocations: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     # allocation
@@ -57,7 +60,6 @@ class MemoryImage:
             )
         self._ensure(end)
         self._brk = end
-        self.allocations.append((addr, nbytes))
         return addr
 
     @property
@@ -78,23 +80,30 @@ class MemoryImage:
         self._ensure(addr + nbytes)
 
     # ------------------------------------------------------------------
-    # scalar accessors
+    # scalar accessors. These and the block accessors make one bounds
+    # test against the grown buffer (never longer than ``size``); only
+    # past its end does _check_range raise (beyond ``size``) or grow it
     # ------------------------------------------------------------------
     def read_uint(self, addr: int, nbytes: int) -> int:
-        self._check_range(addr, nbytes)
-        return struct.unpack_from(_U_FORMATS[nbytes], self._data, addr)[0]
+        if addr < 0 or addr + nbytes > len(self._data):
+            self._check_range(addr, nbytes)
+        return _U_STRUCTS[nbytes].unpack_from(self._data, addr)[0]
 
     def write_uint(self, addr: int, nbytes: int, value: int) -> None:
-        self._check_range(addr, nbytes)
-        struct.pack_into(_U_FORMATS[nbytes], self._data, addr, value & ((1 << (8 * nbytes)) - 1))
+        if addr < 0 or addr + nbytes > len(self._data):
+            self._check_range(addr, nbytes)
+        _U_STRUCTS[nbytes].pack_into(self._data, addr,
+                                     value & ((1 << (8 * nbytes)) - 1))
 
     def read_int(self, addr: int, nbytes: int) -> int:
-        self._check_range(addr, nbytes)
-        return struct.unpack_from(_S_FORMATS[nbytes], self._data, addr)[0]
+        if addr < 0 or addr + nbytes > len(self._data):
+            self._check_range(addr, nbytes)
+        return _S_STRUCTS[nbytes].unpack_from(self._data, addr)[0]
 
     def write_int(self, addr: int, nbytes: int, value: int) -> None:
-        self._check_range(addr, nbytes)
-        struct.pack_into(_S_FORMATS[nbytes], self._data, addr, value)
+        if addr < 0 or addr + nbytes > len(self._data):
+            self._check_range(addr, nbytes)
+        _S_STRUCTS[nbytes].pack_into(self._data, addr, value)
 
     def read_u32(self, addr: int) -> int:
         return self.read_uint(addr, 4)
@@ -109,44 +118,45 @@ class MemoryImage:
         self.write_uint(addr, 8, value)
 
     def read_f64(self, addr: int) -> float:
-        self._check_range(addr, 8)
-        return struct.unpack_from("<d", self._data, addr)[0]
+        if addr < 0 or addr + 8 > len(self._data):
+            self._check_range(addr, 8)
+        return _F64.unpack_from(self._data, addr)[0]
 
     def write_f64(self, addr: int, value: float) -> None:
-        self._check_range(addr, 8)
-        struct.pack_into("<d", self._data, addr, value)
+        if addr < 0 or addr + 8 > len(self._data):
+            self._check_range(addr, 8)
+        _F64.pack_into(self._data, addr, value)
 
     # ------------------------------------------------------------------
     # block accessors (cache-line transfers)
     # ------------------------------------------------------------------
     def read_block(self, addr: int, nbytes: int) -> bytes:
-        self._check_range(addr, nbytes)
+        if addr < 0 or addr + nbytes > len(self._data):
+            self._check_range(addr, nbytes)
         return bytes(self._data[addr:addr + nbytes])
 
     def write_block(self, addr: int, data: bytes) -> None:
-        self._check_range(addr, len(data))
+        if addr < 0 or addr + len(data) > len(self._data):
+            self._check_range(addr, len(data))
         self._data[addr:addr + len(data)] = data
 
     # ------------------------------------------------------------------
-    # array helpers used by the data-structure builders
+    # array helpers used by the data-structure builders: one allocation
+    # and one block write each, masked to width like write_u32/write_u64
     # ------------------------------------------------------------------
-    def alloc_u32_array(self, values) -> int:
-        addr = self.alloc(4 * len(values), align=8)
-        for i, v in enumerate(values):
-            self.write_u32(addr + 4 * i, int(v))
+    def _alloc_array(self, code: str, width: int, items: list) -> int:
+        addr = self.alloc(width * len(items), align=8)
+        self.write_block(addr, struct.pack(f"<{len(items)}{code}", *items))
         return addr
+
+    def alloc_u32_array(self, values) -> int:
+        return self._alloc_array("I", 4, [int(v) & _MASK32 for v in values])
 
     def alloc_u64_array(self, values) -> int:
-        addr = self.alloc(8 * len(values), align=8)
-        for i, v in enumerate(values):
-            self.write_u64(addr + 8 * i, int(v))
-        return addr
+        return self._alloc_array("Q", 8, [int(v) & _MASK64 for v in values])
 
     def alloc_f64_array(self, values) -> int:
-        addr = self.alloc(8 * len(values), align=8)
-        for i, v in enumerate(values):
-            self.write_f64(addr + 8 * i, float(v))
-        return addr
+        return self._alloc_array("d", 8, [float(v) for v in values])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MemoryImage(used={self._brk:#x}, size={self.size:#x})"

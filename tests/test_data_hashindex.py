@@ -1,7 +1,7 @@
 """Unit + property tests for the chained hash index."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.data import HashIndex, fnv1a64
 from repro.mem import MemoryImage
@@ -114,3 +114,79 @@ def test_walk_never_longer_than_chain_property(keys):
     for k in keys:
         _rid, walk = index.probe_with_walk(k)
         assert 1 <= len(walk) <= index.chain_length(k)
+
+
+# ----------------------------------------------------------------------
+# bulk layout vs the insert-at-head loop it replaced
+# ----------------------------------------------------------------------
+_MASK64 = (1 << 64) - 1
+
+
+def fnv1a64_reference(key):
+    """The byte-at-a-time shift loop ``fnv1a64`` must equal."""
+    h = 0xCBF29CE484222325
+    for _ in range(8):
+        h ^= key & 0xFF
+        h = (h * 0x100000001B3) & _MASK64
+        key >>= 8
+    return h
+
+
+def insert_at_head(image, pairs, num_buckets):
+    """Insert each pair at the head of its bucket, one node per
+    allocation; returns (table_addr, chain length per bucket)."""
+    table = image.alloc(8 * num_buckets, align=64)
+    chains = {}
+    for key, rid in pairs:
+        bucket = fnv1a64_reference(key) & (num_buckets - 1)
+        root = table + 8 * bucket
+        node = image.alloc(64, align=64)
+        image.write_u64(node, key)
+        image.write_u64(node + 8, rid)
+        image.write_u64(node + 16, image.read_u64(root))
+        image.write_u64(root, node)
+        chains[bucket] = chains.get(bucket, 0) + 1
+    return table, chains
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(pairs=st.lists(st.tuples(
+           st.one_of(st.integers(0, 40), st.integers(0, _MASK64)),
+           st.integers(0, _MASK64)), max_size=80),
+       num_buckets=st.integers(0, 8).map(lambda e: 1 << e),
+       prior=st.one_of(st.none(), st.integers(1, 200)))
+def test_build_matches_insert_at_head(pairs, num_buckets, prior):
+    images = [MemoryImage(), MemoryImage()]
+    if prior is not None:
+        for image in images:
+            image.alloc(prior, align=1)
+    index = HashIndex.build(images[0], pairs, num_buckets)
+    table, chains = insert_at_head(images[1], pairs, num_buckets)
+    bulk, ref = images
+    assert bulk.used == ref.used
+    assert bulk.read_block(0, bulk.used) == ref.read_block(0, ref.used)
+    assert index.table_addr == table
+    assert index.num_entries == len(pairs)
+    assert index.max_chain() == max(chains.values(), default=0)
+    for key, _rid in pairs:
+        bucket = fnv1a64_reference(key) & (num_buckets - 1)
+        assert index.chain_length(key) == chains[bucket]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(min_value=-2**70, max_value=2**70))
+@example(0)
+@example(_MASK64)
+@example(-1)
+@example(1 << 64)
+def test_fnv1a64_matches_shift_loop(key):
+    assert fnv1a64(key) == fnv1a64_reference(key)
+
+
+@pytest.mark.parametrize("pair", [((1 << 64) + 5, 77), (-3, 1), (5, -1),
+                                  (5, 1 << 64)])
+def test_build_rejects_keys_and_rids_outside_u64(pair):
+    # stored as u64 they would alias: 2**64 + 5 would be found as 5
+    image = MemoryImage()
+    with pytest.raises(ValueError, match=r"pairs\[1\]"):
+        HashIndex.build(image, [(1, 2), pair, (-7, 3)], 16)

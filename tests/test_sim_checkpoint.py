@@ -194,8 +194,8 @@ def test_geometry_digest_ignores_fork_safe_fields(widx_snapshot):
 
 def test_fork_override_whitelist_enforced(widx_snapshot):
     path, _ = widx_snapshot
-    for bad in ({"ways": 8}, {"compile_mode": "off"},
-                {"trace_threshold": 1}, {"min_fuse_len": 2},
+    for bad in ({"ways": 8}, {"num_active": 4},
+                {"data_sectors": 2048}, {"wlen": 2},
                 {"dram.num_banks": 4}, {"sets": 128}):
         with pytest.raises(ForkOverrideError):
             ck.load_model(str(path), overrides=bad)
