@@ -1,14 +1,13 @@
 #!/usr/bin/env python
-"""Simulation-as-a-service in ~40 lines: warm pool, dedup, streaming.
+"""The simulation service in ~30 lines: warm pool and dedup.
 
-Spins up a private 2-worker service, then shows the three things the
+Spins up a private 2-worker service, then shows the two things the
 service layer adds over running the harness directly:
 
 1. identical submissions cost one simulation (coalescing + the
    content-addressed result store, with counters to prove it);
 2. a finished digest resolves straight from the result store, no
-   worker touched;
-3. progress streams back across the process boundary while a job runs.
+   worker touched.
 
 Run me: PYTHONPATH=src python examples/service_demo.py
 
@@ -44,16 +43,6 @@ def main() -> None:
         print(f"fig07 simulated in {cold['duration_s']*1000:.0f} ms; "
               f"identical resubmit resolved from the store in "
               f"{resolved_ms:.2f} ms")
-
-        # -- 3. streaming: watch a job's events while it runs -----------
-        blocker = svc.submit(JobSpec(experiment="sleep:0.2"))
-        streamed = svc.submit(JobSpec(experiment="fig04", profile="ci",
-                                      stream_interval=200))
-        events = sum(1 for payload in svc.subscribe(streamed)
-                     if payload.get("kind") == "event")
-        print(f"fig04 streamed {events} sampled bus events while running")
-        streamed.result(timeout=120)
-        blocker.result(timeout=60)
 
         metrics = svc.metrics()
         print(f"service totals: submitted={metrics['submitted']} "

@@ -53,9 +53,9 @@ def execute_one(exp_id: str, profile: str,
     runs because each worker owns its experiment's capture end to end.
 
     ``on_attach`` (see :class:`repro.obs.capture.Capture`) lets the
-    service worker add its own processors — progress streaming, the
-    health watchdog — to every system the driver builds; passing it
-    forces a capture scope even when ``spec`` exports nothing.
+    service worker add its own processors — the health watchdog — to
+    every system the experiment builds; passing it forces a capture scope
+    even when ``spec`` exports nothing.
 
     Pass a :class:`~repro.svc.telemetry.MetricsRegistry` as ``metrics``
     to fold in what the capture observed beyond its file exports: one

@@ -161,9 +161,9 @@ class Capture:
 
     ``on_attach`` is an optional ``(system, run_index)`` callback fired
     for every system that self-registers — the hook the service worker
-    uses to add its own processors (progress streaming, the health
-    watchdog) to systems built deep inside experiment drivers, without
-    widening :class:`CaptureSpec`, which must stay picklable.
+    uses to add its own processors (the health watchdog) to systems
+    built deep inside experiment code, without widening
+    :class:`CaptureSpec`, which must stay picklable.
     """
 
     def __init__(self, spec: CaptureSpec, on_attach=None) -> None:
@@ -343,7 +343,7 @@ def use_capture(capture: Capture) -> Iterator[Capture]:
     Unlike :func:`capture_scope` this installs unconditionally — even a
     capture whose spec exports nothing still arms every system's bus and
     fires ``on_attach``, which is how the service worker observes runs
-    that asked for streaming/health but no file exports. The caller owns
+    that asked for health checks but no file exports. The caller owns
     ``capture.finish()``.
     """
     global _current

@@ -359,7 +359,12 @@ def main(argv=None) -> int:
     if args.ledger is not None:
         from repro.svc.telemetry import RunLedger
 
-        entry = RunLedger.find_job(args.ledger, args.job)
+        try:
+            entry = RunLedger.find_job(args.ledger, args.job)
+        except OSError as exc:
+            print(f"cannot read ledger {args.ledger}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
         if entry is None:
             print(f"job {args.job} not found in {args.ledger}",
                   file=sys.stderr)

@@ -1,12 +1,14 @@
-"""``repro.svc`` — simulation-as-a-service.
+"""``repro.svc`` — an in-process simulation service.
 
-The service layer turns the one-shot experiment harness into a
-long-running facility: declarative :class:`~repro.svc.jobs.JobSpec`
-requests flow through a bounded priority queue into a **warm pool** of
-persistent worker processes, results land in a **content-addressed
-store** keyed by (config, workload, code version), and identical
-concurrent requests **coalesce** onto one simulation. See
-``DESIGN.md`` §5 and ``python -m repro.svc --help``.
+The service layer runs many experiment jobs from one process:
+declarative :class:`~repro.svc.jobs.JobSpec` requests flow through a
+bounded FIFO queue into a **warm pool** of persistent worker
+processes, results land in a **content-addressed store** keyed by
+(config, workload, code version), and identical concurrent requests
+**coalesce** onto one simulation. Its users are ``harness --parallel``,
+``python -m repro.svc sweep`` and the run ledger that ``svc history``
+and ``explain --ledger`` read. See ``DESIGN.md`` §5 and
+``python -m repro.svc --help``.
 
 Attribute access is lazy (PEP 562): ``repro.harness`` imports
 ``repro.svc`` pieces and vice versa, so the package body must not
@@ -28,9 +30,6 @@ __all__ = [
     "ResultStore",
     "RunLedger",
     "Service",
-    "ServiceClient",
-    "StreamProcessor",
-    "Subscription",
     "WorkerPool",
     "canonical_json",
     "code_version",
@@ -52,9 +51,6 @@ _EXPORTS = {
     "ResultStore": "store",
     "RunLedger": "telemetry",
     "Service": "service",
-    "ServiceClient": "client",
-    "StreamProcessor": "stream",
-    "Subscription": "stream",
     "WorkerPool": "pool",
     "canonical_json": "store",
     "code_version": "store",

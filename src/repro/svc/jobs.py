@@ -2,7 +2,7 @@
 
 A :class:`JobSpec` is a declarative, picklable request — which
 experiment, which profile (plus optional field overrides), what to
-capture, how eagerly to stream progress. Its :meth:`~JobSpec.digest` is
+capture, how often to checkpoint. Its :meth:`~JobSpec.digest` is
 the canonical content address (config + workload + code version, see
 :mod:`repro.svc.store`) that drives result-store hits and in-flight
 coalescing.
@@ -13,7 +13,7 @@ coalescing.
 number of client threads can wait on one job — including the followers
 of a coalesced submit, who share the Job object outright.
 
-:class:`JobQueue` is a priority queue with **bounded admission**: past
+:class:`JobQueue` is a FIFO queue with **bounded admission**: past
 ``max_pending`` it refuses the submit with :class:`AdmissionBusy`
 carrying a ``retry_after`` estimate, instead of queueing unboundedly —
 backpressure is the client's problem to pace, not the coordinator's
@@ -22,14 +22,13 @@ problem to buffer.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import queue
 import threading
 import time
+from collections import deque
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..obs.capture import CaptureSpec
 from .store import code_version, digest_of
@@ -63,9 +62,9 @@ class JobSpec:
     """One declarative simulation request (picklable, content-addressed).
 
     Fields that change the *result* (experiment, profile, overrides,
-    capture) are folded into the digest; scheduling hints
-    (priority, stream_interval, tag) are not — two submits differing
-    only in priority are still the same simulation.
+    capture, snapshot content, fork overrides) are folded into the
+    digest; the tag, the snapshot path and the checkpoint hints are
+    not — two submits differing only in those are the same simulation.
     """
 
     experiment: str                       # harness id, "sleep:S", "ckpt:D"
@@ -74,9 +73,6 @@ class JobSpec:
     # dataclasses.replace — the sweep front-end's parameter grid
     profile_overrides: Tuple[Tuple[str, Any], ...] = ()
     capture: Optional[CaptureSpec] = None
-    priority: int = 0                     # higher runs earlier
-    stream_interval: int = 0              # forward every Nth bus event
-                                          # (0 = milestones only)
     tag: str = ""                         # free-form label, not hashed
     # warm-start provenance (``ckpt:<dsa>`` jobs): the snapshot *path*
     # is a location hint and stays out of the digest; its content
@@ -171,6 +167,8 @@ class Job:
         self.created = time.time()
         self.started: Optional[float] = None
         self.finished_at: Optional[float] = None
+        # the last ``checkpoint`` progress payload of a ``ckpt:`` job:
+        # where a crash-retried attempt resumes from
         self.last_progress: Optional[dict] = None
         # monotonic host timestamps stamped at lifecycle transitions
         # (submitted/admitted/dispatched/...), assembled into the
@@ -178,7 +176,6 @@ class Job:
         self.ts: Dict[str, float] = {"submitted": time.monotonic()}
         self.store_write_s = 0.0     # coordinator's store.put duration
         self._done = threading.Event()
-        self._subscribers: List[queue.Queue] = []
 
     def stamp(self, transition: str) -> float:
         """Record a monotonic timestamp for one lifecycle transition."""
@@ -204,47 +201,26 @@ class Job:
             raise JobCancelled(f"job {self.id} was cancelled")
         raise JobFailed(f"job {self.id} failed: {self.error}")
 
-    def status(self) -> Dict[str, Any]:
-        """A JSON-able snapshot (what the status CLI prints)."""
-        return {
-            "job": self.id,
-            "experiment": self.spec.experiment,
-            "profile": self.spec.profile,
-            "digest": self.digest,
-            "state": self.state.value,
-            "attempts": self.attempts,
-            "followers": self.followers,
-            "from_store": self.from_store,
-            "worker": self.worker,
-            "worker_history": list(self.worker_history),
-            "result_digest": self.result_digest,
-            "error": self.error,
-            "progress": self.last_progress,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Job(id={self.id}, {self.spec.experiment!r}, "
                 f"{self.state.value}, digest={self.digest[:12]})")
 
 
 class JobQueue:
-    """Priority queue with bounded admission and lazy cancellation.
+    """FIFO queue with bounded admission and lazy cancellation.
 
-    Higher ``JobSpec.priority`` pops first; ties pop in submission
-    order. Cancelled jobs stay in the heap and are skipped on pop
-    (removal from a heap's middle is O(n); skipping is O(log n) when it
-    matters). ``requeue_front`` re-admits a crash-retried job ahead of
-    every priority class so a retry never starves behind fresh work.
+    Jobs pop in submission order. Cancelled jobs stay queued and are
+    skipped on pop. ``requeue_front`` re-admits a crash-retried job
+    ahead of every pending job (retries among themselves stay FIFO),
+    so a retry never starves behind fresh work.
     """
-
-    _FRONT = float("inf")
 
     def __init__(self, max_pending: int = 64) -> None:
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.max_pending = max_pending
-        self._heap: List[Tuple[float, int, Job]] = []
-        self._seq = itertools.count()
+        self._retries: Deque[Job] = deque()
+        self._fresh: Deque[Job] = deque()
         self._lock = threading.Lock()
         # EWMA of recent job durations, feeding the retry_after estimate
         self._avg_duration = 1.0
@@ -260,33 +236,32 @@ class JobQueue:
                 retry_after = max(
                     0.1, pending * self._avg_duration / max(1, workers))
                 raise AdmissionBusy(retry_after, pending)
-            self._push(job, -job.spec.priority)
+            self._fresh.append(job)
 
     def requeue_front(self, job: Job) -> None:
-        """Re-admit a crash-retried job ahead of everything (no bound:
-        it was already admitted once)."""
+        """Re-admit a crash-retried job ahead of every pending job (no
+        bound: it was already admitted once)."""
         with self._lock:
-            self._push(job, -self._FRONT)
-
-    def _push(self, job: Job, key: float) -> None:
-        heapq.heappush(self._heap, (key, next(self._seq), job))
+            self._retries.append(job)
 
     def _count_pending(self) -> int:
-        # caller holds the lock; a cancelled job's entry stays in the
-        # heap until pop() skips it, but frees its admission slot now
-        return sum(1 for _, _, job in self._heap
-                   if job.state is JobState.PENDING)
+        # caller holds the lock; a cancelled job's entry stays queued
+        # until pop() skips it, but frees its admission slot now
+        return sum(1 for lane in (self._retries, self._fresh)
+                   for job in lane if job.state is JobState.PENDING)
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
     def pop(self) -> Optional[Job]:
-        """Highest-priority pending job, skipping cancelled entries."""
+        """The next pending job (retries first), skipping cancelled
+        entries."""
         with self._lock:
-            while self._heap:
-                _, _, job = heapq.heappop(self._heap)
-                if job.state is JobState.PENDING:
-                    return job
+            for lane in (self._retries, self._fresh):
+                while lane:
+                    job = lane.popleft()
+                    if job.state is JobState.PENDING:
+                        return job
             return None
 
     def note_duration(self, seconds: float) -> None:

@@ -20,7 +20,10 @@ The pool owns process lifecycle only; scheduling policy lives in
   :class:`~repro.svc.telemetry.MetricsRegistry` snapshot (watchdog
   warnings, simulated cache health) that :meth:`WorkerPool.poll` folds
   into the pool's registry and per-worker health
-  (``WorkerPool.health()``).
+  (``WorkerPool.health()``);
+* **progress** — the only message a worker sends mid-job is a
+  ``ckpt:<dsa>`` job's ``checkpoint`` payload (the cycle it persisted);
+  everything else a job reports arrives once, in its result.
 
 Fault injection for tests: when ``REPRO_SVC_CRASH_ONCE`` names a path
 and that file does not exist yet, the next worker to pick up a job
@@ -102,7 +105,6 @@ def _execute_ckpt(spec: JobSpec, send_progress) -> Tuple[str, bool, dict]:
     if resume_path and os.path.exists(resume_path):
         model, header = ck.load_model(resume_path)
         resumed_from = header["cycle"]
-        send_progress({"kind": "resume", "cycle": resumed_from})
     elif spec.snapshot:
         model, _header = ck.load_model(spec.snapshot,
                                        overrides=overrides or None)
@@ -155,19 +157,18 @@ def _execute_spec(spec: JobSpec, health: bool, send_progress,
 
     ``payload["metrics"]`` is the job's own registry snapshot (watchdog
     warnings, lens-armed cache health), which the pool merges.
+    ``send_progress`` carries a ``ckpt:`` job's ``checkpoint`` payloads
+    to the coordinator, which reads the last one if the worker dies.
     """
     from ..core.messages import reset_ids
 
     started = time.perf_counter()
     registry = MetricsRegistry()
-    streams: list = []
     capture_paths: Optional[Dict[str, str]] = None
     ckpt_extras: dict = {}
 
     if spec.experiment.startswith("sleep:"):
         seconds = float(spec.experiment.split(":", 1)[1])
-        send_progress({"kind": "phase", "phase": "sleep",
-                       "seconds": seconds})
         time.sleep(seconds)
         rendered, all_ok = f"== sleep: {seconds:g}s ==", True
     elif spec.experiment.startswith("ckpt:"):
@@ -194,18 +195,11 @@ def _execute_spec(spec: JobSpec, health: bool, send_progress,
                                      and capture.watchdog)
         dogs: list = []
         on_attach = None
-        if health_dog or spec.stream_interval > 0:
+        if health_dog:
             from ..obs.watchdog import WatchdogProcessor
-            from .stream import StreamProcessor
 
             def on_attach(system, run):
-                bus = system.ensure_bus()
-                if spec.stream_interval > 0:
-                    proc = StreamProcessor(send_progress, run,
-                                           spec.stream_interval)
-                    streams.append(bus.attach(proc))
-                if health_dog:
-                    dogs.append(bus.attach(WatchdogProcessor()))
+                dogs.append(system.ensure_bus().attach(WatchdogProcessor()))
 
         rendered, all_ok = execute_one(
             spec.experiment, _resolve_profile(spec), capture,
@@ -220,7 +214,6 @@ def _execute_spec(spec: JobSpec, health: bool, send_progress,
         "all_ok": all_ok,
         "duration_s": time.perf_counter() - started,
         "worker_jobs_before": jobs_before,
-        "events_seen": sum(s.seen for s in streams),
         "metrics": registry.snapshot(),
         "capture_paths": capture_paths,
         "checkpoints": ckpt_extras.get("checkpoints", 0),
@@ -256,11 +249,8 @@ def _worker_main(conn, worker_id: int, health: bool) -> None:
             # deterministic mid-job crash for the retry tests
             with open(crash_marker, "w") as fh:
                 fh.write(f"worker {worker_id} pid {os.getpid()}\n")
-            send_progress({"kind": "phase", "phase": "crashing"})
             os._exit(13)
 
-        send_progress({"kind": "phase", "phase": "start",
-                       "experiment": spec.experiment})
         try:
             payload = _execute_spec(spec, health, send_progress, jobs_done,
                                     job_id=job_id)

@@ -3,7 +3,7 @@
 :class:`Service` glues the three subsystems together around one control
 loop:
 
-* the **job queue** (:mod:`repro.svc.jobs`) — priorities, bounded
+* the **job queue** (:mod:`repro.svc.jobs`) — FIFO order, bounded
   admission with a ``retry_after`` hint, cancellation;
 * the **warm worker pool** (:mod:`repro.svc.pool`) — long-lived
   processes with crash detection and automatic replacement;
@@ -21,15 +21,15 @@ simulation ran. N identical submissions, sequential or concurrent,
 execute exactly one simulation.
 
 The control loop is a single daemon thread: it drains pool messages
-(progress → subscriptions, results → store + waiters, deaths →
-retry-on-fresh-worker) and dispatches pending jobs to idle workers.
-Client threads only touch the queue/maps under one lock, so ``submit``
-is cheap and a store hit never waits on a running simulation.
+(checkpoint progress → the job's resume point, results → store +
+waiters, deaths → retry-on-fresh-worker) and dispatches pending jobs
+to idle workers. Client threads only touch the queue/maps under one
+lock, so ``submit`` is cheap and a store hit never waits on a running
+simulation.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 import time
@@ -44,7 +44,6 @@ from .jobs import (
 )
 from .pool import WorkerHandle, WorkerPool
 from .store import ResultStore, digest_of
-from .stream import Subscription
 from .telemetry import LEDGER_ENV, JobSpan, MetricsRegistry, RunLedger
 
 __all__ = ["Service", "sweep_specs"]
@@ -143,7 +142,7 @@ class Service:
     @staticmethod
     def _declare_metrics(reg: MetricsRegistry) -> None:
         """Pre-register every family so a scrape sees zeros, not gaps
-        (the CI smoke greps ``worker_restarts_total`` before any crash)."""
+        (``worker_restarts_total 0`` renders before any crash)."""
         reg.counter("jobs_submitted_total", "Submits accepted or resolved.")
         reg.counter("jobs_admitted_total", "Jobs admitted to the queue.")
         reg.counter("jobs_rejected_total",
@@ -161,8 +160,6 @@ class Service:
                     "Worker slots respawned after a death or kill.")
         reg.counter("watchdog_warnings_total",
                     "In-sim pathology warnings reported by workers.")
-        reg.counter("stream_dropped_total",
-                    "Progress payloads dropped by slow subscribers.")
         reg.counter("ledger_entries_total", "Run-ledger lines written.")
         reg.counter("store_hits_total", "Result-store lookup hits.")
         reg.counter("store_misses_total", "Result-store lookup misses.")
@@ -305,19 +302,6 @@ class Service:
             self._count("cancelled")
             return True
 
-    def subscribe(self, job: Job, maxsize: int = 256) -> Subscription:
-        """A progress stream for ``job`` (ends when the job finishes)."""
-        reg = self.registry
-        sub = Subscription(
-            maxsize=maxsize,
-            on_drop=lambda count: reg.inc("stream_dropped_total", count))
-        with self._lock:
-            if job.state.finished:
-                sub.close()
-            else:
-                job._subscribers.append(sub)
-        return sub
-
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Wait for every submitted job to finish; True if all did."""
         deadline = (time.monotonic() + timeout) if timeout else None
@@ -349,7 +333,6 @@ class Service:
         out["workers"] = self.pool.health()
         out["watchdog"] = self.registry.by_label("watchdog_warnings_total",
                                                  "kind")
-        out["telemetry"] = self.telemetry_snapshot()
         return out
 
     def telemetry_snapshot(self) -> dict:
@@ -383,13 +366,6 @@ class Service:
         from .telemetry import render_prometheus
 
         return render_prometheus(self.telemetry_snapshot())
-
-    def history(self, limit: int = 0) -> List[dict]:
-        """The run-ledger entries written so far (last ``limit`` if >0)."""
-        if self.ledger is None:
-            return []
-        entries = RunLedger.read(self.ledger.path)
-        return entries[-limit:] if limit > 0 else entries
 
     # ------------------------------------------------------------------
     # internals
@@ -453,12 +429,8 @@ class Service:
     def _on_progress(self, job_id: Optional[int], payload: dict) -> None:
         with self._lock:
             job = self.jobs.get(job_id)
-            if job is None:
-                return
-            job.last_progress = payload
-            subscribers = list(job._subscribers)
-        for sub in subscribers:
-            sub.feed(payload)
+            if job is not None:
+                job.last_progress = payload
 
     def _on_result(self, job_id: Optional[int], payload: dict) -> None:
         with self._lock:
@@ -504,7 +476,6 @@ class Service:
                 "duration_s": payload.get("duration_s"),
                 "worker_id": payload.get("worker_id"),
                 "worker_jobs_before": payload.get("worker_jobs_before"),
-                "events_seen": payload.get("events_seen"),
                 "capture_paths": payload.get("capture_paths"),
                 "attempts": job.attempts,
                 "checkpoints": payload.get("checkpoints", 0),
@@ -524,7 +495,7 @@ class Service:
                 self._finish(job, JobState.FAILED)
                 self._count("failed")
                 return
-            # retry on a fresh worker, ahead of every priority class;
+            # retry on a fresh worker, ahead of every pending job;
             # nothing was stored, so a retried job cannot leave a
             # partial result behind
             job.state = JobState.PENDING
@@ -571,9 +542,6 @@ class Service:
             self.ledger.record(self._ledger_entry(job, span))
             self.registry.inc("ledger_entries_total")
         job._done.set()
-        for sub in job._subscribers:
-            sub.close()
-        job._subscribers.clear()
 
     @staticmethod
     def job_span(job: Job) -> JobSpan:

@@ -29,11 +29,6 @@ wall-clock time, and this module is its observability plane:
   replayable by ``python -m repro.svc history`` and drillable by
   ``python -m repro.obs.explain --ledger L.jsonl --job N`` straight
   into the job's *simulated* critical path via its recorded capture.
-* :class:`MetricsHTTPServer` — the registry over a stdlib
-  ``http.server`` endpoint (``GET /metrics``, Prometheus text format),
-  armed with ``python -m repro.svc serve --metrics-port``.
-* :func:`render_top` — the frame renderer behind ``python -m repro.svc
-  top``, a live ANSI terminal view over the remote metrics snapshot.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ import pathlib
 import threading
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -63,9 +57,7 @@ __all__ = [
     "MetricsRegistry",
     "JobSpan",
     "RunLedger",
-    "MetricsHTTPServer",
     "render_prometheus",
-    "render_top",
     "QUANTILES",
     "LEDGER_ENV",
 ]
@@ -448,11 +440,8 @@ class RunLedger:
         return found
 
 
-def format_history(entries: Sequence[Mapping[str, Any]],
-                   limit: int = 0) -> str:
+def format_history(entries: Sequence[Mapping[str, Any]]) -> str:
     """Render ledger entries as the ``svc history`` table."""
-    if limit:
-        entries = list(entries)[-limit:]
     lines = [f"{'job':>5} {'state':<9} {'experiment':<12} "
              f"{'e2e_s':>8} {'queue_s':>8} {'exec_s':>8} "
              f"{'attempts':>8} {'workers':<10} digest"]
@@ -469,183 +458,3 @@ def format_history(entries: Sequence[Mapping[str, Any]],
             f"{str(e.get('digest', ''))[:12]}")
     return "\n".join(lines)
 
-
-# ----------------------------------------------------------------------
-# Prometheus HTTP endpoint
-# ----------------------------------------------------------------------
-
-class MetricsHTTPServer:
-    """Serve ``GET /metrics`` from a render callable (stdlib only).
-
-    ``provider`` returns the exposition text per scrape (the service
-    refreshes its gauges inside it), so the endpoint is always current
-    without any background sampling thread.
-    """
-
-    def __init__(self, provider: Callable[[], str],
-                 host: str = "127.0.0.1", port: int = 0) -> None:
-        # imported here, not at module level: every service worker
-        # imports this module for its registry and never serves HTTP
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (stdlib casing)
-                if self.path.split("?", 1)[0] not in ("/metrics", "/"):
-                    self.send_error(404)
-                    return
-                try:
-                    body = outer.provider().encode("utf-8")
-                except Exception as exc:  # pragma: no cover - defensive
-                    self.send_error(500, str(exc))
-                    return
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type",
-                    "text/plain; version=0.0.4; charset=utf-8")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args) -> None:  # silence per-scrape logs
-                pass
-
-        self.provider = provider
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._server.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._server.server_address[:2]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    def start(self) -> "MetricsHTTPServer":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                name="repro-svc-metrics", daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(2.0)
-            self._thread = None
-
-
-# ----------------------------------------------------------------------
-# `svc top` frame rendering
-# ----------------------------------------------------------------------
-
-_CLEAR = "\x1b[H\x1b[2J"
-_BOLD = "\x1b[1m"
-_DIM = "\x1b[2m"
-_RESET = "\x1b[0m"
-
-_WORKER_GLYPH = {"idle": ".", "busy": "#", "booting": "~", "dead": "x"}
-
-
-def _snapshot_value(snapshot: Mapping[str, dict], name: str,
-                    default: Union[int, float] = 0) -> Union[int, float]:
-    family = snapshot.get(name)
-    if not family:
-        return default
-    total: Union[int, float] = 0
-    seen = False
-    for _key, value in family.get("series", ()):
-        if isinstance(value, (int, float)):
-            total += value
-            seen = True
-    return total if seen else default
-
-
-def _snapshot_summary(snapshot: Mapping[str, dict],
-                      name: str) -> Histogram:
-    family = snapshot.get(name) or {}
-    return _histogram_from_wire(value for _key, value
-                                in family.get("series", ()))
-
-
-def render_top(metrics: Mapping[str, Any],
-               previous: Optional[Mapping[str, Any]] = None,
-               dt: float = 0.0, address: str = "",
-               color: bool = True, clear: bool = True) -> str:
-    """Render one ``svc top`` frame from a ``Service.metrics()`` dict.
-
-    ``previous``/``dt`` (the prior poll and the seconds between) turn
-    the completed-jobs counter into a jobs/s rate. Pure function — the CLI loop owns
-    polling and timing, tests feed it fabricated snapshots.
-    """
-    bold, dim, reset = (_BOLD, _DIM, _RESET) if color else ("", "", "")
-    snap = metrics.get("telemetry") or {}
-
-    completed = metrics.get("completed", 0)
-    rate = 0.0
-    if previous is not None and dt > 0:
-        rate = max(0.0, (completed - previous.get("completed", 0)) / dt)
-
-    store = metrics.get("store") or {}
-    hits = store.get("hits", 0)
-    lookups = hits + store.get("misses", 0)
-    hit_rate = (100.0 * hits / lookups) if lookups else 0.0
-
-    latency = _snapshot_summary(snap, "job_latency_seconds")
-    queue_wait = _snapshot_summary(snap, "job_queue_wait_seconds")
-
-    workers = metrics.get("workers") or []
-    strip = "".join(_WORKER_GLYPH.get(w.get("state"), "?")
-                    for w in workers)
-    busy = sum(1 for w in workers if w.get("state") == "busy")
-
-    lines = []
-    if clear:
-        lines.append(_CLEAR.rstrip("\n"))
-    title = "repro.svc top"
-    if address:
-        title += f" — {address}"
-    lines.append(f"{bold}{title}{reset}")
-    lines.append(
-        f"jobs      submitted={metrics.get('submitted', 0)} "
-        f"completed={completed} failed={metrics.get('failed', 0)} "
-        f"cancelled={metrics.get('cancelled', 0)} "
-        f"rejected={metrics.get('rejected', 0)} "
-        f"retries={metrics.get('retries', 0)}")
-    lines.append(
-        f"queue     depth={metrics.get('pending', 0)} "
-        f"running={metrics.get('running', 0)} "
-        f"throughput={rate:.2f} jobs/s")
-    lines.append(
-        f"latency   p50={latency.percentile(0.5) / 1e6:.3f}s "
-        f"p95={latency.percentile(0.95) / 1e6:.3f}s "
-        f"p99={latency.percentile(0.99) / 1e6:.3f}s "
-        f"(n={latency.count}) | "
-        f"queue-wait p99={queue_wait.percentile(0.99) / 1e6:.3f}s")
-    lines.append(
-        f"store     hit-rate={hit_rate:.1f}% hits={hits} "
-        f"misses={store.get('misses', 0)} "
-        f"coalesced={metrics.get('coalesced', 0)} "
-        f"stores={store.get('stores', 0)}")
-    restarts = metrics.get("worker_restarts", 0)
-    dropped = int(_snapshot_value(snap, "stream_dropped_total"))
-    lines.append(
-        f"workers   [{strip}] busy={busy}/{len(workers)} "
-        f"restarts={restarts} stream-drops={dropped}")
-    watchdog = metrics.get("watchdog") or {}
-    if watchdog:
-        kinds = " ".join(f"{k}={v}" for k, v in sorted(watchdog.items()))
-        lines.append(f"watchdog  {kinds}")
-    for w in workers:
-        lines.append(
-            f"{dim}  worker {w.get('worker')}: {w.get('state'):<8} "
-            f"pid={w.get('pid')} jobs={w.get('jobs_done', 0)} "
-            f"warnings={w.get('warnings', 0)} "
-            f"job={w.get('job') if w.get('job') is not None else '-'}"
-            f"{reset}")
-    return "\n".join(lines) + "\n"

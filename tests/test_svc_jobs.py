@@ -1,4 +1,4 @@
-"""Job model: digests, state machine, priority queue, bounded admission."""
+"""Job model: digests, state machine, FIFO queue, bounded admission."""
 
 import pytest
 
@@ -19,8 +19,8 @@ from repro.svc.jobs import (
 
 def test_scheduling_hints_do_not_change_the_digest():
     base = JobSpec(experiment="fig04", profile="ci")
-    hinted = JobSpec(experiment="fig04", profile="ci", priority=9,
-                     stream_interval=100, tag="nightly")
+    hinted = JobSpec(experiment="fig04", profile="ci", tag="nightly",
+                     checkpoint_every=500, checkpoint_dir="resume")
     assert base.digest() == hinted.digest()
 
 
@@ -86,16 +86,12 @@ def test_result_timeout():
 # queue
 # ----------------------------------------------------------------------
 
-def test_priority_order_with_fifo_ties():
+def test_fifo_order():
     q = JobQueue()
-    low = Job(JobSpec(experiment="sleep:0", priority=0))
-    first_high = Job(JobSpec(experiment="sleep:1", priority=5))
-    second_high = Job(JobSpec(experiment="sleep:2", priority=5))
-    for job in (low, first_high, second_high):
+    jobs = [Job(JobSpec(experiment=f"sleep:{i}")) for i in range(3)]
+    for job in jobs:
         q.submit(job)
-    assert q.pop() is first_high     # priority wins
-    assert q.pop() is second_high    # ties pop in submission order
-    assert q.pop() is low
+    assert [q.pop() for _ in jobs] == jobs   # submission order
     assert q.pop() is None
 
 
@@ -121,13 +117,16 @@ def test_pop_skips_cancelled_entries():
     assert q.pending == 0
 
 
-def test_requeue_front_beats_every_priority():
+def test_requeue_front_goes_ahead_of_every_pending_job():
     q = JobQueue()
-    urgent = Job(JobSpec(experiment="sleep:0", priority=100))
-    q.submit(urgent)
-    retried = Job(JobSpec(experiment="sleep:1", priority=0))
-    q.requeue_front(retried)
-    assert q.pop() is retried
+    fresh = [Job(JobSpec(experiment=f"sleep:{i}")) for i in range(2)]
+    for job in fresh:
+        q.submit(job)
+    retries = [Job(JobSpec(experiment=f"sleep:{i}")) for i in (8, 9)]
+    for job in retries:
+        q.requeue_front(job)
+    # retries first, in the order they were requeued, then fresh work
+    assert [q.pop() for _ in range(4)] == retries + fresh
 
 
 def test_retry_after_tracks_observed_durations():

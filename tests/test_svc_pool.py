@@ -14,7 +14,7 @@ def _wait_state(job, state, timeout=30.0):
     deadline = time.monotonic() + timeout
     while job.state is not state:
         if time.monotonic() > deadline:
-            raise TimeoutError(f"job never reached {state}: {job.status()}")
+            raise TimeoutError(f"job never reached {state}: {job!r}")
         time.sleep(0.01)
 
 

@@ -1,5 +1,5 @@
 """Service end-to-end: lifecycle, dedup/coalescing, admission, cancel,
-progress streaming. Worker pools are real spawned processes, so tests
+the sweep front-end. Worker pools are real spawned processes, so tests
 share small pools and lean on the synthetic ``sleep:`` experiment."""
 
 import threading
@@ -15,7 +15,7 @@ def _wait_state(job, state, timeout=30.0):
     deadline = time.monotonic() + timeout
     while job.state is not state:
         if time.monotonic() > deadline:
-            raise TimeoutError(f"job never reached {state}: {job.status()}")
+            raise TimeoutError(f"job never reached {state}: {job!r}")
         time.sleep(0.01)
 
 
@@ -33,9 +33,7 @@ def test_submit_running_done_lifecycle():
         assert payload["rendered"] == "== sleep: 0.3s =="
         assert payload["all_ok"] is True
         assert job.result_digest  # content hash of the result
-        status = job.status()
-        assert status["state"] == "done"
-        assert status["attempts"] == 1
+        assert job.attempts == 1
 
 
 def test_start_wait_ready_polls_the_pool_from_one_thread():
@@ -189,6 +187,7 @@ def test_pending_count_drops_cancelled_jobs():
     assert svc.cancel(job)
     assert svc.queue.pop() is None  # the cancelled entry is skipped
     assert svc.metrics()["pending"] == 0
+    svc.telemetry_snapshot()          # syncs the queue_depth gauge
     assert svc.registry.value("queue_depth") == 0
     svc.close()
 
@@ -212,35 +211,6 @@ def test_cancel_running_job_kills_the_worker():
         assert svc.pool.restarts == 1
         # nothing was stored for the cancelled digest
         assert not svc.store.contains(job.digest)
-
-
-# ----------------------------------------------------------------------
-# progress streaming
-# ----------------------------------------------------------------------
-
-def test_subscription_streams_progress_and_ends():
-    with Service(workers=1, health=False) as svc:
-        blocker = svc.submit(JobSpec(experiment="sleep:0.3"))
-        job = svc.submit(JobSpec(experiment="fig04", profile="ci",
-                                 stream_interval=50))
-        sub = svc.subscribe(job)
-        payloads = list(sub)  # ends when the job finishes
-        job.result(timeout=120)
-        blocker.result(timeout=30)
-    kinds = {p.get("kind") for p in payloads}
-    assert "phase" in kinds                      # start marker
-    assert "event" in kinds                      # sampled bus events
-    events = [p for p in payloads if p.get("kind") == "event"]
-    names = {p["event"]["event"] for p in events}
-    assert "run_start" in names                  # milestones always pass
-    assert all(p["seq"] >= 1 for p in events)
-
-
-def test_subscribe_after_finish_yields_empty_stream():
-    with Service(workers=1, health=False) as svc:
-        job = svc.submit(JobSpec(experiment="sleep:0.05"))
-        job.result(timeout=30)
-        assert list(svc.subscribe(job)) == []
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,9 @@
 """Service-plane telemetry: lifecycle spans, the metrics registry with
-Prometheus exposition, the durable run ledger, stream fidelity, and the
-``svc top`` / ``svc history`` surfaces. Worker pools are real spawned
-processes, so tests share small pools and lean on the synthetic
-``sleep:`` experiment."""
+Prometheus exposition, the durable run ledger, and its ``explain
+--ledger`` drilldown. Worker pools are real spawned processes, so tests
+share small pools and lean on the synthetic ``sleep:`` experiment."""
 
-import queue
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,16 +11,13 @@ from hypothesis import given, settings, strategies as st
 from repro.svc.jobs import JobSpec
 from repro.svc.pool import CRASH_ONCE_ENV, _execute_spec
 from repro.svc.service import Service
-from repro.svc.stream import Subscription
 from repro.svc.telemetry import (
     LEDGER_ENV,
     JobSpan,
-    MetricsHTTPServer,
     MetricsRegistry,
     RunLedger,
     format_history,
     render_prometheus,
-    render_top,
 )
 
 
@@ -232,26 +225,6 @@ def test_merged_parts_render_like_one_registry(updates, data):
     assert merged.render() == whole.render()
 
 
-def test_metrics_http_endpoint_serves_prometheus():
-    with Service(workers=1) as svc:
-        svc.submit(JobSpec(experiment="sleep:0")).result(timeout=30)
-        server = MetricsHTTPServer(svc.prometheus, port=0).start()
-        try:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            with urllib.request.urlopen(url, timeout=10) as response:
-                assert response.status == 200
-                assert "version=0.0.4" in response.headers["Content-Type"]
-                body = response.read().decode()
-            assert "repro_svc_jobs_completed_total 1" in body
-            # pre-registered zero: scrapeable before any crash
-            assert "repro_svc_worker_restarts_total 0" in body
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{server.port}/nope", timeout=10)
-        finally:
-            server.stop()
-
-
 # ----------------------------------------------------------------------
 # run ledger
 # ----------------------------------------------------------------------
@@ -263,7 +236,8 @@ def test_ledger_replay_round_trip(tmp_path):
         first = svc.submit(spec)
         first.result(timeout=30)
         svc.submit(spec).result(timeout=5)           # store hit
-        assert svc.history(limit=1)[0]["from_store"] is True
+        # flushed per entry: readable while the service still runs
+        assert RunLedger.read(ledger)[-1]["from_store"] is True
     entries = RunLedger.read(ledger)
     assert [e["job"] for e in entries] == [first.id, first.id + 1]
     ran, hit = entries
@@ -322,60 +296,7 @@ def test_ledger_env_var_arms_the_default(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# stream fidelity
-# ----------------------------------------------------------------------
-
-def test_subscription_overflow_drops_oldest_samplable():
-    drops = []
-    sub = Subscription(maxsize=3, on_drop=drops.append)
-    for seq in range(5):
-        sub.feed({"kind": "event", "seq": seq})
-    assert sub.dropped == 2
-    assert drops == [1, 1]
-    assert [sub.get(0.1)["seq"] for _ in range(3)] == [2, 3, 4]
-    with pytest.raises(queue.Empty):
-        sub.get(0.05)
-
-
-def test_subscription_never_drops_phase_milestones():
-    sub = Subscription(maxsize=2)
-    sub.feed({"kind": "phase", "phase": "start"})
-    for seq in range(10):
-        sub.feed({"kind": "event", "seq": seq})
-    sub.feed({"kind": "phase", "phase": "finish"})
-    sub.close()
-    payloads = list(sub)
-    phases = [p["phase"] for p in payloads if p["kind"] == "phase"]
-    assert phases == ["start", "finish"]   # survived 10x overflow
-    assert sub.dropped == 10               # every samplable event lost
-    # end-of-stream is sticky: reads after exhaustion keep returning None
-    assert sub.get(0.1) is None
-
-
-def test_subscription_all_milestones_exceed_bound_rather_than_drop():
-    sub = Subscription(maxsize=2)
-    for index in range(5):
-        sub.feed({"kind": "phase", "phase": f"p{index}"})
-    sub.close()
-    assert [p["phase"] for p in sub] == [f"p{i}" for i in range(5)]
-    assert sub.dropped == 0
-
-
-def test_stream_drops_feed_the_registry():
-    with Service(workers=1) as svc:
-        job = svc.submit(JobSpec(experiment="fig04", stream_interval=50))
-        sub = svc.subscribe(job, maxsize=4)   # deliberately tiny
-        job.result(timeout=300)
-        # drained only after the fact: milestones survived, every drop
-        # was counted in both the subscription and the registry
-        payloads = list(sub)
-        assert any(p.get("kind") == "phase" for p in payloads)
-        assert sub.dropped > 0
-        assert svc.registry.value("stream_dropped_total") == sub.dropped
-
-
-# ----------------------------------------------------------------------
-# watchdog + top surfaces
+# watchdog and the metrics surfaces
 # ----------------------------------------------------------------------
 
 def test_watchdog_warnings_render_as_labeled_counters():
@@ -450,26 +371,15 @@ def test_metrics_dict_carries_watchdog_and_snapshot():
     with Service(workers=1) as svc:
         svc.submit(JobSpec(experiment="sleep:0")).result(timeout=30)
         metrics = svc.metrics()
+        snapshot = svc.telemetry_snapshot()
+        prom = svc.prometheus()
     assert metrics["watchdog"] == {}
-    assert _series_value(metrics["telemetry"],
-                         "jobs_completed_total") == 1
-
-
-def test_render_top_frame():
-    with Service(workers=1) as svc:
-        svc.submit(JobSpec(experiment="sleep:0")).result(timeout=30)
-        first = svc.metrics()
-        second = svc.metrics()
-        frame = render_top(second, previous=first, dt=1.0,
-                           address="127.0.0.1:7791", color=False,
-                           clear=False)
-    assert "repro.svc top — 127.0.0.1:7791" in frame
-    assert "completed=1" in frame
-    assert "p99=" in frame
-    assert "busy=0/1" in frame
-    # the clear variant leads with the ANSI home+clear sequence
-    assert render_top(second, color=False,
-                      clear=True).startswith("\x1b[H\x1b[2J")
+    assert _series_value(snapshot, "jobs_completed_total") == 1
+    assert "repro_svc_jobs_submitted_total 1" in prom
+    assert "repro_svc_jobs_completed_total 1" in prom
+    assert "repro_svc_store_hits_total 0" in prom
+    # pre-registered zero: rendered before any crash
+    assert "repro_svc_worker_restarts_total 0" in prom
 
 
 # ----------------------------------------------------------------------
@@ -507,3 +417,14 @@ def test_explain_ledger_missing_job_exits_2(tmp_path, capsys):
     ledger.write_text("")
     assert explain_main(["--ledger", str(ledger), "--job", "999999"]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_explain_missing_ledger_file_exits_2(tmp_path, capsys):
+    """A ledger path that does not exist is one error line, not a
+    traceback."""
+    from repro.obs.explain import main as explain_main
+
+    ledger = tmp_path / "nope.jsonl"
+    assert explain_main(["--ledger", str(ledger), "--job", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(ledger) in err
