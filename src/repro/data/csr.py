@@ -30,7 +30,7 @@ __all__ = [
     "spgemm_gustavson",
 ]
 
-_PAIR = struct.Struct("<Qd")   # packed element record: col (padded), value
+_PAIR = struct.Struct("<I4xd")  # packed element record: u32 col, pad, f64 value
 
 
 class SparseMatrix:
@@ -209,10 +209,16 @@ def spgemm_outer(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 
 
 def spgemm_gustavson(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Gustavson (row-wise) SpGEMM (Gamma): row_i(C) = Σ_k A[i,k]·row_k(B)."""
+    """Gustavson (row-wise) SpGEMM (Gamma): row_i(C) = Σ_k A[i,k]·row_k(B).
+
+    C's CSR arrays are built row by row: each row accumulates in a dict,
+    then its columns are sorted and exact zeros dropped.
+    """
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.cols} != {b.rows}")
-    trips: List[Tuple[int, int, float]] = []
+    indptr = [0]
+    indices: List[int] = []
+    values: List[float] = []
     for i in range(a.rows):
         acc: Dict[int, float] = {}
         for kk in range(a.indptr[i], a.indptr[i + 1]):
@@ -221,10 +227,13 @@ def spgemm_gustavson(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
             for jj in range(b.indptr[k], b.indptr[k + 1]):
                 j = b.indices[jj]
                 acc[j] = acc.get(j, 0.0) + av * b.values[jj]
-        for j, v in acc.items():
+        for j in sorted(acc):
+            v = acc[j]
             if v != 0.0:
-                trips.append((i, j, v))
-    return SparseMatrix.from_triplets(a.rows, b.cols, trips)
+                indices.append(j)
+                values.append(v)
+        indptr.append(len(indices))
+    return SparseMatrix(a.rows, b.cols, indptr, indices, values)
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +267,18 @@ class CSRLayout:
     @classmethod
     def build(cls, image: MemoryImage, matrix: SparseMatrix,
               packed: bool = False) -> "CSRLayout":
-        """Write ``matrix`` into ``image`` and return its addresses."""
+        """Write ``matrix`` into ``image`` and return its addresses.
+
+        ``row_ptr`` entries and the columns in ``col_idx`` and the packed
+        records are u32, so nnz and every column index must fit: a wider
+        value would alias silently.
+        """
+        if matrix.cols > 1 << 32:
+            raise ValueError(f"cols {matrix.cols} > 2**32: column indices "
+                             "do not fit the u32 col_idx field")
+        if matrix.nnz >= 1 << 32:
+            raise ValueError(f"nnz {matrix.nnz} does not fit the u32 "
+                             "row_ptr field")
         row_ptr = image.alloc_u32_array(matrix.indptr)
         col_idx = image.alloc_u32_array(matrix.indices)
         values = image.alloc_f64_array(matrix.values)
@@ -274,13 +294,12 @@ class CSRLayout:
 
     @staticmethod
     def parse_pairs(data: bytes) -> List[Tuple[int, float]]:
-        """Decode a packed-pair byte string (a hit's data return)."""
-        out: List[Tuple[int, float]] = []
-        for off in range(0, len(data) - 15, CSRLayout.PAIR_BYTES):
-            col = int.from_bytes(data[off:off + 4], "little")
-            (val,) = struct.unpack_from("<d", data, off + 8)
-            out.append((col, val))
-        return out
+        """Decode a packed-pair byte string (a hit's data return).
+
+        A trailing partial record is ignored.
+        """
+        whole = len(data) - len(data) % CSRLayout.PAIR_BYTES
+        return list(_PAIR.iter_unpack(data[:whole]))
 
     # -- address arithmetic the walkers perform ------------------------
     def row_ptr_entry(self, r: int) -> int:

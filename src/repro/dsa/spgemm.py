@@ -86,6 +86,29 @@ def element_trace(a: SparseMatrix,
     return trace
 
 
+def _matches_reference(a: SparseMatrix, b: SparseMatrix,
+                       rows: Dict[int, Dict[int, float]]) -> bool:
+    """Whether ``rows`` (``{i: {j: c_ij}}``) is the product A×B.
+
+    The entries must be exactly the Gustavson reference's nonzeros, and
+    each value within ``1e-6 * (1 + |ref|)`` of the reference's. Equal
+    counts plus every reference entry present make the key sets equal.
+    """
+    ref = spgemm_gustavson(a, b)
+    if sum(map(len, rows.values())) != ref.nnz:
+        return False
+    for i in range(ref.rows):
+        cols, vals = ref.row(i)
+        if not cols:
+            continue
+        got = rows.get(i, {})
+        for j, want in zip(cols, vals):
+            have = got.get(j)
+            if have is None or not abs(want - have) < 1e-6 * (1 + abs(want)):
+                return False
+    return True
+
+
 class SpGEMMXCacheModel:
     """SpArch/Gamma datapath over the shared row-walker X-Cache."""
 
@@ -140,7 +163,7 @@ class SpGEMMXCacheModel:
             if k != last:
                 self._runs.append(k)
                 last = k
-        self._result: Dict[Tuple[int, int], float] = {}
+        self._result: Dict[int, Dict[int, float]] = {}   # {i: {j: c_ij}}
         self._loads: Dict[int, Tuple[int, int, float]] = {}
         self._preloads: set = set()
         self._next_compute = 0
@@ -172,7 +195,7 @@ class SpGEMMXCacheModel:
         stats = ctrl.stats
         checks = (self._failures == 0
                   and self._done_elements == len(self.trace)
-                  and self._validate())
+                  and _matches_reference(self.a, self.b, self._result))
         return RunResult(
             dsa=self.dsa,
             variant="baseline" if self.ideal else "xcache",
@@ -190,16 +213,9 @@ class SpGEMMXCacheModel:
             extras={
                 "miss_merges": float(stats.get("miss_merges")),
                 "capacity_evictions": float(stats.get("capacity_evictions")),
-                "flops": 2.0 * sum(1 for _ in self._result),
+                "flops": 2.0 * sum(map(len, self._result.values())),
             },
         )
-
-    def _validate(self) -> bool:
-        ref = spgemm_gustavson(self.a, self.b).to_dict()
-        if set(ref) != set(self._result):
-            return False
-        return all(abs(ref[k] - self._result[k]) < 1e-6 * (1 + abs(ref[k]))
-                   for k in ref)
 
     # ------------------------------------------------------------------
     # decoupled preloader (runs `lookahead` distinct rows ahead)
@@ -248,11 +264,12 @@ class SpGEMMXCacheModel:
                     acc += v * b_val
                     hit = True
             if hit and acc != 0.0:
-                self._result[(i, k)] = self._result.get((i, k), 0.0) + acc
+                row = self._result.setdefault(i, {})
+                row[k] = row.get(k, 0.0) + acc
         else:
+            row = self._result.setdefault(i, {})
             for col, b_val in CSRLayout.parse_pairs(resp.data):
-                key = (i, col)
-                self._result[key] = self._result.get(key, 0.0) + a_val * b_val
+                row[col] = row.get(col, 0.0) + a_val * b_val
         self._done_elements += 1
         self._outstanding -= 1
         self._issue_computes()
@@ -274,6 +291,10 @@ class SpGEMMAddressModel:
                  xcache_config: Optional[XCacheConfig] = None,
                  num_engines: Optional[int] = None,
                  dram_config: DRAMConfig = DRAMConfig()) -> None:
+        if algorithm not in ("outer", "gustavson"):
+            # no inner-product dataflow: that is X-Cache-only (Figure 2)
+            raise ValueError(f"address model runs algorithm 'outer' or "
+                             f"'gustavson', not {algorithm!r}")
         if a.cols != b.rows:
             raise ValueError(f"shape mismatch {a.cols} != {b.rows}")
         self.a = a
@@ -290,7 +311,7 @@ class SpGEMMAddressModel:
         self.layout = CSRLayout.build(self.image, b, packed=True)
         self.trace = element_trace(a, algorithm)
         self.num_engines = num_engines or xcfg.num_active
-        self._result: Dict[Tuple[int, int], float] = {}
+        self._result: Dict[int, Dict[int, float]] = {}   # {i: {j: c_ij}}
         self._next = 0
         self._done = 0
         self._agen_ops = 0
@@ -303,7 +324,8 @@ class SpGEMMAddressModel:
         energy = EnergyModel().address_cache_breakdown(
             self.cache, self._last_done, agen_ops=self._agen_ops,
             hash_ops=0)
-        checks = (self._done == len(self.trace) and self._validate())
+        checks = (self._done == len(self.trace)
+                  and _matches_reference(self.a, self.b, self._result))
         return RunResult(
             dsa=self.dsa,
             variant="addr",
@@ -317,13 +339,6 @@ class SpGEMMAddressModel:
             energy=energy,
             checks_passed=checks,
         )
-
-    def _validate(self) -> bool:
-        ref = spgemm_gustavson(self.a, self.b).to_dict()
-        if set(ref) != set(self._result):
-            return False
-        return all(abs(ref[k] - self._result[k]) < 1e-6 * (1 + abs(ref[k]))
-                   for k in ref)
 
     def _dispatch(self) -> None:
         if self._next >= len(self.trace):
@@ -357,9 +372,9 @@ class SpGEMMAddressModel:
                      a_val: float) -> None:
         if j >= len(blocks):
             cols, vals = self.b.row(k)
+            row = self._result.setdefault(i, {})
             for col, b_val in zip(cols, vals):
-                key = (i, col)
-                self._result[key] = self._result.get(key, 0.0) + a_val * b_val
+                row[col] = row.get(col, 0.0) + a_val * b_val
             self._done += 1
             self._last_done = self.sim.now
             self._dispatch()

@@ -14,12 +14,15 @@ stats, cursors, messages, scheduled events. Event callbacks are bound
 methods and ``functools.partial``\\ s of bound methods — pickle's
 memoization preserves callback identity against the owning components.
 
-Wire format (version 3)::
+Wire format (version 4)::
 
-    b"XCKPT3\\n" | u32 header_len | header JSON | pickle payload
+    b"XCKPT4\\n" | u32 header_len | header JSON | pickle payload
 
-Version 1 snapshots also carried compiled-routine state, and version 2
-ones a kernel name and stats level; this build rejects both with
+Version 1 snapshots also carried compiled-routine state, version 2
+ones a kernel name and stats level, and version 3 ones Widx/DASX
+models without their per-key reference maps, a ``MemoryImage``
+allocation log, or tuple-keyed SpGEMM products; this build rejects all
+three with
 :class:`SnapshotVersionError` before unpickling their payload.
 
 The header records the format version, snapshot cycle, model class,
@@ -67,8 +70,8 @@ __all__ = [
     "finish_model",
 ]
 
-SNAPSHOT_FORMAT = 3
-_MAGIC = b"XCKPT3\n"
+SNAPSHOT_FORMAT = 4
+_MAGIC = b"XCKPT4\n"
 
 
 class SnapshotError(RuntimeError):

@@ -2,7 +2,7 @@
 
 Workers are **long-lived processes**: each one imports the simulator
 stack once, then executes job after job, so per-process costs — the
-interpreter boot, ``numpy``/harness imports and the microcode build —
+interpreter boot, the harness imports and the microcode build —
 amortize across the pool's lifetime instead of being paid per job.
 
 The pool owns process lifecycle only; scheduling policy lives in

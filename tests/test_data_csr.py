@@ -1,7 +1,9 @@
 """Unit + property tests for sparse matrices and SpGEMM references."""
 
+import struct
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.data import (
     CSRLayout,
@@ -169,6 +171,107 @@ def test_spgemm_algorithms_agree_property(a, cols):
     assert r_outer.equals(r_gus, tol=1e-7)
 
 
+def triplet_spgemm_gustavson(a, b):
+    """The triplet-list build that ``spgemm_gustavson`` replaced: the
+    same loops, then a global sort through ``from_triplets``."""
+    trips = []
+    for i in range(a.rows):
+        acc = {}
+        for kk in range(a.indptr[i], a.indptr[i + 1]):
+            k = a.indices[kk]
+            av = a.values[kk]
+            for jj in range(b.indptr[k], b.indptr[k + 1]):
+                j = b.indices[jj]
+                acc[j] = acc.get(j, 0.0) + av * b.values[jj]
+        for j, v in acc.items():
+            if v != 0.0:
+                trips.append((i, j, v))
+    return SparseMatrix.from_triplets(a.rows, b.cols, trips)
+
+
+# small exact values make sums cancel to 0.0; 0.0 triplets give explicit
+# zeros; arbitrary floats exercise rounding order
+PRODUCT_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 2.0]),
+    st.floats(min_value=-4, max_value=4,
+              allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def triplet_matrices(draw, rows, cols):
+    """A matrix from triplets, duplicates (summed) and empty rows and
+    columns included."""
+    trips = draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                    st.integers(0, cols - 1),
+                                    PRODUCT_VALUES),
+                          max_size=2 * rows * cols))
+    return SparseMatrix.from_triplets(rows, cols, trips)
+
+
+@st.composite
+def product_operands(draw):
+    n, k, m = (draw(st.integers(1, 8)) for _ in range(3))
+    return draw(triplet_matrices(n, k)), draw(triplet_matrices(k, m))
+
+
+def f64_bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+# fixed, derandomized profile: the same operands on every run
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(product_operands())
+@example((SparseMatrix.from_dense([[1.0, 1.0], [0.0, 0.0]]),
+          SparseMatrix.from_dense([[2.0, 1.0], [-2.0, 0.0]])))
+def test_gustavson_matches_triplet_build(operands):
+    a, b = operands
+    got = spgemm_gustavson(a, b)
+    want = triplet_spgemm_gustavson(a, b)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got.indptr == want.indptr
+    assert got.indices == want.indices
+    assert f64_bits(got.values) == f64_bits(want.values)
+
+
+def loop_parse_pairs(data):
+    """The record-by-record decode that ``parse_pairs`` replaced."""
+    out = []
+    for off in range(0, len(data) - 15, CSRLayout.PAIR_BYTES):
+        col = int.from_bytes(data[off:off + 4], "little")
+        (val,) = struct.unpack_from("<d", data, off + 8)
+        out.append((col, val))
+    return out
+
+
+F64_BYTES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(
+        lambda v: struct.pack("<d", v)),
+    st.sampled_from([struct.pack("<Q", bits) for bits in (
+        0x7FF8000000000000,    # quiet NaN
+        0xFFF8000000000001,    # negative NaN with a payload
+        0x7FF0000000000001,    # signalling NaN
+        0x7FF0000000000000,    # +inf
+        0xFFF0000000000000,    # -inf
+    )]),
+    st.binary(min_size=8, max_size=8))
+
+PACKED_RECORDS = st.builds(
+    lambda col, pad, val: struct.pack("<I", col) + pad + val,
+    st.integers(0, 2**32 - 1), st.binary(min_size=4, max_size=4), F64_BYTES)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.builds(lambda recs, tail: (b"".join(recs) + tail)[:100],
+                 st.lists(PACKED_RECORDS, max_size=6),
+                 st.binary(max_size=15)))
+def test_parse_pairs_matches_record_loop(data):
+    got = CSRLayout.parse_pairs(data)
+    want = loop_parse_pairs(data)
+    assert [col for col, _ in got] == [col for col, _ in want]
+    assert (f64_bits([val for _, val in got])
+            == f64_bits([val for _, val in want]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(sparse_matrices())
 def test_transpose_involution_property(m):
@@ -212,3 +315,18 @@ def test_packed_pairs_layout():
 
 def test_parse_pairs_empty():
     assert CSRLayout.parse_pairs(b"") == []
+
+
+def test_layout_rejects_columns_beyond_u32():
+    # col_idx and the packed records store u32 columns: column 2**32 + 5
+    # used to be laid out as column 5
+    wide = SparseMatrix(1, 2**32 + 8, [0, 1], [2**32 + 5], [3.0])
+    with pytest.raises(ValueError, match="cols"):
+        CSRLayout.build(MemoryImage(), wide, packed=True)
+    # the widest column count that fits still lays out exactly
+    edge = SparseMatrix(1, 2**32, [0, 1], [2**32 - 1], [3.0])
+    image = MemoryImage()
+    layout = CSRLayout.build(image, edge, packed=True)
+    assert layout.read_row(image, 0) == ([2**32 - 1], [3.0])
+    raw = image.read_block(layout.pairs_addr, CSRLayout.PAIR_BYTES)
+    assert CSRLayout.parse_pairs(raw) == [(2**32 - 1, 3.0)]

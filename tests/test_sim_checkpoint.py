@@ -151,9 +151,10 @@ def test_version_mismatch_rejected(widx_snapshot, tmp_path):
     path, _ = widx_snapshot
     blob = path.read_bytes()
     # same magic family, different version byte: the compile-era
-    # format 1, format 2 (whose MessageQueue pickles no longer load) and
-    # an unknown future one
-    for old in (b"XCKPT1\n", b"XCKPT2\n", b"XCKPT9\n"):
+    # format 1, format 2 (whose MessageQueue pickles no longer load),
+    # format 3 (whose Widx/DASX models lack their reference maps) and an
+    # unknown future one
+    for old in (b"XCKPT1\n", b"XCKPT2\n", b"XCKPT3\n", b"XCKPT9\n"):
         stale = tmp_path / "stale.ckpt"
         stale.write_bytes(old + blob[len(ck._MAGIC):])
         with pytest.raises(SnapshotVersionError):
