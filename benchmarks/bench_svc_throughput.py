@@ -57,7 +57,7 @@ def make_specs(jobs: int):
 
 def run_fresh_process(spec: JobSpec) -> dict:
     """Execute one job on a worker spawned just for it (boot included)."""
-    pool = WorkerPool(workers=1, health=False)
+    pool = WorkerPool(workers=1)
     pool.start()
     try:
         while True:
@@ -83,8 +83,7 @@ def drive_cold(specs) -> float:
 
 def drive_warm(specs) -> float:
     """Jobs/sec through one long-lived service worker (boot excluded)."""
-    service = Service(workers=1, store=None,
-                      health=False).start(wait_ready=True)
+    service = Service(workers=1, store=None).start(wait_ready=True)
     try:
         start = time.perf_counter()
         handles = [service.submit(spec) for spec in specs]
@@ -98,7 +97,7 @@ def drive_warm(specs) -> float:
 def drive_dedup(requests: int) -> dict:
     """Store-hit resolution rate for identical submits after the first."""
     spec = JobSpec(experiment=EXPERIMENT, profile=PROFILE)
-    service = Service(workers=1, health=False).start(wait_ready=True)
+    service = Service(workers=1).start(wait_ready=True)
     try:
         service.submit(spec).result(timeout=600)  # the one simulation
         start = time.perf_counter()

@@ -15,16 +15,17 @@ produce byte-identical reports to the serial one:
   scope of the first of them, exactly as in a serial run.
 
 :func:`execute_one` is the single-experiment execution path shared by
-the serial runner and the service workers: it runs one driver inside an
-optional capture scope and appends the capture summary to the rendered
-report.
+the serial runner and the service workers: it runs one experiment inside
+the capture scope of its :class:`~repro.obs.capture.CaptureSpec`, if
+any, and appends the capture summary to the rendered report. A worker
+arms nothing a serial run would not.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from ..obs.capture import Capture, CaptureSpec, use_capture
+from ..obs.capture import CaptureSpec, capture_scope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..svc.telemetry import MetricsRegistry
@@ -38,7 +39,6 @@ SHARED_SUITE_EXPERIMENTS = ("fig14", "fig15", "fig16")
 
 def execute_one(exp_id: str, profile: str,
                 spec: Optional[CaptureSpec] = None,
-                on_attach: Optional[Callable] = None,
                 metrics: Optional["MetricsRegistry"] = None
                 ) -> Tuple[str, bool]:
     """Run one experiment; return (rendered report, all_ok).
@@ -52,11 +52,6 @@ def execute_one(exp_id: str, profile: str,
     the rendered report. This works identically in serial and pooled
     runs because each worker owns its experiment's capture end to end.
 
-    ``on_attach`` (see :class:`repro.obs.capture.Capture`) lets the
-    service worker add its own processors — the health watchdog — to
-    every system the experiment builds; passing it forces a capture scope
-    even when ``spec`` exports nothing.
-
     Pass a :class:`~repro.svc.telemetry.MetricsRegistry` as ``metrics``
     to fold in what the capture observed beyond its file exports: one
     ``watchdog_warnings_total{kind}`` per warning and, with the cache
@@ -67,31 +62,25 @@ def execute_one(exp_id: str, profile: str,
     """
     from . import run_experiment
 
-    if (spec is None or not spec.active) and on_attach is None:
+    with capture_scope(spec and spec.for_experiment(exp_id)) as capture:
         report = run_experiment(exp_id, profile)
-        return report.render(), report.all_ok
-    scoped = (spec if spec is not None else CaptureSpec())
-    capture = Capture(scoped.for_experiment(exp_id), on_attach=on_attach)
-    try:
-        with use_capture(capture):
-            report = run_experiment(exp_id, profile)
-    finally:
-        summary = capture.finish()
-        if metrics is not None:
-            for warning in capture.watchdog_warnings:
-                metrics.inc("watchdog_warnings_total", kind=warning.kind)
-            if capture.spec.wants_misses:
-                lens = capture.merged_cachelens()
-                for cache, entry in sorted(lens.items()):
-                    metrics.set("sim_cache_hit_rate", entry["hit_rate"],
-                                cache=cache)
-                    metrics.set("sim_cache_conflict_share",
-                                entry["conflict_share"], cache=cache)
-                    metrics.inc("sim_cache_misses_total", entry["misses"],
-                                cache=cache)
     rendered = report.render()
-    if summary:
-        rendered = f"{rendered}\n{summary}"
+    if capture is None:
+        return rendered, report.all_ok
+    if metrics is not None:
+        for warning in capture.watchdog_warnings:
+            metrics.inc("watchdog_warnings_total", kind=warning.kind)
+        if capture.spec.wants_misses:
+            lens = capture.merged_cachelens()
+            for cache, entry in sorted(lens.items()):
+                metrics.set("sim_cache_hit_rate", entry["hit_rate"],
+                            cache=cache)
+                metrics.set("sim_cache_conflict_share",
+                            entry["conflict_share"], cache=cache)
+                metrics.inc("sim_cache_misses_total", entry["misses"],
+                            cache=cache)
+    if capture.summary_text:
+        rendered = f"{rendered}\n{capture.summary_text}"
     return rendered, report.all_ok
 
 
@@ -118,7 +107,7 @@ def run_parallel(targets: Sequence[str], profile: str, jobs: int,
     from ..svc.jobs import JobSpec
     from ..svc.service import Service
 
-    with Service(workers=min(jobs, len(pooled)), store=None, health=False,
+    with Service(workers=min(jobs, len(pooled)), store=None,
                  max_pending=len(pooled)) as svc:
         handles = {t: svc.submit(JobSpec(experiment=t, profile=profile,
                                          capture=capture))

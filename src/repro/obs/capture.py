@@ -7,9 +7,11 @@ instead :class:`~repro.core.xcache.XCacheSystem` checks the *current
 capture* at construction (one module-global lookup, ``None`` on every
 un-observed run) and self-registers.
 
-:class:`CaptureSpec` is the picklable request (paths + flags) that the
-parallel harness ships to worker processes; :class:`Capture` is the live
-per-process state (open files, per-system processors, merged metrics).
+:class:`CaptureSpec` is the picklable request (paths + flags) a service
+job carries to its worker process — for ``--parallel`` and ``repro.svc
+sweep`` alike, and the only way a service job is observed;
+:class:`Capture` is the live per-process state (open files, per-system
+processors, merged metrics).
 Output paths are namespaced per experiment (``t.jsonl`` →
 ``t.fig07.jsonl``) so a multi-experiment or ``--parallel`` run never has
 two writers on one file.
@@ -157,25 +159,16 @@ class CaptureSpec:
 
 
 class Capture:
-    """Live capture state for one experiment in one process.
+    """Live capture state for one experiment in one process."""
 
-    ``on_attach`` is an optional ``(system, run_index)`` callback fired
-    for every system that self-registers — the hook the service worker
-    uses to add its own processors (the health watchdog) to systems
-    built deep inside experiment code, without widening
-    :class:`CaptureSpec`, which must stay picklable.
-    """
-
-    def __init__(self, spec: CaptureSpec, on_attach=None) -> None:
+    def __init__(self, spec: CaptureSpec) -> None:
         self.spec = spec
-        self.on_attach = on_attach
         self.systems_observed = 0
         self._events_stream: Optional[IO[str]] = None
         self._perfetto: Optional[PerfettoExporter] = None
         self._metrics: List[MetricsProcessor] = []
         self._profiles: List[ProfileProcessor] = []
         self._timeseries: List[TimeSeriesProcessor] = []
-        self._assemblers: List[SpanAssembler] = []
         self._critpaths: List[CritPathAggregator] = []
         self._watchdogs: List[WatchdogProcessor] = []
         self._lenses: List[CacheLensProcessor] = []
@@ -211,16 +204,13 @@ class Capture:
             agg = CritPathAggregator(top_k=max(self.spec.explain_top, 1),
                                      verify=True)
             self._critpaths.append(agg)
-            self._assemblers.append(bus.attach(
-                SpanAssembler(sink=agg.add, max_kept=0)))
+            bus.attach(SpanAssembler(sink=agg.add, max_kept=0))
         if self.spec.watchdog:
             self._watchdogs.append(bus.attach(WatchdogProcessor()))
         if self.spec.wants_misses:
             self._lenses.append(bus.attach(CacheLensProcessor(
                 reuse_sample=self.spec.reuse_sample,
                 heatmap_window=self.spec.heatmap_window)))
-        if self.on_attach is not None:
-            self.on_attach(system, run)
 
     # ------------------------------------------------------------------
     # inspection
@@ -262,10 +252,6 @@ class Capture:
         return merge_summaries(lens.summary() for lens in self._lenses)
 
     @property
-    def spans_dropped(self) -> int:
-        return sum(asm.dropped for asm in self._assemblers)
-
-    @property
     def watchdog_warnings(self) -> List:
         return [w for dog in self._watchdogs for w in dog.warnings]
 
@@ -305,9 +291,7 @@ class Capture:
                           encoding="utf-8") as fh:
                     json.dump(doc, fh, indent=1, sort_keys=True)
                     fh.write("\n")
-            pieces.append(explain_report(merged,
-                                         dropped=self.spans_dropped,
-                                         top=self.spec.explain_top))
+            pieces.append(explain_report(merged, top=self.spec.explain_top))
         if lens_summary is not None:
             if self.spec.heatmap_path:
                 write_heatmap_csv(
@@ -340,11 +324,9 @@ def current_capture() -> Optional[Capture]:
 def use_capture(capture: Capture) -> Iterator[Capture]:
     """Install an already-built :class:`Capture` for the enclosed run.
 
-    Unlike :func:`capture_scope` this installs unconditionally — even a
-    capture whose spec exports nothing still arms every system's bus and
-    fires ``on_attach``, which is how the service worker observes runs
-    that asked for health checks but no file exports. The caller owns
-    ``capture.finish()``.
+    Unlike :func:`capture_scope` this does not finish the capture on
+    exit: the caller owns ``capture.finish()``, so it can time the
+    finish or read the capture's state around it.
     """
     global _current
     previous = _current

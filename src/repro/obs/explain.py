@@ -46,6 +46,10 @@ modes (replayed traces carry the cache events when captured armed, so
 gate (``python -m repro.obs.regress --slo``) consumes; with
 ``--misses`` each component entry also carries ``hit_rate`` and
 ``conflict_share`` for the cache-contents SLO budgets.
+
+Exit status: 0 when every request's blame conserves, 1 when one does
+not, 2 when the ledger, the job or its event trace cannot be read (one
+stderr line, naming the path).
 """
 
 from __future__ import annotations
@@ -209,8 +213,7 @@ def format_drilldown(span: RequestSpan, blame: Dict[str, int],
     return "\n".join(lines)
 
 
-def explain_report(agg: CritPathAggregator, dropped: int = 0,
-                   top: Optional[int] = None) -> str:
+def explain_report(agg: CritPathAggregator, top: Optional[int] = None) -> str:
     """Full text report: header, blame table, top-K drilldowns.
 
     ``top`` caps the drilldown count (``0`` = table only, ``None`` =
@@ -224,9 +227,6 @@ def explain_report(agg: CritPathAggregator, dropped: int = 0,
         "-- why-slow (repro.obs.critpath) --",
         f"requests={agg.requests} conservation={status}",
     ]
-    if dropped:
-        lines.append(f"note: {dropped} span(s) dropped at the retention "
-                     f"cap (aggregates still include them)")
     for problem in agg.mismatches[:10]:
         lines.append(f"  !! {problem}")
     table = why_slow_table(agg.summary_dict())
@@ -303,8 +303,7 @@ def _run_live(exp_id: str, profile: str, top: int, misses: bool = False,
         report = run_experiment(exp_id, profile)
     assert cap is not None
     lens_summary = cap.merged_cachelens() if misses else None
-    return (cap.merged_critpath(), cap.spans_dropped, report.render(),
-            lens_summary)
+    return cap.merged_critpath(), report.render(), lens_summary
 
 
 def main(argv=None) -> int:
@@ -376,28 +375,28 @@ def main(argv=None) -> int:
                   "with --events to enable the in-sim drilldown)",
                   file=sys.stderr)
             return 2
-        agg, _assemblers = replay_events(events_path, top=args.top)
         suite = args.suite or f"job{args.job}"
-        dropped = 0
-        lens_summary = None
-        if args.misses:
-            lens_summary = replay_misses(
-                events_path, reuse_sample=args.reuse_sample)
     elif args.run is not None:
-        agg, dropped, _report, lens_summary = _run_live(
+        events_path = None
+        agg, _report, lens_summary = _run_live(
             args.run, args.profile, args.top, misses=args.misses,
             reuse_sample=args.reuse_sample)
         suite = args.suite or args.run
     else:
-        agg, _assemblers = replay_events(args.events, top=args.top)
-        suite = args.suite or args.events.rsplit("/", 1)[-1]
-        dropped = 0
-        lens_summary = None
-        if args.misses:
-            lens_summary = replay_misses(
-                args.events, reuse_sample=args.reuse_sample)
+        events_path = args.events
+        suite = args.suite or events_path.rsplit("/", 1)[-1]
+    if events_path is not None:
+        try:
+            agg, _assemblers = replay_events(events_path, top=args.top)
+            lens_summary = (replay_misses(events_path,
+                                          reuse_sample=args.reuse_sample)
+                            if args.misses else None)
+        except OSError as exc:
+            print(f"cannot read events {events_path}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
 
-    print(explain_report(agg, dropped=dropped, top=args.top))
+    print(explain_report(agg, top=args.top))
     if lens_summary is not None:
         from .cachelens import why_miss_report
 

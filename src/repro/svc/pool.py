@@ -15,12 +15,12 @@ The pool owns process lifecycle only; scheduling policy lives in
   polled together; an EOF or a dead sentinel surfaces exactly one
   ``died`` message and the slot is respawned automatically (the service
   retries the in-flight job on the replacement);
-* **health** — workers attach a :class:`repro.obs.watchdog
-  .WatchdogProcessor` to every system they simulate. Each job returns a
-  :class:`~repro.svc.telemetry.MetricsRegistry` snapshot (watchdog
-  warnings, simulated cache health) that :meth:`WorkerPool.poll` folds
-  into the pool's registry and per-worker health
-  (``WorkerPool.health()``);
+* **metrics** — a job is observed only through its own
+  :class:`~repro.obs.capture.CaptureSpec`, exactly as a harness run is;
+  without one the worker arms no obs bus. Each job returns a
+  :class:`~repro.svc.telemetry.MetricsRegistry` snapshot of what its
+  capture observed (watchdog warnings, simulated cache health), which
+  :meth:`WorkerPool.poll` folds into the pool's registry;
 * **progress** — the only message a worker sends mid-job is a
   ``ckpt:<dsa>`` job's ``checkpoint`` payload (the cycle it persisted);
   everything else a job reports arrives once, in its result.
@@ -151,12 +151,13 @@ def _execute_ckpt(spec: JobSpec, send_progress) -> Tuple[str, bool, dict]:
     }
 
 
-def _execute_spec(spec: JobSpec, health: bool, send_progress,
-                  jobs_before: int, job_id: Optional[int] = None) -> dict:
+def _execute_spec(spec: JobSpec, send_progress, jobs_before: int,
+                  job_id: Optional[int] = None) -> dict:
     """Run one job in this worker; returns the result payload.
 
-    ``payload["metrics"]`` is the job's own registry snapshot (watchdog
-    warnings, lens-armed cache health), which the pool merges.
+    ``payload["metrics"]`` is the job's own registry snapshot of what
+    its capture observed (watchdog warnings, lens-armed cache health),
+    which the pool merges.
     ``send_progress`` carries a ``ckpt:`` job's ``checkpoint`` payloads
     to the coordinator, which reads the last one if the worker dies.
     """
@@ -177,36 +178,19 @@ def _execute_spec(spec: JobSpec, health: bool, send_progress,
     else:
         from ..harness.parallel import execute_one
 
-        # scope capture outputs per job *then* per experiment, so the
-        # final paths are known here and land in the run ledger — how
-        # ``explain --ledger --job N`` finds this job's event file.
-        # Opt-in via job_scoped: the parallel harness keeps plain
-        # per-experiment paths.
+        # scope capture outputs (per job first when job_scoped, then
+        # per experiment) so the paths recorded here are the files the
+        # run writes — how ``explain --ledger --job N`` finds this
+        # job's event file
         capture = spec.capture
-        if (capture is not None and capture.active and capture.job_scoped
-                and job_id is not None):
-            capture = capture.for_job(job_id).for_experiment(spec.experiment)
-        if capture is not None:
+        if capture is not None and capture.active:
+            if capture.job_scoped and job_id is not None:
+                capture = capture.for_job(job_id)
+            capture = capture.for_experiment(spec.experiment)
             capture_paths = capture.output_paths() or None
-
-        # a capture that arms its own watchdog already counts every
-        # warning into the registry; a second one would count each twice
-        health_dog = health and not (capture is not None
-                                     and capture.watchdog)
-        dogs: list = []
-        on_attach = None
-        if health_dog:
-            from ..obs.watchdog import WatchdogProcessor
-
-            def on_attach(system, run):
-                dogs.append(system.ensure_bus().attach(WatchdogProcessor()))
-
         rendered, all_ok = execute_one(
             spec.experiment, _resolve_profile(spec), capture,
-            on_attach=on_attach, metrics=registry)
-        for dog in dogs:
-            for warning in dog.warnings:
-                registry.inc("watchdog_warnings_total", kind=warning.kind)
+            metrics=registry)
 
     return {
         "ok": True,
@@ -221,7 +205,7 @@ def _execute_spec(spec: JobSpec, health: bool, send_progress,
     }
 
 
-def _worker_main(conn, worker_id: int, health: bool) -> None:
+def _worker_main(conn, worker_id: int) -> None:
     """Worker process entry: loop jobs off the pipe until told to stop."""
     # the heavy imports happen once here — this is the warmth the pool
     # amortizes (a fresh-process-per-job service pays them every job)
@@ -252,7 +236,7 @@ def _worker_main(conn, worker_id: int, health: bool) -> None:
             os._exit(13)
 
         try:
-            payload = _execute_spec(spec, health, send_progress, jobs_done,
+            payload = _execute_spec(spec, send_progress, jobs_done,
                                     job_id=job_id)
         except BaseException:
             payload = {"ok": False, "error": traceback.format_exc()}
@@ -308,7 +292,6 @@ class WorkerHandle:
         self.dead = False
         self.job_id: Optional[int] = None
         self.jobs_done = 0
-        self.warnings = 0          # accumulated watchdog pathologies
 
     @property
     def idle(self) -> bool:
@@ -319,19 +302,17 @@ class WorkerHandle:
                  else "busy" if self.job_id is not None
                  else "idle" if self.ready else "booting")
         return {"worker": self.id, "pid": self.process.pid, "state": state,
-                "jobs_done": self.jobs_done, "warnings": self.warnings,
-                "job": self.job_id}
+                "jobs_done": self.jobs_done, "job": self.job_id}
 
 
 class WorkerPool:
     """N long-lived worker processes with crash detection + replacement."""
 
-    def __init__(self, workers: int = 2, health: bool = True,
+    def __init__(self, workers: int = 2,
                  registry: Optional[MetricsRegistry] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.size = workers
-        self.health_enabled = health
         self._ctx = multiprocessing.get_context(START_METHOD)
         self._slots: List[WorkerHandle] = []
         self._ids = itertools.count(1)
@@ -360,7 +341,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, worker_id, self.health_enabled),
+            args=(child_conn, worker_id),
             daemon=True, name=f"repro-svc-worker-{worker_id}")
         with _spawn_env():
             process.start()
@@ -431,12 +412,7 @@ class WorkerPool:
                         handle.ready = True
                     elif kind == "result":
                         handle.jobs_done += 1
-                        job_metrics = payload.get("metrics") or {}
-                        warned = job_metrics.get("watchdog_warnings_total")
-                        if warned:
-                            handle.warnings += sum(
-                                count for _key, count in warned["series"])
-                        self.registry.merge(job_metrics)
+                        self.registry.merge(payload.get("metrics") or {})
                         handle.job_id = None
                     messages.append((kind, handle, job_id, payload))
             except (EOFError, OSError):
@@ -477,7 +453,7 @@ class WorkerPool:
         return next((h for h in self._slots if h.id == worker_id), None)
 
     def health(self) -> List[dict]:
-        """Per-worker health snapshot (state, jobs, watchdog warnings)."""
+        """Per-worker health snapshot (state, jobs done, current job)."""
         return [h.health() for h in self._slots]
 
     def __len__(self) -> int:

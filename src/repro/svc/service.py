@@ -115,7 +115,7 @@ class Service:
 
     def __init__(self, workers: int = 2,
                  store: Union[ResultStore, str, os.PathLike, None] = "memory",
-                 max_pending: int = 64, health: bool = True,
+                 max_pending: int = 64,
                  ledger: Union[str, os.PathLike, None] = "env",
                  ) -> None:
         if store == "memory":
@@ -131,8 +131,7 @@ class Service:
         self.ledger: Optional[RunLedger] = (
             RunLedger(ledger) if ledger else None)
         self.queue = JobQueue(max_pending=max_pending)
-        self.pool = WorkerPool(workers=workers, health=health,
-                               registry=self.registry)
+        self.pool = WorkerPool(workers=workers, registry=self.registry)
         self.jobs: Dict[int, Job] = {}
         self._inflight: Dict[str, Job] = {}   # digest -> pending/running job
         self._lock = threading.RLock()

@@ -336,10 +336,9 @@ def test_replay_namespaces_runs_like_perfetto():
 
 def test_explain_report_renders_table_and_drilldowns():
     agg, _ = replay_events(_jsonl_lines(_merged_walk_stream()))
-    text = explain_report(agg, dropped=3, top=1)
+    text = explain_report(agg, top=1)
     assert "-- why-slow (repro.obs.critpath) --" in text
     assert "requests=2 conservation=ok" in text
-    assert "3 span(s) dropped" in text
     assert "slowest 1 request(s):" in text
     assert "walk 7 join @2 as origin" in text
     assert "dram: 1 reads (0 row hits) spanning @5..@25" in text
@@ -369,6 +368,16 @@ def test_explain_cli_replay_and_json(tmp_path, capsys):
     payload = json.loads(out_json.read_text())
     assert payload["suite"] == "mini"
     assert payload["components"]["ctl"]["requests"] == 2
+
+
+def test_explain_cli_unreadable_trace_exits_2(tmp_path, capsys):
+    from repro.obs.explain import main
+
+    missing = tmp_path / "nothere.jsonl"
+    assert main([str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(missing) in captured.err
 
 
 def test_explain_cli_argument_validation(capsys):

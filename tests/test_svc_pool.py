@@ -23,7 +23,7 @@ def _wait_state(job, state, timeout=30.0):
 # ----------------------------------------------------------------------
 
 def test_pool_boots_and_reports_health():
-    pool = WorkerPool(workers=2, health=False)
+    pool = WorkerPool(workers=2)
     pool.start()
     try:
         pool.wait_ready(timeout=60)
@@ -37,7 +37,7 @@ def test_pool_boots_and_reports_health():
 
 
 def test_kill_respawns_the_slot():
-    pool = WorkerPool(workers=1, health=False)
+    pool = WorkerPool(workers=1)
     pool.start()
     try:
         pool.wait_ready(timeout=60)
@@ -67,14 +67,14 @@ def test_worker_crash_mid_job_retries_with_identical_result(
 
     # reference run, no fault injection
     monkeypatch.delenv(CRASH_ONCE_ENV, raising=False)
-    with Service(workers=1, health=False) as svc:
+    with Service(workers=1) as svc:
         reference = svc.submit(spec)
         ref_payload = reference.result(timeout=120)
         ref_digest = reference.result_digest
 
     # faulted run: the first worker to pick the job up dies mid-job
     monkeypatch.setenv(CRASH_ONCE_ENV, str(marker))
-    with Service(workers=1, health=False) as svc:
+    with Service(workers=1) as svc:
         job = svc.submit(spec)
         payload = job.result(timeout=120)
         assert marker.exists()              # the crash really happened
@@ -100,7 +100,7 @@ def test_repeated_crashes_fail_the_job(tmp_path, monkeypatch):
     # a marker path that can never exist: the worker crashes every time
     marker = tmp_path / "no-such-dir" / "crash-always"
     monkeypatch.setenv(CRASH_ONCE_ENV, str(marker))
-    with Service(workers=1, health=False) as svc:
+    with Service(workers=1) as svc:
         job = svc.submit(JobSpec(experiment="sleep:0.1"))
         with pytest.raises(JobFailed, match="died"):
             job.result(timeout=120)

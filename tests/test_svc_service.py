@@ -24,7 +24,7 @@ def _wait_state(job, state, timeout=30.0):
 # ----------------------------------------------------------------------
 
 def test_submit_running_done_lifecycle():
-    with Service(workers=1, health=False) as svc:
+    with Service(workers=1) as svc:
         job = svc.submit(JobSpec(experiment="sleep:0.3"))
         assert job.state in (JobState.PENDING, JobState.RUNNING)
         _wait_state(job, JobState.RUNNING)
@@ -39,7 +39,7 @@ def test_submit_running_done_lifecycle():
 def test_start_wait_ready_polls_the_pool_from_one_thread():
     """start(wait_ready=True) must not read the pool's pipes while the
     control loop reads them too: two readers on one pipe can hang."""
-    svc = Service(workers=1, health=False, store=None)
+    svc = Service(workers=1, store=None)
     gate = threading.Lock()
     overlaps = set()   # threads that found another one inside poll
     poll = svc.pool.poll
@@ -67,7 +67,7 @@ def test_start_wait_ready_polls_the_pool_from_one_thread():
 def test_real_experiment_through_the_service():
     from repro.harness import run_experiment
 
-    with Service(workers=1, health=False) as svc:
+    with Service(workers=1) as svc:
         job = svc.submit(JobSpec(experiment="tab01", profile="ci"))
         payload = job.result(timeout=120)
     report = run_experiment("tab01", "ci")
@@ -76,7 +76,7 @@ def test_real_experiment_through_the_service():
 
 
 def test_unknown_experiment_rejected_at_submit():
-    with Service(workers=1, health=False) as svc:
+    with Service(workers=1) as svc:
         with pytest.raises(ValueError, match="unknown experiment"):
             svc.submit(JobSpec(experiment="fig99"))
         with pytest.raises(ValueError, match="bad sleep"):
@@ -88,7 +88,7 @@ def test_unknown_experiment_rejected_at_submit():
 # ----------------------------------------------------------------------
 
 def test_sequential_identical_submits_hit_the_store():
-    with Service(workers=1, health=False) as svc:
+    with Service(workers=1) as svc:
         first = svc.submit(JobSpec(experiment="sleep:0.1"))
         first.result(timeout=30)
         second = svc.submit(JobSpec(experiment="sleep:0.1"))
@@ -103,7 +103,7 @@ def test_sequential_identical_submits_hit_the_store():
 def test_concurrent_identical_submits_coalesce_to_one_simulation():
     """N identical concurrent submits -> 1 simulation, N results."""
     spec = JobSpec(experiment="sleep:0.4")
-    with Service(workers=2, health=False) as svc:
+    with Service(workers=2) as svc:
         jobs, errors = [], []
 
         def submit():
@@ -135,7 +135,7 @@ def test_concurrent_identical_submits_coalesce_to_one_simulation():
 
 
 def test_dedup_disabled_without_a_store():
-    with Service(workers=1, store=None, health=False) as svc:
+    with Service(workers=1, store=None) as svc:
         first = svc.submit(JobSpec(experiment="sleep:0.05"))
         first.result(timeout=30)
         second = svc.submit(JobSpec(experiment="sleep:0.05"))
@@ -150,7 +150,7 @@ def test_dedup_disabled_without_a_store():
 # ----------------------------------------------------------------------
 
 def test_backpressure_returns_retry_after():
-    with Service(workers=1, max_pending=1, health=False) as svc:
+    with Service(workers=1, max_pending=1) as svc:
         running = svc.submit(JobSpec(experiment="sleep:1"))
         _wait_state(running, JobState.RUNNING)  # popped; queue is empty
         queued = svc.submit(JobSpec(experiment="sleep:1.1"))
@@ -168,7 +168,7 @@ def test_backpressure_returns_retry_after():
 # ----------------------------------------------------------------------
 
 def test_cancel_pending_job():
-    with Service(workers=1, health=False) as svc:
+    with Service(workers=1) as svc:
         blocker = svc.submit(JobSpec(experiment="sleep:1"))
         _wait_state(blocker, JobState.RUNNING)
         pending = svc.submit(JobSpec(experiment="sleep:2"))
@@ -182,7 +182,7 @@ def test_pending_count_drops_cancelled_jobs():
     """Sleep-free (the service never starts): a cancelled job leaves the
     pending count at once, not again when pop() skips its entry, and
     close() leaves nothing pending."""
-    svc = Service(workers=1, health=False)
+    svc = Service(workers=1)
     job = svc.submit(JobSpec(experiment="sleep:1"))
     assert svc.cancel(job)
     assert svc.queue.pop() is None  # the cancelled entry is skipped
@@ -191,7 +191,7 @@ def test_pending_count_drops_cancelled_jobs():
     assert svc.registry.value("queue_depth") == 0
     svc.close()
 
-    svc = Service(workers=1, health=False)
+    svc = Service(workers=1)
     for seconds in (1, 2, 3):
         svc.submit(JobSpec(experiment=f"sleep:{seconds}"))
     svc.close()
@@ -199,7 +199,7 @@ def test_pending_count_drops_cancelled_jobs():
 
 
 def test_cancel_running_job_kills_the_worker():
-    with Service(workers=1, health=False) as svc:
+    with Service(workers=1) as svc:
         job = svc.submit(JobSpec(experiment="sleep:30"))
         _wait_state(job, JobState.RUNNING)
         assert svc.cancel(job)
@@ -235,7 +235,7 @@ def test_sweep_specs_rejects_unknown_fields():
 def test_sweep_runs_distinct_points_through_the_service():
     specs = sweep_specs("sleep:0.05", grid={}, repeat=3)
     assert len(specs) == 3
-    with Service(workers=1, health=False) as svc:
+    with Service(workers=1) as svc:
         jobs = [svc.submit(s) for s in specs]
         for job in jobs:
             job.result(timeout=30)

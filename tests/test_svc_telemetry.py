@@ -316,10 +316,11 @@ def test_watchdog_warnings_render_as_labeled_counters():
             in rendered)
 
 
-def test_health_and_capture_watchdogs_count_each_warning_once(monkeypatch):
-    """A job whose capture arms the watchdog on a health-checking worker
-    reports every warning once, matching its rendered report; a
-    health-only job still counts its warnings."""
+def test_job_is_observed_only_through_its_capture(monkeypatch):
+    """A job whose capture arms the watchdog counts every warning once,
+    matching its rendered report; a job with no capture builds no event
+    bus and reports no watchdog series."""
+    from repro.obs.bus import EventBus
     from repro.obs.capture import CaptureSpec
     from repro.obs.watchdog import WatchdogProcessor
 
@@ -328,10 +329,18 @@ def test_health_and_capture_watchdogs_count_each_warning_once(monkeypatch):
     defaults[1] = 2
     monkeypatch.setattr(WatchdogProcessor.__init__, "__defaults__",
                         tuple(defaults))
+    buses = []
+    bus_init = EventBus.__init__
+
+    def counting_init(self):
+        buses.append(self)
+        bus_init(self)
+
+    monkeypatch.setattr(EventBus, "__init__", counting_init)
 
     def run(capture):
         payload = _execute_spec(
-            JobSpec(experiment="fig04", capture=capture), health=True,
+            JobSpec(experiment="fig04", capture=capture),
             send_progress=lambda _payload: None, jobs_before=0)
         reg = MetricsRegistry()
         reg.merge(payload["metrics"])
@@ -343,8 +352,27 @@ def test_health_and_capture_watchdogs_count_each_warning_once(monkeypatch):
     reported = int(line.split("=", 1)[1])
     assert reported > 0
     assert sum(counts.values()) == reported
-    _, health_only = run(None)
-    assert health_only == counts
+    assert buses
+
+    buses.clear()
+    payload, _ = run(None)
+    assert buses == []
+    assert "watchdog_warnings_total" not in payload["metrics"]
+
+
+def test_job_records_the_capture_paths_it_writes(tmp_path):
+    """A capture without job scoping is still scoped per experiment
+    before the job records its paths, so the run ledger points at the
+    files the run wrote."""
+    from repro.obs.capture import CaptureSpec
+
+    payload = _execute_spec(
+        JobSpec(experiment="fig04",
+                capture=CaptureSpec(events_path=str(tmp_path / "p.jsonl"))),
+        send_progress=lambda _payload: None, jobs_before=0, job_id=5)
+    written = tmp_path / "p.fig04.jsonl"
+    assert payload["capture_paths"] == {"events": str(written)}
+    assert written.exists()
 
 
 def test_lens_armed_job_reports_cache_health():
@@ -417,6 +445,26 @@ def test_explain_ledger_missing_job_exits_2(tmp_path, capsys):
     ledger.write_text("")
     assert explain_main(["--ledger", str(ledger), "--job", "999999"]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_explain_ledger_job_without_events_file_exits_2(tmp_path, capsys):
+    """tab01 builds no system, so its recorded event capture is never
+    written: one error line naming that path, not a traceback."""
+    from repro.obs.capture import CaptureSpec
+    from repro.obs.explain import main as explain_main
+
+    ledger = tmp_path / "runs.jsonl"
+    with Service(workers=1, ledger=ledger) as svc:
+        job = svc.submit(JobSpec(
+            experiment="tab01",
+            capture=CaptureSpec(events_path=str(tmp_path / "p.jsonl"))))
+        job.result(timeout=120)
+    missing = tmp_path / "p.tab01.jsonl"
+    assert not missing.exists()
+    assert explain_main(["--ledger", str(ledger), "--job",
+                         str(job.id)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(missing) in err
 
 
 def test_explain_missing_ledger_file_exits_2(tmp_path, capsys):
