@@ -53,12 +53,11 @@ def execute_one(exp_id: str, profile: str,
     runs because each worker owns its experiment's capture end to end.
 
     Pass a :class:`~repro.svc.telemetry.MetricsRegistry` as ``metrics``
-    to fold in what the capture observed beyond its file exports: one
+    to count what the capture observed beyond its file exports: one
     ``watchdog_warnings_total{kind}`` per warning and, with the cache
-    lens armed, each cache's ``sim_cache_hit_rate``,
-    ``sim_cache_conflict_share`` and ``sim_cache_misses_total`` — how
+    lens armed, each cache's ``sim_cache_misses_total{cache}`` — how
     the service worker reports harness-path pathologies and cache
-    health.
+    misses.
     """
     from . import run_experiment
 
@@ -73,10 +72,6 @@ def execute_one(exp_id: str, profile: str,
         if capture.spec.wants_misses:
             lens = capture.merged_cachelens()
             for cache, entry in sorted(lens.items()):
-                metrics.set("sim_cache_hit_rate", entry["hit_rate"],
-                            cache=cache)
-                metrics.set("sim_cache_conflict_share",
-                            entry["conflict_share"], cache=cache)
                 metrics.inc("sim_cache_misses_total", entry["misses"],
                             cache=cache)
     if capture.summary_text:

@@ -48,8 +48,8 @@ gate (``python -m repro.obs.regress --slo``) consumes; with
 ``conflict_share`` for the cache-contents SLO budgets.
 
 Exit status: 0 when every request's blame conserves, 1 when one does
-not, 2 when the ledger, the job or its event trace cannot be read (one
-stderr line, naming the path).
+not, 2 when the ledger, the job or its event trace cannot be read or a
+trace line is not a JSON object (one stderr line, naming the path).
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, Iterator, Optional, TextIO, Tuple
 
 from .critpath import BLAME_BUCKETS, CritPathAggregator
-from .events import event_from_json
+from .events import Event, event_from_json
 from .spans import RequestSpan, SpanAssembler
 
 __all__ = [
@@ -73,41 +73,59 @@ __all__ = [
 ]
 
 
+def _read_events(source) -> Iterator[Tuple[int, Event]]:
+    """Yield ``(run, event)`` for each record of a JSONL trace (path or
+    line iterable).
+
+    Unknown wire names — records from a newer taxonomy — are skipped,
+    not fatal. A line that is not a JSON object (a capture killed
+    mid-write leaves a torn last line) raises ``ValueError`` naming the
+    source and the line number.
+    """
+    if isinstance(source, str):
+        fh: TextIO = open(source, "r", encoding="utf-8")
+        name, close = source, True
+    else:
+        fh, close = source, False
+        name = getattr(source, "name", "<events>")
+    try:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"line {lineno} of {name} is not a JSON object")
+            try:
+                event = event_from_json(record)
+            except KeyError:
+                continue
+            yield record.get("run", 0), event
+    finally:
+        if close:
+            fh.close()
+
+
 def replay_events(source, top: int = 5, verify: bool = True
                   ) -> Tuple[CritPathAggregator, Dict[int, SpanAssembler]]:
     """Rebuild spans from a JSONL trace (path or line iterable).
 
     Returns the filled aggregator plus the per-``run`` assemblers (one
-    per system observed by the original capture). Unknown wire names —
-    records from a newer taxonomy — are skipped, not fatal.
+    per system observed by the original capture).
     """
     agg = CritPathAggregator(top_k=top, verify=verify)
     assemblers: Dict[int, SpanAssembler] = {}
-    if isinstance(source, str):
-        fh: TextIO = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh, close = source, False
-    try:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            try:
-                event = event_from_json(record)
-            except KeyError:
-                continue
-            run = record.get("run", 0)
-            asm = assemblers.get(run)
-            if asm is None:
-                asm = assemblers[run] = SpanAssembler(
-                    sink=agg.add, max_kept=0,
-                    namespace=f"run{run}/" if run else "")
-            asm.handle(event)
-    finally:
-        if close:
-            fh.close()
+    for run, event in _read_events(source):
+        asm = assemblers.get(run)
+        if asm is None:
+            asm = assemblers[run] = SpanAssembler(
+                sink=agg.add, max_kept=0,
+                namespace=f"run{run}/" if run else "")
+        asm.handle(event)
     return agg, assemblers
 
 
@@ -124,30 +142,12 @@ def replay_misses(source, reuse_sample: int = 8) -> Dict[str, dict]:
     from .cachelens import CacheLensProcessor, merge_summaries
 
     lenses: Dict[int, CacheLensProcessor] = {}
-    if isinstance(source, str):
-        fh: TextIO = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh, close = source, False
-    try:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            try:
-                event = event_from_json(record)
-            except KeyError:
-                continue
-            run = record.get("run", 0)
-            lens = lenses.get(run)
-            if lens is None:
-                lens = lenses[run] = CacheLensProcessor(
-                    reuse_sample=reuse_sample)
-            lens.handle(event)
-    finally:
-        if close:
-            fh.close()
+    for run, event in _read_events(source):
+        lens = lenses.get(run)
+        if lens is None:
+            lens = lenses[run] = CacheLensProcessor(
+                reuse_sample=reuse_sample)
+        lens.handle(event)
     summaries = []
     for run, lens in lenses.items():
         prefix = f"run{run}/" if run else ""
@@ -393,6 +393,10 @@ def main(argv=None) -> int:
                             if args.misses else None)
         except OSError as exc:
             print(f"cannot read events {events_path}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"cannot read events {events_path}: {exc}",
                   file=sys.stderr)
             return 2
 

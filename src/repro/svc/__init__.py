@@ -34,7 +34,6 @@ __all__ = [
     "canonical_json",
     "code_version",
     "digest_of",
-    "render_prometheus",
     "sweep_specs",
 ]
 
@@ -55,7 +54,6 @@ _EXPORTS = {
     "canonical_json": "store",
     "code_version": "store",
     "digest_of": "store",
-    "render_prometheus": "telemetry",
     "sweep_specs": "service",
 }
 

@@ -121,7 +121,7 @@ def _ckpt_sweep_specs(args) -> List[JobSpec]:
                      capture=_capture_from_args(args),
                      tag=args.tag)
              for point in points]
-    return [s for _ in range(max(1, args.repeat)) for s in specs]
+    return [s for _ in range(args.repeat) for s in specs]
 
 
 def _cmd_sweep(args) -> int:
@@ -134,7 +134,7 @@ def _cmd_sweep(args) -> int:
                             capture=_capture_from_args(args),
                             tag=args.tag)
     print(f"sweep: {len(specs)} submissions "
-          f"({len(specs) // max(1, args.repeat)} distinct points)")
+          f"({len(specs) // args.repeat} distinct points)")
     with Service(workers=args.workers, store=args.store or "memory",
                  max_pending=len(specs) + 1) as svc:
         jobs = [svc.submit(spec) for spec in specs]
@@ -236,6 +236,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     history.set_defaults(func=_cmd_history)
 
     args = parser.parse_args(argv)
+    if args.command == "sweep":
+        if args.workers < 1:
+            sweep.error("--workers must be >= 1")
+        if args.repeat < 1:
+            sweep.error("--repeat must be >= 1")
+        if args.checkpoint_every < 0:
+            sweep.error("--checkpoint-every must be >= 0")
+    elif args.limit < 0:
+        history.error("--limit must be >= 0")
     return args.func(args)
 
 

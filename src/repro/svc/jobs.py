@@ -164,9 +164,7 @@ class Job:
         self.result_digest: Optional[str] = None
         self.error: Optional[str] = None
         self.from_store = False      # resolved by a store hit, no dispatch
-        self.created = time.time()
-        self.started: Optional[float] = None
-        self.finished_at: Optional[float] = None
+        self.created = time.time()   # wall clock: the ledger's wall_submitted
         # the last ``checkpoint`` progress payload of a ``ckpt:`` job:
         # where a crash-retried attempt resumes from
         self.last_progress: Optional[dict] = None

@@ -18,9 +18,9 @@ The pool owns process lifecycle only; scheduling policy lives in
 * **metrics** — a job is observed only through its own
   :class:`~repro.obs.capture.CaptureSpec`, exactly as a harness run is;
   without one the worker arms no obs bus. Each job returns a
-  :class:`~repro.svc.telemetry.MetricsRegistry` snapshot of what its
-  capture observed (watchdog warnings, simulated cache health), which
-  :meth:`WorkerPool.poll` folds into the pool's registry;
+  :class:`~repro.svc.telemetry.MetricsRegistry` snapshot of the counts
+  its capture observed (watchdog warnings, simulated cache misses),
+  which :meth:`WorkerPool.poll` adds into the pool's registry;
 * **progress** — the only message a worker sends mid-job is a
   ``ckpt:<dsa>`` job's ``checkpoint`` payload (the cycle it persisted);
   everything else a job reports arrives once, in its result.
@@ -155,9 +155,9 @@ def _execute_spec(spec: JobSpec, send_progress, jobs_before: int,
                   job_id: Optional[int] = None) -> dict:
     """Run one job in this worker; returns the result payload.
 
-    ``payload["metrics"]`` is the job's own registry snapshot of what
-    its capture observed (watchdog warnings, lens-armed cache health),
-    which the pool merges.
+    ``payload["metrics"]`` is the job's own registry snapshot of the
+    counts its capture observed (watchdog warnings, lens-armed cache
+    misses), which the pool merges.
     ``send_progress`` carries a ``ckpt:`` job's ``checkpoint`` payloads
     to the coordinator, which reads the last one if the worker dies.
     """

@@ -69,12 +69,14 @@ def sweep_specs(experiment: str, profile: str = "ci",
 
     ``grid`` maps :class:`~repro.harness.profiles.Profile` field names
     to value lists; the cartesian product becomes one spec per point
-    (``profile_overrides``). ``repeat`` duplicates the whole list —
-    with deduplication on, repeats cost nothing and are how the CI
-    smoke proves the one-simulation property.
+    (``profile_overrides``). ``repeat`` (>= 1) duplicates the whole
+    list — with deduplication on, repeats cost nothing and are how the
+    CI smoke proves the one-simulation property.
     """
     from ..harness.profiles import Profile
 
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
     grid = dict(grid or {})
     valid = set(Profile.__dataclass_fields__)
     unknown = sorted(set(grid) - valid)
@@ -91,7 +93,7 @@ def sweep_specs(experiment: str, profile: str = "ci",
     specs = [JobSpec(experiment=experiment, profile=profile,
                      profile_overrides=p, **spec_kwargs)
              for p in points]
-    return [s for _ in range(max(1, repeat)) for s in specs]
+    return [s for _ in range(repeat) for s in specs]
 
 
 class Service:
@@ -125,7 +127,6 @@ class Service:
         else:
             self.store = ResultStore(store)
         self.registry = MetricsRegistry()
-        self._declare_metrics(self.registry)
         if ledger == "env":
             ledger = os.environ.get(LEDGER_ENV) or None
         self.ledger: Optional[RunLedger] = (
@@ -137,59 +138,6 @@ class Service:
         self._lock = threading.RLock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-
-    @staticmethod
-    def _declare_metrics(reg: MetricsRegistry) -> None:
-        """Pre-register every family so a scrape sees zeros, not gaps
-        (``worker_restarts_total 0`` renders before any crash)."""
-        reg.counter("jobs_submitted_total", "Submits accepted or resolved.")
-        reg.counter("jobs_admitted_total", "Jobs admitted to the queue.")
-        reg.counter("jobs_rejected_total",
-                    "Submits refused by bounded admission.")
-        reg.counter("jobs_from_store_total",
-                    "Submits resolved by a result-store hit.")
-        reg.counter("jobs_coalesced_total",
-                    "Submits coalesced onto an in-flight identical job.")
-        reg.counter("jobs_completed_total", "Jobs finished DONE.")
-        reg.counter("jobs_failed_total", "Jobs finished FAILED.")
-        reg.counter("jobs_cancelled_total", "Jobs cancelled.")
-        reg.counter("jobs_retried_total",
-                    "Crash retries re-queued on a fresh worker.")
-        reg.counter("worker_restarts_total",
-                    "Worker slots respawned after a death or kill.")
-        reg.counter("watchdog_warnings_total",
-                    "In-sim pathology warnings reported by workers.")
-        reg.counter("ledger_entries_total", "Run-ledger lines written.")
-        reg.counter("store_hits_total", "Result-store lookup hits.")
-        reg.counter("store_misses_total", "Result-store lookup misses.")
-        reg.counter("store_writes_total", "Result-store records written.")
-        reg.counter("store_coalesced_total",
-                    "In-flight coalesces recorded by the store.")
-        reg.counter("store_invalidated_total",
-                    "Stale/foreign on-disk store entries rejected.")
-        reg.gauge("queue_depth", "Jobs pending in the admission queue.")
-        reg.gauge("jobs_running", "Jobs currently executing on workers.")
-        reg.gauge("workers_total", "Worker slots in the pool.")
-        reg.gauge("workers_busy", "Workers currently running a job.")
-        reg.summary("job_latency_seconds",
-                    "End-to-end wall latency of executed jobs.")
-        reg.summary("job_queue_wait_seconds",
-                    "Admission-to-dispatch wait of executed jobs.")
-        reg.summary("job_dispatch_seconds",
-                    "Pool-boundary overhead of executed jobs.")
-        reg.summary("job_sim_exec_seconds",
-                    "Worker-measured execution time of executed jobs.")
-        reg.summary("job_store_write_seconds",
-                    "Result-store write time of executed jobs.")
-        # cache-contents health from lens-armed jobs (--misses captures),
-        # labelled per simulated cache; folded in from worker snapshots
-        reg.gauge("sim_cache_hit_rate",
-                  "Hit rate of a simulated cache, from the last "
-                  "lens-armed job that observed it.")
-        reg.gauge("sim_cache_conflict_share",
-                  "Share of that cache's misses classified conflict.")
-        reg.counter("sim_cache_misses_total",
-                    "Simulated cache misses observed by lens-armed jobs.")
 
     def _count(self, key: str) -> None:
         """Bump one job-count family (caller holds the lock, so
@@ -334,38 +282,6 @@ class Service:
                                                  "kind")
         return out
 
-    def telemetry_snapshot(self) -> dict:
-        """The registry snapshot with scrape-time state folded in.
-
-        Instantaneous gauges (queue depth, busy workers) and the store's
-        own counters are synced here — pinned, not incremented, so a
-        snapshot is idempotent and never double-counts.
-        """
-        reg = self.registry
-        with self._lock:
-            running = sum(1 for j in self.jobs.values()
-                          if j.state is JobState.RUNNING)
-        reg.set("queue_depth", self.queue.pending)
-        reg.set("jobs_running", running)
-        health = self.pool.health()
-        reg.set("workers_total", len(health))
-        reg.set("workers_busy",
-                sum(1 for w in health if w.get("state") == "busy"))
-        if self.store is not None:
-            stats = self.store.stats
-            reg.set("store_hits_total", stats.hits)
-            reg.set("store_misses_total", stats.misses)
-            reg.set("store_writes_total", stats.stores)
-            reg.set("store_coalesced_total", stats.coalesced)
-            reg.set("store_invalidated_total", stats.invalidated)
-        return reg.snapshot()
-
-    def prometheus(self) -> str:
-        """The current registry state as Prometheus text exposition."""
-        from .telemetry import render_prometheus
-
-        return render_prometheus(self.telemetry_snapshot())
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -421,7 +337,6 @@ class Service:
                 job.worker = handle.id
                 job.worker_history.append(handle.id)
                 job.attempts += 1
-                job.started = time.time()
                 job.stamp("dispatched")
                 self.pool.dispatch(handle, job.id, job.spec)
 
@@ -520,26 +435,14 @@ class Service:
         """Transition to a terminal state (caller holds the lock).
 
         This is where the job's lifecycle span closes: the ``finished``
-        stamp lands, the wall-clock split feeds the registry summaries,
-        and the ledger line is appended — all coordinator-side work,
-        never on the simulation event path.
+        stamp lands and the ledger line is appended — coordinator-side
+        work, never on the simulation event path.
         """
         job.state = state
-        job.finished_at = time.time()
         job.stamp("finished")
         self._inflight.pop(job.digest, None)
-        span = self.job_span(job)
-        if state is JobState.DONE and not job.from_store:
-            reg = self.registry
-            reg.observe("job_latency_seconds", span.end_to_end,
-                        experiment=job.spec.experiment)
-            reg.observe("job_queue_wait_seconds", span.queue_wait)
-            reg.observe("job_dispatch_seconds", max(0.0, span.dispatch))
-            reg.observe("job_sim_exec_seconds", span.sim_exec)
-            reg.observe("job_store_write_seconds", span.store_write)
         if self.ledger is not None:
-            self.ledger.record(self._ledger_entry(job, span))
-            self.registry.inc("ledger_entries_total")
+            self.ledger.record(self._ledger_entry(job, self.job_span(job)))
         job._done.set()
 
     @staticmethod

@@ -6,15 +6,11 @@ bus, profiler, span trees, critical-path SLO gates) — all measured in
 wall-clock time, and this module is its observability plane:
 
 * :class:`MetricsRegistry` — the one place the service keeps its
-  numbers: a lock-cheap counter/gauge/summary registry covering job
-  outcomes, queue depth, admission rejects, worker restarts, store
-  hit/miss/coalesced, watchdog warnings, simulated cache health, and
-  per-experiment job latency percentiles (p50/p95/p99 from the same
-  :class:`~repro.sim.stats.Histogram` that backs the simulated-cycle
-  percentiles). Always on. Snapshots are JSON-able, each worker's
-  per-job snapshot folds into the service registry through one
-  :meth:`~MetricsRegistry.merge`, and they render as Prometheus text
-  exposition.
+  numbers: labelled counters for job outcomes, worker restarts,
+  watchdog warnings and simulated cache misses. Always on. Every
+  series only adds, so each worker's per-job snapshot folds into the
+  service registry by one plain addition,
+  :meth:`~MetricsRegistry.merge`.
 * :class:`JobSpan` — the per-job lifecycle span: monotonic host
   timestamps stamped at every transition (submitted → admitted →
   dispatched → running → stored/failed/retried) assembled into an exact
@@ -34,272 +30,86 @@ wall-clock time, and this module is its observability plane:
 from __future__ import annotations
 
 import json
-import math
 import os
 import pathlib
 import threading
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..sim.stats import Histogram
 from .store import canonical_json
 
 __all__ = [
     "MetricsRegistry",
     "JobSpan",
     "RunLedger",
-    "render_prometheus",
-    "QUANTILES",
     "LEDGER_ENV",
 ]
 
 #: environment default for the service run ledger path ("" = off)
 LEDGER_ENV = "REPRO_SVC_LEDGER"
 
-#: quantiles exposed for every summary metric
-QUANTILES = (0.5, 0.95, 0.99)
-
 LabelItems = Tuple[Tuple[str, str], ...]
+Number = Union[int, float]
 
 
 def _label_key(labels: Mapping[str, Any]) -> LabelItems:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-def _quantize_us(value_us: int) -> int:
-    """Round a microsecond value to 2 significant digits.
-
-    Bounds the summary bucket count (≤ ~90 buckets per decade) so a
-    service that runs for days cannot grow a histogram without limit,
-    while keeping quantiles within 1% of exact.
-    """
-    if value_us <= 0:
-        return 0
-    scale = 10 ** max(0, int(math.floor(math.log10(value_us))) - 1)
-    return (value_us // scale) * scale
-
-
-def _histogram_from_wire(series: Iterable[Mapping]) -> Histogram:
-    """One microsecond :class:`Histogram` holding every wire-form
-    (``{"count", "sum_us", "buckets"}``) summary series given."""
-    hist = Histogram("summary_us")
-    for value in series:
-        for bucket, weight in value.get("buckets", ()):
-            hist.add(int(bucket), int(weight))
-    return hist
-
-
 class MetricsRegistry:
-    """Counters, gauges, and latency summaries for the service plane.
+    """Labelled counters for the service plane.
 
-    One lock, taken per service-rate operation (job transitions, store
-    lookups, scrapes) — never per simulated event, so the registry costs
-    nothing on the simulation hot path. Metric families are declared
-    with :meth:`counter` / :meth:`gauge` / :meth:`summary` (idempotent;
-    declaring a counter or gauge pre-registers its zero-valued series so
-    exposition includes the metric before its first update) and bumped
-    with :meth:`inc` / :meth:`set` / :meth:`observe`, which create an
-    undeclared family on first use without that zero. A summary series
-    is a :class:`~repro.sim.stats.Histogram` of quantized microseconds.
-    Label sets are canonicalized, so a worker's :meth:`snapshot` folds
-    into the service registry losslessly via :meth:`merge`.
+    A series is a family name plus a canonical label set, holding a
+    number that only :meth:`inc` raises; a family exists from its first
+    update, and reading one never bumped gives the default. One lock,
+    taken per service-rate operation (job transitions, worker results)
+    — never per simulated event, so the registry costs nothing on the
+    simulation hot path. Since every series adds, :meth:`merge` is plain
+    addition: folding the snapshots of an update sequence's parts, in
+    any order, gives the totals one registry fed the whole sequence
+    holds.
     """
 
-    def __init__(self, namespace: str = "repro_svc") -> None:
-        self.namespace = namespace
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        # name -> {"type", "help", "series": {label_items: value|Histogram}}
-        self._families: Dict[str, dict] = {}
+        # name -> {label_items: value}
+        self._families: Dict[str, Dict[LabelItems, Number]] = {}
 
-    # ------------------------------------------------------------------
-    # declaration
-    # ------------------------------------------------------------------
-    def _family(self, name: str, kind: str, help_text: str = "") -> dict:
-        """The family ``name`` (created as ``kind`` if new; caller holds
-        the lock)."""
-        family = self._families.get(name)
-        if family is None:
-            family = self._families[name] = {
-                "type": kind, "help": help_text, "series": {}}
-        elif family["type"] != kind:
-            raise ValueError(
-                f"metric {name!r} already declared as {family['type']}")
-        return family
-
-    def _declare(self, name: str, kind: str,
-                 help_text: str) -> "MetricsRegistry":
-        with self._lock:
-            family = self._family(name, kind, help_text)
-            if kind != "summary":
-                family["series"].setdefault((), 0)
-        return self
-
-    def counter(self, name: str, help_text: str = "") -> "MetricsRegistry":
-        return self._declare(name, "counter", help_text)
-
-    def gauge(self, name: str, help_text: str = "") -> "MetricsRegistry":
-        return self._declare(name, "gauge", help_text)
-
-    def summary(self, name: str, help_text: str = "") -> "MetricsRegistry":
-        return self._declare(name, "summary", help_text)
-
-    # ------------------------------------------------------------------
-    # updates
-    # ------------------------------------------------------------------
-    def inc(self, name: str, amount: Union[int, float] = 1,
-            **labels: Any) -> None:
+    def inc(self, name: str, amount: Number = 1, **labels: Any) -> None:
         key = _label_key(labels)
         with self._lock:
-            series = self._family(name, "counter")["series"]
+            series = self._families.setdefault(name, {})
             series[key] = series.get(key, 0) + amount
 
-    def set(self, name: str, value: Union[int, float],
-            **labels: Any) -> None:
-        """Set a gauge — or pin a counter to an externally maintained
-        monotonic total (how store stats sync into the scrape)."""
-        key = _label_key(labels)
-        with self._lock:
-            family = self._families.get(name) or self._family(name, "gauge")
-            family["series"][key] = value
-
-    def observe(self, name: str, seconds: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            series = self._family(name, "summary")["series"]
-            hist = series.get(key)
-            if hist is None:
-                hist = series[key] = Histogram(name)
-            hist.add(_quantize_us(int(round(seconds * 1e6))))
-
-    def merge(self, snapshot: Mapping[str, dict]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters and summaries add; a gauge series takes the incoming
-        value (a worker's reading is newer than ours). Folding the
-        parts of one update sequence, in order, into an empty registry
-        renders exactly what one registry fed the whole sequence does.
-        """
+    def merge(self, snapshot: Mapping[str, Sequence]) -> None:
+        """Add another registry's :meth:`snapshot` into this one."""
         with self._lock:
             for name, incoming in snapshot.items():
-                family = self._family(name, incoming["type"],
-                                      incoming.get("help", ""))
-                series = family["series"]
-                for key, value in incoming["series"]:
+                series = self._families.setdefault(name, {})
+                for key, value in incoming:
                     items = tuple((str(k), str(v)) for k, v in key)
-                    if family["type"] == "summary":
-                        series.setdefault(items, Histogram(name)).merge(
-                            _histogram_from_wire([value]))
-                    elif family["type"] == "gauge":
-                        series[items] = value
-                    else:
-                        series[items] = series.get(items, 0) + value
+                    series[items] = series.get(items, 0) + value
 
-    # ------------------------------------------------------------------
-    # reads
-    # ------------------------------------------------------------------
-    def value(self, name: str, default: Union[int, float] = 0,
-              **labels: Any) -> Union[int, float]:
+    def value(self, name: str, default: Number = 0, **labels: Any) -> Number:
         with self._lock:
-            family = self._families.get(name)
-            if family is None or family["type"] == "summary":
-                return default
-            return family["series"].get(_label_key(labels), default)
+            return self._families.get(name, {}).get(_label_key(labels),
+                                                    default)
 
-    def by_label(self, name: str, label: str) -> Dict[str, Union[int, float]]:
-        """A counter or gauge family's series keyed by one label's value
-        (series without that label are left out)."""
+    def by_label(self, name: str, label: str) -> Dict[str, Number]:
+        """A family's series keyed by one label's value (series without
+        that label are left out)."""
         with self._lock:
-            family = self._families.get(name)
-            series = family["series"] if family is not None else {}
+            series = self._families.get(name, {})
             return {dict(key)[label]: value
                     for key, value in sorted(series.items())
                     if label in dict(key)}
 
-    def snapshot(self) -> Dict[str, dict]:
-        """A JSON-able copy of every family (the wire/merge format)."""
+    def snapshot(self) -> Dict[str, List[list]]:
+        """A JSON-able copy, the wire/merge format: each family name
+        maps to its ``[label pairs, value]`` series in label order."""
         with self._lock:
-            out: Dict[str, dict] = {}
-            for name in sorted(self._families):
-                family = self._families[name]
-                series = []
-                for key in sorted(family["series"]):
-                    value = family["series"][key]
-                    if isinstance(value, Histogram):
-                        value = {"count": value.count, "sum_us": value.total,
-                                 "buckets": value.items()}
-                    series.append([list(map(list, key)), value])
-                out[name] = {"type": family["type"],
-                             "help": family["help"], "series": series}
-            return out
-
-    def render(self) -> str:
-        return render_prometheus(self.snapshot(), namespace=self.namespace)
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-
-def _escape_help(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-def _escape_label(text: str) -> str:
-    return (text.replace("\\", "\\\\").replace("\n", "\\n")
-            .replace('"', '\\"'))
-
-
-def _format_labels(items: Iterable[Sequence[str]]) -> str:
-    parts = [f'{k}="{_escape_label(str(v))}"' for k, v in items]
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def _format_value(value: Union[int, float]) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def render_prometheus(snapshot: Mapping[str, dict],
-                      namespace: str = "repro_svc") -> str:
-    """Render a registry snapshot as Prometheus text format (0.0.4).
-
-    Deterministic: families alphabetical, series by sorted label items,
-    summaries expose the :data:`QUANTILES` plus ``_sum``/``_count``.
-    """
-    lines: List[str] = []
-    prefix = f"{namespace}_" if namespace else ""
-    for name in sorted(snapshot):
-        family = snapshot[name]
-        full = f"{prefix}{name}"
-        if family.get("help"):
-            lines.append(f"# HELP {full} {_escape_help(family['help'])}")
-        lines.append(f"# TYPE {full} {family.get('type', 'counter')}")
-        for key, value in family.get("series", ()):
-            if family.get("type") == "summary":
-                hist = _histogram_from_wire([value])
-                for q in QUANTILES:
-                    labels = _format_labels(
-                        list(key) + [("quantile", f"{q:g}")])
-                    lines.append(
-                        f"{full}{labels} "
-                        f"{_format_value(hist.percentile(q) / 1e6)}")
-                tail = _format_labels(key)
-                lines.append(f"{full}_sum{tail} "
-                             f"{_format_value(hist.total / 1e6)}")
-                lines.append(f"{full}_count{tail} {hist.count}")
-            else:
-                lines.append(
-                    f"{full}{_format_labels(key)} {_format_value(value)}")
-    return "\n".join(lines) + "\n"
+            return {name: [[list(map(list, key)), series[key]]
+                           for key in sorted(series)]
+                    for name, series in sorted(self._families.items())}
 
 
 # ----------------------------------------------------------------------

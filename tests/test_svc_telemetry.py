@@ -1,8 +1,9 @@
-"""Service-plane telemetry: lifecycle spans, the metrics registry with
-Prometheus exposition, the durable run ledger, and its ``explain
---ledger`` drilldown. Worker pools are real spawned processes, so tests
-share small pools and lean on the synthetic ``sleep:`` experiment."""
+"""Service-plane telemetry: lifecycle spans, the counter registry, the
+durable run ledger, and its ``explain --ledger`` drilldown. Worker
+pools are real spawned processes, so tests share small pools and lean
+on the synthetic ``sleep:`` experiment."""
 
+import sys
 import threading
 
 import pytest
@@ -17,16 +18,7 @@ from repro.svc.telemetry import (
     MetricsRegistry,
     RunLedger,
     format_history,
-    render_prometheus,
 )
-
-
-def _series_value(snapshot, name, label_items=()):
-    """Pull one series value out of a registry snapshot (wire form)."""
-    for key, value in snapshot[name]["series"]:
-        if tuple(tuple(item) for item in key) == tuple(label_items):
-            return value
-    raise KeyError((name, label_items))
 
 
 # ----------------------------------------------------------------------
@@ -85,7 +77,7 @@ def test_job_span_residual_dispatch_never_hides_time():
 
 
 # ----------------------------------------------------------------------
-# metrics registry + Prometheus exposition
+# the counter registry
 # ----------------------------------------------------------------------
 
 def test_registry_counts_job_outcomes():
@@ -97,112 +89,48 @@ def test_registry_counts_job_outcomes():
         assert reg.value("jobs_submitted_total") == 2
         assert reg.value("jobs_completed_total") == 2
         assert reg.value("jobs_from_store_total") == 1
-        snap = svc.telemetry_snapshot()
-        # scrape-time sync pins store counters to the store's own stats
-        assert _series_value(snap, "store_hits_total") == 1
-        assert _series_value(snap, "store_misses_total") == 1
-        assert _series_value(snap, "store_writes_total") == 1
-        # the executed job fed the latency summaries; the store hit
-        # did not (it ran no simulation)
-        latency = _series_value(snap, "job_latency_seconds",
-                                (("experiment", "sleep:0"),))
-        assert latency["count"] == 1
-
-
-def test_prometheus_rendering_golden():
-    """The exposition format is deterministic — byte-for-byte."""
-    reg = MetricsRegistry()
-    reg.counter("jobs_completed_total", "Jobs finished DONE.")
-    reg.gauge("queue_depth", "Jobs pending.")
-    reg.summary("job_latency_seconds", "End-to-end wall latency.")
-    reg.inc("jobs_completed_total", 3)
-    reg.set("queue_depth", 2)
-    reg.observe("job_latency_seconds", 0.5, experiment="fig04")
-    reg.observe("job_latency_seconds", 1.0, experiment="fig04")
-    golden = "\n".join([
-        "# HELP repro_svc_job_latency_seconds End-to-end wall latency.",
-        "# TYPE repro_svc_job_latency_seconds summary",
-        'repro_svc_job_latency_seconds{experiment="fig04",'
-        'quantile="0.5"} 0.5',
-        'repro_svc_job_latency_seconds{experiment="fig04",'
-        'quantile="0.95"} 1',
-        'repro_svc_job_latency_seconds{experiment="fig04",'
-        'quantile="0.99"} 1',
-        'repro_svc_job_latency_seconds_sum{experiment="fig04"} 1.5',
-        'repro_svc_job_latency_seconds_count{experiment="fig04"} 2',
-        "# HELP repro_svc_jobs_completed_total Jobs finished DONE.",
-        "# TYPE repro_svc_jobs_completed_total counter",
-        "repro_svc_jobs_completed_total 3",
-        "# HELP repro_svc_queue_depth Jobs pending.",
-        "# TYPE repro_svc_queue_depth gauge",
-        "repro_svc_queue_depth 2",
-    ]) + "\n"
-    assert reg.render() == golden
-    # rendering a snapshot (the wire/merge form) gives the same bytes
-    assert render_prometheus(reg.snapshot()) == golden
-
-
-def test_registry_type_conflicts_rejected():
-    reg = MetricsRegistry()
-    reg.counter("thing_total")
-    with pytest.raises(ValueError):
-        reg.gauge("thing_total")
-
-
-def test_summary_quantiles_survive_quantization():
-    reg = MetricsRegistry()
-    for ms in range(1, 101):
-        reg.observe("lat", ms / 1000.0)
-    snap = reg.snapshot()
-    assert _series_value(snap, "lat")["count"] == 100
-    # 2-significant-digit microsecond quantization keeps quantiles exact
-    # for round inputs
-    assert 'repro_svc_lat{quantile="0.5"} 0.05' in render_prometheus(snap)
+        store = svc.metrics()["store"]
+    assert store["hits"] == 1
+    assert store["misses"] == 1
+    assert store["stores"] == 1
 
 
 def test_concurrent_registry_updates_are_safe():
     reg = MetricsRegistry()
-    reg.counter("n_total")
 
-    def spin():
+    def spin(shard):
         for _ in range(1000):
             reg.inc("n_total")
-            reg.observe("lat", 0.001)
+            reg.inc("by_shard_total", 2, shard=shard)
 
-    threads = [threading.Thread(target=spin) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = [threading.Thread(target=spin, args=(f"s{i % 2}",))
+               for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads mid-update, often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert reg.value("n_total") == 4000
-    assert _series_value(reg.snapshot(), "lat")["count"] == 4000
+    assert reg.by_label("by_shard_total", "shard") == {"s0": 4000,
+                                                       "s1": 4000}
 
 
-#: one registry update: (method, family, label value or "", integer)
+#: one registry update: (family, label value or "", integer)
 _UPDATES = st.tuples(
-    st.sampled_from([("inc", "jobs_total"), ("inc", "misses_total"),
-                     ("set", "depth"), ("set", "hit_rate"),
-                     ("observe", "latency_seconds")]),
+    st.sampled_from(["jobs_total", "misses_total", "warnings_total"]),
     st.sampled_from(["", "a", "b"]),
     st.integers(0, 3_000_000))
 
 
 def _feed(reg, updates):
-    for (method, family), label, n in updates:
+    for family, label, n in updates:
         labels = {"shard": label} if label else {}
-        if method == "inc":
-            reg.inc(family, n, **labels)
-        elif method == "set":
-            reg.set(family, n / 1000, **labels)
-        else:
-            reg.observe(family, n / 1e6, **labels)
-    return reg
-
-
-def _declared(reg):
-    reg.counter("jobs_total", "Jobs.")
-    reg.gauge("depth", "Depth.")
-    reg.summary("latency_seconds", "Latency.")
+        reg.inc(family, n, **labels)
     return reg
 
 
@@ -211,18 +139,18 @@ def _declared(reg):
 @given(updates=st.lists(_UPDATES, max_size=40), data=st.data())
 def test_merged_parts_render_like_one_registry(updates, data):
     """Split an update sequence, feed each part to its own registry and
-    merge both snapshots in order: the result renders byte-for-byte
-    like one registry fed the whole sequence — with or without the
-    merging registry declaring families up front, as the service's
-    does."""
+    merge both snapshots into an empty one, in either order: the merged
+    snapshot equals that of one registry fed the whole sequence, since
+    an additive merge does not depend on order."""
     cut = data.draw(st.integers(0, len(updates)))
-    declare = data.draw(st.booleans())
-    start = _declared if declare else (lambda reg: reg)
-    whole = _feed(start(MetricsRegistry()), updates)
-    merged = start(MetricsRegistry())
-    for part in (updates[:cut], updates[cut:]):
-        merged.merge(_feed(MetricsRegistry(), part).snapshot())
-    assert merged.render() == whole.render()
+    whole = _feed(MetricsRegistry(), updates).snapshot()
+    parts = [_feed(MetricsRegistry(), part).snapshot()
+             for part in (updates[:cut], updates[cut:])]
+    for ordered in (parts, parts[::-1]):
+        merged = MetricsRegistry()
+        for part in ordered:
+            merged.merge(part)
+        assert merged.snapshot() == whole
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +202,7 @@ def test_kill_mid_job_retry_chain_lands_in_ledger(tmp_path, monkeypatch):
         payload = job.result(timeout=60)
         assert payload["all_ok"] is True
         assert marker.exists()
-        assert "repro_svc_worker_restarts_total 1" in svc.prometheus()
+        assert svc.registry.value("worker_restarts_total") == 1
         assert svc.registry.value("jobs_retried_total") == 1
     entry = RunLedger.find_job(ledger, job.id)
     assert entry["state"] == "done"
@@ -301,7 +229,6 @@ def test_ledger_env_var_arms_the_default(tmp_path, monkeypatch):
 
 def test_watchdog_warnings_render_as_labeled_counters():
     reg = MetricsRegistry()
-    Service._declare_metrics(reg)
     # what WorkerPool.poll merges as workers report per-job pathologies
     for kind, count in (("livelock", 2), ("mshr_saturation", 1),
                         ("livelock", 1)):
@@ -309,11 +236,8 @@ def test_watchdog_warnings_render_as_labeled_counters():
         job.inc("watchdog_warnings_total", count, kind=kind)
         reg.merge(job.snapshot())
     assert reg.value("watchdog_warnings_total", kind="livelock") == 3
-    rendered = reg.render()
-    assert ('repro_svc_watchdog_warnings_total{kind="livelock"} 3'
-            in rendered)
-    assert ('repro_svc_watchdog_warnings_total{kind="mshr_saturation"} 1'
-            in rendered)
+    assert reg.by_label("watchdog_warnings_total", "kind") == {
+        "livelock": 3, "mshr_saturation": 1}
 
 
 def test_job_is_observed_only_through_its_capture(monkeypatch):
@@ -376,7 +300,7 @@ def test_job_records_the_capture_paths_it_writes(tmp_path):
 
 
 def test_lens_armed_job_reports_cache_health():
-    """execute_one folds a --misses capture's per-cache health into the
+    """execute_one counts a --misses capture's per-cache misses into the
     registry it is given: what a worker returns for the pool to merge."""
     from repro.harness.parallel import execute_one
     from repro.obs.capture import CaptureSpec
@@ -388,26 +312,21 @@ def test_lens_armed_job_reports_cache_health():
                if ln.startswith("caches=")]
     reported = int(line.split()[1].split("=")[1])
     misses = reg.by_label("sim_cache_misses_total", "cache")
-    hit_rate = reg.by_label("sim_cache_hit_rate", "cache")
     assert sum(misses.values()) == reported > 0
-    assert set(hit_rate) == set(misses) == set(
-        reg.by_label("sim_cache_conflict_share", "cache"))
-    assert all(0.0 < rate <= 1.0 for rate in hit_rate.values())
 
 
 def test_metrics_dict_carries_watchdog_and_snapshot():
     with Service(workers=1) as svc:
         svc.submit(JobSpec(experiment="sleep:0")).result(timeout=30)
         metrics = svc.metrics()
-        snapshot = svc.telemetry_snapshot()
-        prom = svc.prometheus()
+        snapshot = svc.registry.snapshot()
     assert metrics["watchdog"] == {}
-    assert _series_value(snapshot, "jobs_completed_total") == 1
-    assert "repro_svc_jobs_submitted_total 1" in prom
-    assert "repro_svc_jobs_completed_total 1" in prom
-    assert "repro_svc_store_hits_total 0" in prom
-    # pre-registered zero: rendered before any crash
-    assert "repro_svc_worker_restarts_total 0" in prom
+    assert metrics["submitted"] == metrics["completed"] == 1
+    assert snapshot["jobs_completed_total"] == [[[], 1]]
+    assert metrics["store"]["hits"] == 0
+    # a counter never bumped reads 0 before any crash
+    assert metrics["worker_restarts"] == 0
+    assert "worker_restarts_total" not in snapshot
 
 
 # ----------------------------------------------------------------------
