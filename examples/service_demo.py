@@ -29,7 +29,8 @@ def main() -> None:
 
         stats = svc.store.stats
         print(f"5 submissions -> {stats.misses} simulation "
-              f"({stats.coalesced} coalesced, {stats.hits} store hits)")
+              f"({svc.metrics()['coalesced']} coalesced, "
+              f"{stats.hits} store hits)")
         assert stats.misses == 1
 
         # -- 2. the store: a finished digest resolves without a worker --

@@ -35,7 +35,7 @@ runs it):
   conflict, with would-have-hit-if shadow counters) and appends the
   why-miss table plus reuse-distance histograms to each report;
 * ``--heatmap h.csv`` writes per-set occupancy/eviction-pressure rows
-  over ``--heatmap-window`` cycle windows (implies ``--misses``);
+  over 1000-cycle windows (implies ``--misses``);
 * ``--reuse-sample N`` computes the Mattson reuse-distance scan on
   every Nth access (1 = exact; larger = cheaper).
 
@@ -141,9 +141,6 @@ def main(argv=None) -> int:
                         help="write per-set occupancy/eviction heatmap "
                              "rows (per experiment: PATH.<exp_id>.csv; "
                              "implies --misses)")
-    parser.add_argument("--heatmap-window", type=int, default=1000,
-                        metavar="CYCLES",
-                        help="heatmap window width (default: 1000)")
     parser.add_argument("--reuse-sample", type=int, default=8, metavar="N",
                         help="compute the reuse-distance scan on every "
                              "Nth access (default: 8; 1 = exact)")
@@ -181,8 +178,6 @@ def main(argv=None) -> int:
         parser.error("--timeseries-window must be >= 1")
     if args.explain_top < 0:
         parser.error("--explain-top must be >= 0")
-    if args.heatmap_window < 1:
-        parser.error("--heatmap-window must be >= 1")
     if args.reuse_sample < 1:
         parser.error("--reuse-sample must be >= 1")
 
@@ -202,7 +197,6 @@ def main(argv=None) -> int:
                           watchdog=args.watchdog,
                           misses=args.misses,
                           heatmap_path=args.heatmap,
-                          heatmap_window=args.heatmap_window,
                           reuse_sample=args.reuse_sample)
     if not capture.active:
         capture = None

@@ -102,8 +102,7 @@ def run_parallel(targets: Sequence[str], profile: str, jobs: int,
     from ..svc.jobs import JobSpec
     from ..svc.service import Service
 
-    with Service(workers=min(jobs, len(pooled)), store=None,
-                 max_pending=len(pooled)) as svc:
+    with Service(workers=min(jobs, len(pooled)), store=None) as svc:
         handles = {t: svc.submit(JobSpec(experiment=t, profile=profile,
                                          capture=capture))
                    for t in pooled}

@@ -70,7 +70,6 @@ class CaptureSpec:
     watchdog: bool = False                # pathology warnings in the report
     misses: bool = False                  # miss taxonomy + why-miss table
     heatmap_path: Optional[str] = None    # per-set heatmap CSV (implies misses)
-    heatmap_window: int = 1000            # heatmap window, cycles
     reuse_sample: int = 8                 # Mattson scan every Nth access
                                           # (DEFAULT_REUSE_SAMPLE; 1 = exact)
     job_scoped: bool = False              # service applies for_job() paths
@@ -209,8 +208,7 @@ class Capture:
             self._watchdogs.append(bus.attach(WatchdogProcessor()))
         if self.spec.wants_misses:
             self._lenses.append(bus.attach(CacheLensProcessor(
-                reuse_sample=self.spec.reuse_sample,
-                heatmap_window=self.spec.heatmap_window)))
+                reuse_sample=self.spec.reuse_sample)))
 
     # ------------------------------------------------------------------
     # inspection

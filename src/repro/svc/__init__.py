@@ -2,7 +2,7 @@
 
 The service layer runs many experiment jobs from one process:
 declarative :class:`~repro.svc.jobs.JobSpec` requests flow through a
-bounded FIFO queue into a **warm pool** of persistent worker
+FIFO queue into a **warm pool** of persistent worker
 processes, results land in a **content-addressed store** keyed by
 (config, workload, code version), and identical concurrent requests
 **coalesce** onto one simulation. Its users are ``harness --parallel``,
@@ -18,7 +18,6 @@ import its submodules eagerly.
 from typing import Any
 
 __all__ = [
-    "AdmissionBusy",
     "Job",
     "JobCancelled",
     "JobFailed",
@@ -38,7 +37,6 @@ __all__ = [
 ]
 
 _EXPORTS = {
-    "AdmissionBusy": "jobs",
     "Job": "jobs",
     "JobCancelled": "jobs",
     "JobFailed": "jobs",

@@ -15,6 +15,13 @@ replays as a table::
     $ REPRO_SVC_LEDGER=runs.jsonl python -m repro.svc sweep fig04 \\
           --events t.jsonl
     $ python -m repro.svc history --ledger runs.jsonl
+
+Exit status: 0 when every swept point passed its checks (``history``:
+the ledger was read); 1 when a swept point failed its checks; 2 for a
+usage error, such as an unknown experiment or grid field, a spec the
+service would refuse, or a ledger that cannot be read. A bad
+``sweep`` command line fails before any warmup snapshot is written or
+worker started.
 """
 
 from __future__ import annotations
@@ -23,10 +30,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .jobs import JobSpec
-from .service import Service, sweep_specs
+from .service import Service, sweep_specs, validate_spec
 
 PROFILES = ("ci", "quick", "full")
 
@@ -37,16 +45,6 @@ def _capture_from_args(args):
     from ..obs.capture import CaptureSpec
 
     return CaptureSpec(events_path=args.events, job_scoped=True)
-
-
-def _parse_grid(pairs: List[str]) -> dict:
-    """``--grid field=v1,v2`` strings → {field: [typed values]}."""
-    from ..harness.sweep import parse_grid_entries
-
-    try:
-        return parse_grid_entries(pairs)
-    except ValueError as exc:
-        raise SystemExit(f"--grid: {exc}")
 
 
 # ----------------------------------------------------------------------
@@ -77,66 +75,59 @@ def _cmd_history(args) -> int:
     return 0
 
 
-def _ckpt_sweep_specs(args) -> List[JobSpec]:
-    """``sweep ckpt:<dsa>`` specs: one snapshot-fork job per grid point.
+def _sweep_specs(args) -> List[JobSpec]:
+    """The specs of one ``sweep`` command line, each checked by
+    :func:`~repro.svc.service.validate_spec` before anything is built.
 
-    The ``--grid`` fields are *fork overrides* (validated against the
-    checkpoint fork-safe whitelist up front, so a geometry-changing
-    field dies here with a clear message, not as N FAILED jobs). With
-    ``--warmup-snapshot`` the warmup runs **once** — locally, before
-    any submit — and every job forks the same snapshot, identified in
-    its digest by snapshot content + overrides.
+    For ``ckpt:<dsa>`` the ``--grid`` fields are *fork overrides*,
+    checked against the fork-safe whitelist. With ``--warmup-snapshot``
+    the warmup then runs **once** — locally, before any submit — and
+    every job forks the same snapshot, identified in its digest by
+    snapshot content + overrides. Raises :class:`ValueError` or
+    :class:`~repro.sim.checkpoint.SnapshotError` for bad input.
     """
-    from ..harness.sweep import (
-        SWEEP_DSAS,
-        sweep_points,
-        write_warm_snapshot,
-    )
-    from ..sim.checkpoint import SnapshotError, snapshot_digest
+    from ..harness.sweep import parse_grid_entries, sweep_points
 
-    dsa = args.experiment.split(":", 1)[1]
-    if dsa not in SWEEP_DSAS:
-        raise SystemExit(f"unknown ckpt dsa {dsa!r}; have {SWEEP_DSAS}")
-    try:
-        grid = _parse_grid(args.grid)
+    grid = parse_grid_entries(args.grid)
+    capture = _capture_from_args(args)
+    ckpt = args.experiment.startswith("ckpt:")
+    if ckpt:
         points = sweep_points(grid) if grid else [{}]
-        snapshot, digest = args.warmup_snapshot, None
-        if snapshot:
-            if not os.path.exists(snapshot):
-                header = write_warm_snapshot(
-                    snapshot, dsa, args.profile,
-                    warm_cycles=args.warm_cycles,
-                    warm_frac=args.warm_frac)
-                print(f"warmup snapshot: {snapshot} "
-                      f"cycle={header['cycle']} "
-                      f"digest={header['payload_sha256'][:12]}")
-            digest = snapshot_digest(snapshot)
-    except (SnapshotError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}")
-    specs = [JobSpec(experiment=args.experiment, profile=args.profile,
-                     fork_overrides=tuple(sorted(point.items())),
-                     snapshot=snapshot, snapshot_digest=digest,
-                     checkpoint_every=args.checkpoint_every,
-                     checkpoint_dir=args.checkpoint_dir,
-                     capture=_capture_from_args(args),
-                     tag=args.tag)
-             for point in points]
-    return [s for _ in range(args.repeat) for s in specs]
-
-
-def _cmd_sweep(args) -> int:
-    if args.experiment.startswith("ckpt:"):
-        specs = _ckpt_sweep_specs(args)
+        specs = [JobSpec(experiment=args.experiment, profile=args.profile,
+                         fork_overrides=tuple(sorted(point.items())),
+                         snapshot=args.warmup_snapshot,
+                         checkpoint_every=args.checkpoint_every,
+                         checkpoint_dir=args.checkpoint_dir,
+                         capture=capture, tag=args.tag)
+                 for _ in range(args.repeat) for point in points]
     else:
-        specs = sweep_specs(args.experiment, args.profile,
-                            grid=_parse_grid(args.grid),
-                            repeat=args.repeat,
-                            capture=_capture_from_args(args),
+        specs = sweep_specs(args.experiment, args.profile, grid=grid,
+                            repeat=args.repeat, capture=capture,
                             tag=args.tag)
+    for spec in specs:
+        validate_spec(spec)
+    snapshot = args.warmup_snapshot
+    if ckpt and snapshot:
+        from ..harness.sweep import write_warm_snapshot
+        from ..sim.checkpoint import snapshot_digest
+
+        if not os.path.exists(snapshot):
+            header = write_warm_snapshot(
+                snapshot, args.experiment.split(":", 1)[1], args.profile,
+                warm_cycles=args.warm_cycles, warm_frac=args.warm_frac)
+            print(f"warmup snapshot: {snapshot} "
+                  f"cycle={header['cycle']} "
+                  f"digest={header['payload_sha256'][:12]}")
+        digest = snapshot_digest(snapshot)
+        specs = [replace(s, snapshot_digest=digest) for s in specs]
+    return specs
+
+
+def _cmd_sweep(args, specs: List[JobSpec]) -> int:
     print(f"sweep: {len(specs)} submissions "
           f"({len(specs) // args.repeat} distinct points)")
-    with Service(workers=args.workers, store=args.store or "memory",
-                 max_pending=len(specs) + 1) as svc:
+    with Service(workers=args.workers,
+                 store=args.store or "memory") as svc:
         jobs = [svc.submit(spec) for spec in specs]
         ok = True
         for job in jobs:
@@ -221,7 +212,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        dest="checkpoint_dir", metavar="DIR",
                        help="where resume checkpoints live (required "
                             "when --checkpoint-every > 0)")
-    sweep.set_defaults(func=_cmd_sweep)
 
     history = commands.add_parser(
         "history", help="replay a service run ledger")
@@ -233,19 +223,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     history.add_argument("--json", action="store_true",
                          help="one JSON entry per line instead of the "
                               "table")
-    history.set_defaults(func=_cmd_history)
 
     args = parser.parse_args(argv)
-    if args.command == "sweep":
-        if args.workers < 1:
-            sweep.error("--workers must be >= 1")
-        if args.repeat < 1:
-            sweep.error("--repeat must be >= 1")
-        if args.checkpoint_every < 0:
-            sweep.error("--checkpoint-every must be >= 0")
-    elif args.limit < 0:
-        history.error("--limit must be >= 0")
-    return args.func(args)
+    if args.command == "history":
+        if args.limit < 0:
+            history.error("--limit must be >= 0")
+        return _cmd_history(args)
+    if args.workers < 1:
+        sweep.error("--workers must be >= 1")
+    if args.repeat < 1:
+        sweep.error("--repeat must be >= 1")
+    if args.checkpoint_every < 0:
+        sweep.error("--checkpoint-every must be >= 0")
+    from ..sim.checkpoint import SnapshotError
+
+    try:
+        specs = _sweep_specs(args)
+    except (SnapshotError, ValueError) as exc:
+        sweep.error(str(exc))
+    return _cmd_sweep(args, specs)
 
 
 if __name__ == "__main__":

@@ -13,11 +13,9 @@ coalescing.
 number of client threads can wait on one job — including the followers
 of a coalesced submit, who share the Job object outright.
 
-:class:`JobQueue` is a FIFO queue with **bounded admission**: past
-``max_pending`` it refuses the submit with :class:`AdmissionBusy`
-carrying a ``retry_after`` estimate, instead of queueing unboundedly —
-backpressure is the client's problem to pace, not the coordinator's
-problem to buffer.
+:class:`JobQueue` is a FIFO queue whose crash-retried jobs go ahead
+of fresh work. It holds every admitted job: its callers submit a sweep
+they size themselves, so there is no admission bound.
 """
 
 from __future__ import annotations
@@ -33,8 +31,8 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from ..obs.capture import CaptureSpec
 from .store import code_version, digest_of
 
-__all__ = ["JobState", "JobSpec", "Job", "JobQueue", "AdmissionBusy",
-           "JobFailed", "JobCancelled"]
+__all__ = ["JobState", "JobSpec", "Job", "JobQueue", "JobFailed",
+           "JobCancelled"]
 
 
 class JobState(str, Enum):
@@ -50,8 +48,8 @@ class JobState(str, Enum):
 
 
 #: synthetic experiments the worker executes besides the harness ids:
-#: ``sleep:<seconds>`` (deterministic no-op, for backpressure/cancel
-#: tests and pacing probes) and ``ckpt:<dsa>`` (one checkpointable DSA
+#: ``sleep:<seconds>`` (deterministic no-op, for service tests and
+#: pacing probes) and ``ckpt:<dsa>`` (one checkpointable DSA
 #: run — optionally forked from ``JobSpec.snapshot`` and preempted every
 #: ``checkpoint_every`` cycles)
 SYNTHETIC_PREFIXES = ("sleep:", "ckpt:")
@@ -130,20 +128,6 @@ class JobCancelled(RuntimeError):
     """Raised by :meth:`Job.result` when the job ended CANCELLED."""
 
 
-class AdmissionBusy(RuntimeError):
-    """Queue full: come back in ``retry_after`` seconds.
-
-    Bounded admission — the service sheds load at submit time with a
-    pacing hint instead of letting the backlog grow without limit.
-    """
-
-    def __init__(self, retry_after: float, pending: int) -> None:
-        super().__init__(f"queue full ({pending} pending); "
-                         f"retry in {retry_after:.1f}s")
-        self.retry_after = retry_after
-        self.pending = pending
-
-
 _job_ids = itertools.count(1)
 
 
@@ -205,52 +189,30 @@ class Job:
 
 
 class JobQueue:
-    """FIFO queue with bounded admission and lazy cancellation.
+    """FIFO queue with crash retries first and lazy cancellation.
 
-    Jobs pop in submission order. Cancelled jobs stay queued and are
-    skipped on pop. ``requeue_front`` re-admits a crash-retried job
-    ahead of every pending job (retries among themselves stay FIFO),
-    so a retry never starves behind fresh work.
+    Jobs pop in submission order. ``requeue_front`` re-admits a
+    crash-retried job ahead of every pending job (retries among
+    themselves stay FIFO), so a retry never starves behind fresh work.
+    A job that ``Service.close`` cancels stays queued and is skipped on
+    pop.
     """
 
-    def __init__(self, max_pending: int = 64) -> None:
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        self.max_pending = max_pending
+    def __init__(self) -> None:
         self._retries: Deque[Job] = deque()
         self._fresh: Deque[Job] = deque()
         self._lock = threading.Lock()
-        # EWMA of recent job durations, feeding the retry_after estimate
-        self._avg_duration = 1.0
 
-    # ------------------------------------------------------------------
-    # admission
-    # ------------------------------------------------------------------
-    def submit(self, job: Job, workers: int = 1) -> None:
-        """Admit ``job`` or raise :class:`AdmissionBusy`."""
+    def submit(self, job: Job) -> None:
+        """Admit ``job`` behind every pending job."""
         with self._lock:
-            pending = self._count_pending()
-            if pending >= self.max_pending:
-                retry_after = max(
-                    0.1, pending * self._avg_duration / max(1, workers))
-                raise AdmissionBusy(retry_after, pending)
             self._fresh.append(job)
 
     def requeue_front(self, job: Job) -> None:
-        """Re-admit a crash-retried job ahead of every pending job (no
-        bound: it was already admitted once)."""
+        """Re-admit a crash-retried job ahead of every pending job."""
         with self._lock:
             self._retries.append(job)
 
-    def _count_pending(self) -> int:
-        # caller holds the lock; a cancelled job's entry stays queued
-        # until pop() skips it, but frees its admission slot now
-        return sum(1 for lane in (self._retries, self._fresh)
-                   for job in lane if job.state is JobState.PENDING)
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
     def pop(self) -> Optional[Job]:
         """The next pending job (retries first), skipping cancelled
         entries."""
@@ -261,14 +223,3 @@ class JobQueue:
                     if job.state is JobState.PENDING:
                         return job
             return None
-
-    def note_duration(self, seconds: float) -> None:
-        """Feed a finished job's duration into the retry_after EWMA."""
-        with self._lock:
-            self._avg_duration = 0.7 * self._avg_duration + 0.3 * seconds
-
-    @property
-    def pending(self) -> int:
-        """Admitted jobs still waiting (cancelled entries excluded)."""
-        with self._lock:
-            return self._count_pending()

@@ -291,18 +291,10 @@ class WorkerHandle:
         self.ready = False
         self.dead = False
         self.job_id: Optional[int] = None
-        self.jobs_done = 0
 
     @property
     def idle(self) -> bool:
         return self.ready and not self.dead and self.job_id is None
-
-    def health(self) -> dict:
-        state = ("dead" if self.dead
-                 else "busy" if self.job_id is not None
-                 else "idle" if self.ready else "booting")
-        return {"worker": self.id, "pid": self.process.pid, "state": state,
-                "jobs_done": self.jobs_done, "job": self.job_id}
 
 
 class WorkerPool:
@@ -324,7 +316,7 @@ class WorkerPool:
 
     @property
     def restarts(self) -> int:
-        """Worker slots respawned after a death or kill."""
+        """Worker slots respawned after a death."""
         return int(self.registry.value("worker_restarts_total"))
 
     # ------------------------------------------------------------------
@@ -411,7 +403,6 @@ class WorkerPool:
                     if kind == "ready":
                         handle.ready = True
                     elif kind == "result":
-                        handle.jobs_done += 1
                         self.registry.merge(payload.get("metrics") or {})
                         handle.job_id = None
                     messages.append((kind, handle, job_id, payload))
@@ -431,30 +422,3 @@ class WorkerPool:
     def _replace(self, handle: WorkerHandle) -> None:
         self.registry.inc("worker_restarts_total")
         self._slots[self._slots.index(handle)] = self._spawn()
-
-    def kill(self, handle: WorkerHandle) -> None:
-        """Forcibly terminate a worker (mid-run cancellation) and
-        respawn its slot; never surfaces as a ``died`` message."""
-        if handle.dead:
-            return
-        handle.dead = True
-        handle.process.terminate()
-        handle.process.join(1.0)
-        if handle.process.is_alive():  # pragma: no cover - stubborn child
-            handle.process.kill()
-            handle.process.join(1.0)
-        handle.conn.close()
-        self._replace(handle)
-
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
-    def find(self, worker_id: int) -> Optional[WorkerHandle]:
-        return next((h for h in self._slots if h.id == worker_id), None)
-
-    def health(self) -> List[dict]:
-        """Per-worker health snapshot (state, jobs done, current job)."""
-        return [h.health() for h in self._slots]
-
-    def __len__(self) -> int:
-        return len(self._slots)

@@ -3,8 +3,8 @@
 :class:`Service` glues the three subsystems together around one control
 loop:
 
-* the **job queue** (:mod:`repro.svc.jobs`) — FIFO order, bounded
-  admission with a ``retry_after`` hint, cancellation;
+* the **job queue** (:mod:`repro.svc.jobs`) — FIFO order, with
+  crash-retried jobs ahead of fresh work;
 * the **warm worker pool** (:mod:`repro.svc.pool`) — long-lived
   processes with crash detection and automatic replacement;
 * the **content-addressed result store** (:mod:`repro.svc.store`) —
@@ -16,8 +16,8 @@ Deduplication is end-to-end: a submit whose digest is already stored
 resolves immediately (store hit); one whose digest is currently pending
 or running **coalesces** onto the in-flight job — the same
 :class:`~repro.svc.jobs.Job` object is returned, every waiter gets the
-one result, and the store's ``coalesced`` counter proves no second
-simulation ran. N identical submissions, sequential or concurrent,
+one result, and ``metrics()["coalesced"]`` counts the joins, with or
+without a store. N identical submissions, sequential or concurrent,
 execute exactly one simulation.
 
 The control loop is a single daemon thread: it drains pool messages
@@ -35,24 +35,17 @@ import threading
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from .jobs import (
-    AdmissionBusy,
-    Job,
-    JobQueue,
-    JobSpec,
-    JobState,
-)
+from .jobs import Job, JobQueue, JobSpec, JobState
 from .pool import WorkerHandle, WorkerPool
 from .store import ResultStore, digest_of
 from .telemetry import LEDGER_ENV, JobSpan, MetricsRegistry, RunLedger
 
-__all__ = ["Service", "sweep_specs"]
+__all__ = ["Service", "sweep_specs", "validate_spec"]
 
 #: ``metrics()`` job-count key -> the registry counter family behind it
 _COUNTER_FAMILIES = {
     "submitted": "jobs_submitted_total",
     "admitted": "jobs_admitted_total",
-    "rejected": "jobs_rejected_total",
     "store_hits": "jobs_from_store_total",
     "coalesced": "jobs_coalesced_total",
     "completed": "jobs_completed_total",
@@ -96,6 +89,47 @@ def sweep_specs(experiment: str, profile: str = "ci",
     return [s for _ in range(repeat) for s in specs]
 
 
+def validate_spec(spec: JobSpec) -> None:
+    """Raise unless ``spec`` names a job a worker can run.
+
+    The one set of submit-time rules: :meth:`Service.submit` applies
+    them, and the ``sweep`` CLI applies them to every spec before it
+    writes a warmup snapshot or builds a service. Raises
+    :class:`ValueError`, or
+    :class:`~repro.sim.checkpoint.ForkOverrideError` for a
+    geometry-changing fork override.
+    """
+    if spec.is_synthetic:
+        if spec.experiment.startswith("sleep:"):
+            try:
+                float(spec.experiment.split(":", 1)[1])
+            except ValueError:
+                raise ValueError(f"bad sleep spec {spec.experiment!r}")
+        elif spec.experiment.startswith("ckpt:"):
+            from ..harness.sweep import SWEEP_DSAS
+            from ..sim.checkpoint import check_fork_overrides
+
+            dsa = spec.experiment.split(":", 1)[1]
+            if dsa not in SWEEP_DSAS:
+                raise ValueError(f"unknown ckpt dsa {dsa!r}; "
+                                 f"have {SWEEP_DSAS}")
+            # reject geometry-changing fork overrides at submit time
+            # (the worker would too, but a clear error beats a
+            # FAILED job with a traceback payload)
+            check_fork_overrides(key for key, _ in spec.fork_overrides)
+            if spec.checkpoint_every > 0 and not spec.checkpoint_dir:
+                raise ValueError(
+                    "checkpoint_every > 0 needs a checkpoint_dir "
+                    "(where resume files persist across workers)")
+        return
+    from ..harness import EXPERIMENTS
+
+    if spec.experiment not in EXPERIMENTS:
+        raise ValueError(
+            f"unknown experiment {spec.experiment!r}; have "
+            f"{sorted(EXPERIMENTS)} or sleep:<seconds> / ckpt:<dsa>")
+
+
 class Service:
     """An in-process simulation service: queue + warm pool + store.
 
@@ -117,7 +151,6 @@ class Service:
 
     def __init__(self, workers: int = 2,
                  store: Union[ResultStore, str, os.PathLike, None] = "memory",
-                 max_pending: int = 64,
                  ledger: Union[str, os.PathLike, None] = "env",
                  ) -> None:
         if store == "memory":
@@ -131,7 +164,7 @@ class Service:
             ledger = os.environ.get(LEDGER_ENV) or None
         self.ledger: Optional[RunLedger] = (
             RunLedger(ledger) if ledger else None)
-        self.queue = JobQueue(max_pending=max_pending)
+        self.queue = JobQueue()
         self.pool = WorkerPool(workers=workers, registry=self.registry)
         self.jobs: Dict[int, Job] = {}
         self._inflight: Dict[str, Job] = {}   # digest -> pending/running job
@@ -141,7 +174,7 @@ class Service:
 
     def _count(self, key: str) -> None:
         """Bump one job-count family (caller holds the lock, so
-        :meth:`metrics` reads the nine counts consistently)."""
+        :meth:`metrics` reads the eight counts consistently)."""
         self.registry.inc(_COUNTER_FAMILIES[key])
 
     # ------------------------------------------------------------------
@@ -162,8 +195,9 @@ class Service:
         return self
 
     def close(self) -> None:
-        """Stop the service: pending jobs are cancelled, running workers
-        are torn down (wait for results first — see :meth:`drain`)."""
+        """Stop the service: every unfinished job ends CANCELLED (its
+        waiters wake with :class:`~repro.svc.jobs.JobCancelled`) and the
+        workers are torn down, so wait on the jobs first."""
         with self._lock:
             for job in self.jobs.values():
                 if not job.state.finished:
@@ -190,12 +224,12 @@ class Service:
         """Admit one request; returns its :class:`Job` immediately.
 
         Order of resolution: coalesce onto an identical in-flight job,
-        else resolve from the result store, else admit to the queue
-        (raising :class:`AdmissionBusy` past the bound). Checking
-        in-flight *before* the store keeps the store's miss counter
-        equal to the number of simulations actually executed.
+        else resolve from the result store, else admit to the queue.
+        Checking in-flight *before* the store keeps the store's miss
+        counter equal to the number of simulations actually executed.
+        Raises what :func:`validate_spec` raises.
         """
-        self._validate(spec)
+        validate_spec(spec)
         digest = spec.digest()
         with self._lock:
             self._count("submitted")
@@ -203,8 +237,6 @@ class Service:
             if primary is not None and not primary.state.finished:
                 primary.followers += 1
                 self._count("coalesced")
-                if self.store is not None:
-                    self.store.note_coalesced()
                 return primary
             if self.store is not None:
                 record = self.store.get(digest)
@@ -220,64 +252,23 @@ class Service:
                     self._count("completed")
                     return job
             job = Job(spec, digest)
-            try:
-                self.queue.submit(job, workers=self.pool.size)
-            except AdmissionBusy:
-                self._count("rejected")
-                raise
+            self.queue.submit(job)
             self._count("admitted")
             job.stamp("admitted")
             self.jobs[job.id] = job
             self._inflight[digest] = job
             return job
 
-    def cancel(self, job: Job) -> bool:
-        """Cancel a pending or running job; True if it was cancelled.
-
-        A running job's worker is terminated and its slot respawned —
-        cancellation is immediate, not cooperative. Coalesced followers
-        share the Job, so cancelling cancels every waiter.
-        """
-        with self._lock:
-            if job.state.finished:
-                return False
-            if job.state is JobState.RUNNING and job.worker is not None:
-                handle = self.pool.find(job.worker)
-                if handle is not None:
-                    self.pool.kill(handle)
-            self._finish(job, JobState.CANCELLED)
-            self._count("cancelled")
-            return True
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait for every submitted job to finish; True if all did."""
-        deadline = (time.monotonic() + timeout) if timeout else None
-        with self._lock:
-            snapshot = list(self.jobs.values())
-        for job in snapshot:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-            if not job.wait(remaining):
-                return False
-        return True
-
     def metrics(self) -> Dict[str, Any]:
-        """Counters + queue depth + store stats + per-worker health."""
+        """Job counters + worker restarts + store stats + watchdog
+        warnings by kind."""
         with self._lock:
-            running = sum(1 for j in self.jobs.values()
-                          if j.state is JobState.RUNNING)
             out: Dict[str, Any] = {
                 key: self.registry.value(family)
                 for key, family in _COUNTER_FAMILIES.items()}
-        out["pending"] = self.queue.pending
-        out["running"] = running
         out["worker_restarts"] = self.pool.restarts
         out["store"] = (self.store.stats.as_dict()
                         if self.store is not None else None)
-        out["workers"] = self.pool.health()
         out["watchdog"] = self.registry.by_label("watchdog_warnings_total",
                                                  "kind")
         return out
@@ -285,37 +276,6 @@ class Service:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _validate(self, spec: JobSpec) -> None:
-        if spec.is_synthetic:
-            if spec.experiment.startswith("sleep:"):
-                try:
-                    float(spec.experiment.split(":", 1)[1])
-                except ValueError:
-                    raise ValueError(f"bad sleep spec {spec.experiment!r}")
-            elif spec.experiment.startswith("ckpt:"):
-                from ..harness.sweep import SWEEP_DSAS
-                from ..sim.checkpoint import check_fork_overrides
-
-                dsa = spec.experiment.split(":", 1)[1]
-                if dsa not in SWEEP_DSAS:
-                    raise ValueError(f"unknown ckpt dsa {dsa!r}; "
-                                     f"have {SWEEP_DSAS}")
-                # reject geometry-changing fork overrides at submit time
-                # (the worker would too, but a clear error beats a
-                # FAILED job with a traceback payload)
-                check_fork_overrides(key for key, _ in spec.fork_overrides)
-                if spec.checkpoint_every > 0 and not spec.checkpoint_dir:
-                    raise ValueError(
-                        "checkpoint_every > 0 needs a checkpoint_dir "
-                        "(where resume files persist across workers)")
-            return
-        from ..harness import EXPERIMENTS
-
-        if spec.experiment not in EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {spec.experiment!r}; have "
-                f"{sorted(EXPERIMENTS)} or sleep:<seconds> / ckpt:<dsa>")
-
     def _loop(self) -> None:
         while not self._stop.is_set():
             for kind, handle, job_id, payload in self.pool.poll(0.05):
@@ -350,10 +310,7 @@ class Service:
         with self._lock:
             job = self.jobs.get(job_id)
             if job is None or job.state is not JobState.RUNNING:
-                return  # cancelled while completing: drop the payload
-            duration = payload.get("duration_s")
-            if duration is not None:
-                self.queue.note_duration(duration)
+                return  # cancelled by close(): drop the payload
             job.ts["sim_exec"] = float(payload.get("duration_s") or 0.0)
             if payload.get("ok"):
                 record = self._record(job, payload)

@@ -25,7 +25,7 @@ import os
 import pathlib
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["canonical_json", "digest_of", "code_version",
            "StoreStats", "ResultStore", "STORE_FORMAT"]
@@ -98,20 +98,18 @@ def _hash_package_sources() -> str:
 
 @dataclass
 class StoreStats:
-    """Hit/miss/inflight-dedup counters (the dedup proof in tests)."""
+    """Lookup and write counters of one store. ``misses`` counts the
+    simulations a service ran; in-flight coalescing never reaches the
+    store and is counted by ``Service.metrics()["coalesced"]``."""
 
     hits: int = 0          # get() found a finished result
     misses: int = 0        # get() found nothing
     stores: int = 0        # put() recorded a fresh result
     invalidated: int = 0   # on-disk entry rejected (format/key mismatch)
-    coalesced: int = 0     # submits that joined an in-flight identical job
-                           # (counted by the service, reported here so one
-                           # snapshot proves end-to-end dedup)
 
     def as_dict(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "invalidated": self.invalidated,
-                "coalesced": self.coalesced}
+                "stores": self.stores, "invalidated": self.invalidated}
 
 
 class ResultStore:
@@ -161,31 +159,6 @@ class ResultStore:
             self.stats.stores += 1
             if self.root is not None:
                 self._disk_store(digest, record)
-
-    def contains(self, digest: str) -> bool:
-        """Presence probe that does not move the hit/miss counters."""
-        with self._lock:
-            if digest in self._memory:
-                return True
-            return (self.root is not None
-                    and (self.root / f"{digest}.json").exists())
-
-    def note_coalesced(self, count: int = 1) -> None:
-        with self._lock:
-            self.stats.coalesced += count
-
-    def __len__(self) -> int:
-        with self._lock:
-            if self.root is None:
-                return len(self._memory)
-            return sum(1 for _ in self.root.glob("*.json"))
-
-    def digests(self) -> Iterator[str]:
-        with self._lock:
-            known = set(self._memory)
-            if self.root is not None:
-                known.update(p.stem for p in self.root.glob("*.json"))
-        return iter(sorted(known))
 
     # ------------------------------------------------------------------
     # disk layer

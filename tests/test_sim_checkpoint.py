@@ -332,16 +332,15 @@ def test_svc_preemption_resumes_from_checkpoint(tmp_path, monkeypatch):
 
 def test_service_validates_ckpt_specs():
     from repro.svc.jobs import JobSpec
-    from repro.svc.service import Service
+    from repro.svc.service import validate_spec
 
-    svc = Service(workers=1, store=None)  # never started: _validate only
     with pytest.raises(ValueError, match="unknown ckpt dsa"):
-        svc._validate(JobSpec(experiment="ckpt:nope"))
+        validate_spec(JobSpec(experiment="ckpt:nope"))
     with pytest.raises(ForkOverrideError):
-        svc._validate(JobSpec(experiment="ckpt:widx",
+        validate_spec(JobSpec(experiment="ckpt:widx",
                               fork_overrides=(("ways", 8),)))
     with pytest.raises(ValueError, match="checkpoint_dir"):
-        svc._validate(JobSpec(experiment="ckpt:widx",
+        validate_spec(JobSpec(experiment="ckpt:widx",
                               checkpoint_every=100))
-    svc._validate(JobSpec(experiment="ckpt:widx",
+    validate_spec(JobSpec(experiment="ckpt:widx",
                           fork_overrides=(("num_exe", 2),)))

@@ -72,6 +72,26 @@ def _no_service(*_args, **_kwargs):
     raise AssertionError("a Service was built for a bad command line")
 
 
+def _no_warmup(*_args, **_kwargs):
+    raise AssertionError("a warmup snapshot was written for a bad "
+                         "command line")
+
+
+def _usage_error_line(argv, capsys) -> str:
+    """Run ``argv``: it must exit 2 with the usage and one error line,
+    which is returned."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: repro.svc {argv[0]} ")
+    errors = [line for line in captured.err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1
+    return errors[0]
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["sweep", "sleep:0", "--workers", "0"],
                  "--workers must be >= 1", id="workers-0"),
@@ -100,13 +120,41 @@ def test_bad_integer_is_a_usage_error(argv, message, tmp_path, monkeypatch,
     for job in (1, 2):
         ledger.record({"kind": "job", "job": job, "state": "done"})
     ledger.close()
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"usage: repro.svc {argv[0]} ")
-    errors = [line for line in captured.err.splitlines()
-              if "error:" in line]
-    assert errors == [f"repro.svc {argv[0]}: error: {message}"]
+    assert (_usage_error_line(argv, capsys)
+            == f"repro.svc {argv[0]}: error: {message}")
     assert not (tmp_path / "warm.ckpt").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["sweep", "nosuch"], "unknown experiment 'nosuch'",
+                 id="unknown-experiment"),
+    pytest.param(["sweep", "sleep:abc"], "bad sleep spec 'sleep:abc'",
+                 id="bad-sleep-seconds"),
+    pytest.param(["sweep", "fig04", "--grid", "nosuch=1"],
+                 "unknown profile field(s) ['nosuch']",
+                 id="unknown-grid-field"),
+    pytest.param(["sweep", "fig04", "--grid", "seed="],
+                 "bad grid entry 'seed='", id="grid-without-values"),
+    pytest.param(["sweep", "ckpt:nosuch"], "unknown ckpt dsa 'nosuch'",
+                 id="unknown-ckpt-dsa"),
+    pytest.param(["sweep", "ckpt:widx", "--grid", "ways=4"],
+                 "'ways' is not fork-safe", id="geometry-fork-override"),
+    pytest.param(["sweep", "ckpt:widx", "--warmup-snapshot", "w.ckpt",
+                  "--checkpoint-every", "300"],
+                 "checkpoint_every > 0 needs a checkpoint_dir",
+                 id="checkpoint-every-without-dir"),
+])
+def test_bad_sweep_input_is_a_usage_error(argv, message, tmp_path,
+                                          monkeypatch, capsys):
+    """Each spec the service would refuse exits 2 with the usage and one
+    error line, before a service or a warmup snapshot is built."""
+    import repro.harness.sweep as harness_sweep
+    import repro.svc.__main__ as cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "Service", _no_service)
+    monkeypatch.setattr(harness_sweep, "write_warm_snapshot", _no_warmup)
+    line = _usage_error_line(argv, capsys)
+    assert line.startswith("repro.svc sweep: error: ")
+    assert message in line
+    assert not (tmp_path / "w.ckpt").exists()

@@ -1,9 +1,8 @@
-"""Job model: digests, state machine, FIFO queue, bounded admission."""
+"""Job model: digests, state machine, FIFO queue with retries first."""
 
 import pytest
 
 from repro.svc.jobs import (
-    AdmissionBusy,
     Job,
     JobCancelled,
     JobFailed,
@@ -95,16 +94,6 @@ def test_fifo_order():
     assert q.pop() is None
 
 
-def test_bounded_admission_raises_with_retry_hint():
-    q = JobQueue(max_pending=2)
-    q.submit(Job(JobSpec(experiment="sleep:0")))
-    q.submit(Job(JobSpec(experiment="sleep:1")))
-    with pytest.raises(AdmissionBusy) as excinfo:
-        q.submit(Job(JobSpec(experiment="sleep:2")), workers=2)
-    assert excinfo.value.retry_after > 0
-    assert excinfo.value.pending == 2
-
-
 def test_pop_skips_cancelled_entries():
     q = JobQueue()
     doomed = Job(JobSpec(experiment="sleep:0"))
@@ -112,9 +101,8 @@ def test_pop_skips_cancelled_entries():
     q.submit(doomed)
     q.submit(kept)
     doomed.state = JobState.CANCELLED
-    assert q.pending == 1
     assert q.pop() is kept
-    assert q.pending == 0
+    assert q.pop() is None
 
 
 def test_requeue_front_goes_ahead_of_every_pending_job():
@@ -127,13 +115,3 @@ def test_requeue_front_goes_ahead_of_every_pending_job():
         q.requeue_front(job)
     # retries first, in the order they were requeued, then fresh work
     assert [q.pop() for _ in range(4)] == retries + fresh
-
-
-def test_retry_after_tracks_observed_durations():
-    q = JobQueue(max_pending=1)
-    for _ in range(20):
-        q.note_duration(10.0)  # long jobs observed
-    q.submit(Job(JobSpec(experiment="sleep:0")))
-    with pytest.raises(AdmissionBusy) as excinfo:
-        q.submit(Job(JobSpec(experiment="sleep:1")), workers=1)
-    assert excinfo.value.retry_after > 5.0

@@ -48,8 +48,7 @@ def test_memory_store_round_trip():
     store.put(digest, {"rendered": "x", "all_ok": True})
     assert store.get(digest)["rendered"] == "x"
     assert store.stats.as_dict() == {
-        "hits": 1, "misses": 1, "stores": 1, "invalidated": 0,
-        "coalesced": 0}
+        "hits": 1, "misses": 1, "stores": 1, "invalidated": 0}
 
 
 def test_put_is_idempotent():
