@@ -22,7 +22,7 @@ runs it):
   folded stacks per experiment (feed to flamegraph.pl) plus a per-DSA
   cycles-breakdown table appended to the report;
 * ``--timeseries ts.csv`` samples hit-rate / occupancy / outstanding
-  DRAM / bandwidth over ``--timeseries-window`` cycle windows;
+  DRAM / bandwidth over 1000-cycle windows;
 * ``--spans s.json`` assembles per-request span trees and writes the
   SLO-gate summary (per experiment: ``s.fig14.json``; feed to
   ``python -m repro.obs.regress --slo``) plus the why-slow blame table
@@ -35,9 +35,7 @@ runs it):
   conflict, with would-have-hit-if shadow counters) and appends the
   why-miss table plus reuse-distance histograms to each report;
 * ``--heatmap h.csv`` writes per-set occupancy/eviction-pressure rows
-  over 1000-cycle windows (implies ``--misses``);
-* ``--reuse-sample N`` computes the Mattson reuse-distance scan on
-  every Nth access (1 = exact; larger = cheaper).
+  over 1000-cycle windows (implies ``--misses``).
 
 fig15 and fig16 reuse the suite fig14 (or whichever of the three runs
 first) simulated in the same run, so they capture no events of their
@@ -117,11 +115,8 @@ def main(argv=None) -> int:
                              "X-Action category): folded stacks per "
                              "experiment plus a breakdown table")
     parser.add_argument("--timeseries", default=None, metavar="PATH.csv",
-                        help="windowed time-series metrics CSV "
+                        help="time-series metrics over 1000-cycle windows "
                              "(per experiment: PATH.<exp_id>.csv)")
-    parser.add_argument("--timeseries-window", type=int, default=1000,
-                        metavar="CYCLES",
-                        help="time-series window width (default: 1000)")
     parser.add_argument("--spans", default=None, metavar="PATH.json",
                         help="assemble request span trees; write the "
                              "SLO-gate summary (per experiment: "
@@ -141,9 +136,6 @@ def main(argv=None) -> int:
                         help="write per-set occupancy/eviction heatmap "
                              "rows (per experiment: PATH.<exp_id>.csv; "
                              "implies --misses)")
-    parser.add_argument("--reuse-sample", type=int, default=8, metavar="N",
-                        help="compute the reuse-distance scan on every "
-                             "Nth access (default: 8; 1 = exact)")
     snap = parser.add_argument_group(
         "snapshot-fork sweeps",
         "warm one model once, then fork the snapshot into a grid of "
@@ -174,12 +166,8 @@ def main(argv=None) -> int:
         return _snapshot_mode(parser, args)
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
-    if args.timeseries_window < 1:
-        parser.error("--timeseries-window must be >= 1")
     if args.explain_top < 0:
         parser.error("--explain-top must be >= 0")
-    if args.reuse_sample < 1:
-        parser.error("--reuse-sample must be >= 1")
 
     targets = args.experiments or sorted(EXPERIMENTS)
     unknown = [t for t in targets if t not in EXPERIMENTS]
@@ -191,13 +179,11 @@ def main(argv=None) -> int:
                           metrics=args.metrics_summary,
                           prof_path=args.prof,
                           timeseries_path=args.timeseries,
-                          timeseries_window=args.timeseries_window,
                           spans_path=args.spans,
                           explain_top=args.explain_top,
                           watchdog=args.watchdog,
                           misses=args.misses,
-                          heatmap_path=args.heatmap,
-                          reuse_sample=args.reuse_sample)
+                          heatmap_path=args.heatmap)
     if not capture.active:
         capture = None
 

@@ -56,7 +56,7 @@ def cycles_breakdown_table(breakdown) -> str:
     """Render the profiler's per-DSA "where do the cycles go" table.
 
     ``breakdown`` is ``{dsa: {kind: cycles}}`` (see
-    ``ProfileProcessor.component_breakdown``). Each row shows the DSA's
+    ``CycleProfile.component_breakdown``). Each row shows the DSA's
     total attributed cycles and the percentage in each X-Action
     category / wait kind; returns "" when there is nothing to show.
     """

@@ -60,7 +60,7 @@ from .processors import (
     summarize_metrics,
 )
 from .export import JsonlExporter, PerfettoExporter, event_to_dict
-from .prof import ProfileProcessor, apportion, write_folded
+from .prof import CycleProfile, apportion, write_folded
 from .spans import (
     EpisodeRef,
     RequestSpan,
@@ -94,7 +94,7 @@ __all__ = [
     "SpanAssembler", "RequestSpan", "WalkSpan", "WalkPhase", "EpisodeRef",
     "CritPathAggregator", "BLAME_BUCKETS", "blame_request", "verify_request",
     # profiler / time-series / watchdog
-    "ProfileProcessor", "apportion", "write_folded",
+    "CycleProfile", "apportion", "write_folded",
     "TimeSeriesProcessor", "write_csv",
     "WatchdogProcessor", "ObsWarning",
     # export

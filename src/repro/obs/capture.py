@@ -11,19 +11,28 @@ un-observed run) and self-registers.
 job carries to its worker process — for ``--parallel`` and ``repro.svc
 sweep`` alike, and the only way a service job is observed;
 :class:`Capture` is the live per-process state (open files, per-system
-processors, merged metrics).
+processors, the capture-wide views).
 Output paths are namespaced per experiment (``t.jsonl`` →
 ``t.fig07.jsonl``) so a multi-experiment or ``--parallel`` run never has
 two writers on one file.
 
 Beyond raw export, a capture can arm the cycle-attribution profiler
 (``prof_path`` → folded stacks + a per-DSA breakdown appended to the
-report), windowed time-series sampling (``timeseries_path`` → CSV with
-one ``run`` column per observed system), per-request span assembly and
-critical-path blame (``spans``/``spans_path``/``explain_top`` → the
-why-slow table in the report, the K slowest requests drilled down, and
-the SLO-gate summary JSON), and the pathology watchdog (``watchdog`` →
-livelock / MSHR-saturation / starvation warnings in the report).
+report), time-series sampling over 1000-cycle windows
+(``timeseries_path`` → CSV with one ``run`` column per observed
+system), per-request span assembly and critical-path blame
+(``spans``/``spans_path``/``explain_top`` → the why-slow table in the
+report, the K slowest requests drilled down, and the SLO-gate summary
+JSON), and the pathology watchdog (``watchdog`` → livelock /
+MSHR-saturation / starvation warnings in the report).
+
+A view whose fold is a plain sum is one object per capture, fed by
+every system: the JSONL stream, the Perfetto exporter, the metrics
+processor and the cycle profile. The profile and the span blame share
+one :class:`~repro.obs.spans.SpanAssembler` per system. The critical
+path aggregator (its top-K keeps the earliest of equal latencies, so
+the order systems merge in picks the drill-downs), the cache lens,
+the watchdog and the time series stay per system.
 """
 
 from __future__ import annotations
@@ -34,13 +43,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import IO, Dict, Iterator, List, Optional
 
-from repro.sim.stats import StatGroup
-
 from .cachelens import CacheLensProcessor, merge_summaries, why_miss_report
 from .critpath import CritPathAggregator
 from .export import JsonlExporter, PerfettoExporter
-from .processors import MetricsProcessor, summarize_metrics
-from .prof import ProfileProcessor, write_folded
+from .processors import MetricsProcessor
+from .prof import CycleProfile, write_folded
 from .spans import SpanAssembler
 from .timeseries import TimeSeriesProcessor, write_csv, write_heatmap_csv
 from .watchdog import WatchdogProcessor
@@ -54,6 +61,24 @@ def _with_exp_id(path: str, exp_id: str) -> str:
     return str(p.with_name(f"{p.stem}.{exp_id}{p.suffix or ''}"))
 
 
+def _scoped(spec: "CaptureSpec", tag: str, **changes) -> "CaptureSpec":
+    """``spec`` with every output path suffixed by ``tag``."""
+
+    def scoped(path: Optional[str]) -> Optional[str]:
+        return _with_exp_id(path, tag) if path else None
+
+    return replace(
+        spec,
+        events_path=scoped(spec.events_path),
+        perfetto_path=scoped(spec.perfetto_path),
+        prof_path=scoped(spec.prof_path),
+        timeseries_path=scoped(spec.timeseries_path),
+        spans_path=scoped(spec.spans_path),
+        heatmap_path=scoped(spec.heatmap_path),
+        **changes,
+    )
+
+
 @dataclass(frozen=True)
 class CaptureSpec:
     """What to capture (picklable; crosses process boundaries)."""
@@ -63,15 +88,12 @@ class CaptureSpec:
     metrics: bool = False
     prof_path: Optional[str] = None
     timeseries_path: Optional[str] = None
-    timeseries_window: int = 1000
     spans: bool = False                   # span assembly, report-only
     spans_path: Optional[str] = None      # SLO summary JSON (implies spans)
     explain_top: int = 0                  # drill down K slowest (implies spans)
     watchdog: bool = False                # pathology warnings in the report
     misses: bool = False                  # miss taxonomy + why-miss table
     heatmap_path: Optional[str] = None    # per-set heatmap CSV (implies misses)
-    reuse_sample: int = 8                 # Mattson scan every Nth access
-                                          # (DEFAULT_REUSE_SAMPLE; 1 = exact)
     job_scoped: bool = False              # service applies for_job() paths
     exp_id: Optional[str] = None          # set by for_experiment()
 
@@ -99,20 +121,7 @@ class CaptureSpec:
         """
         if self.exp_id is not None:
             return self
-
-        def scoped(path: Optional[str]) -> Optional[str]:
-            return _with_exp_id(path, exp_id) if path else None
-
-        return replace(
-            self,
-            events_path=scoped(self.events_path),
-            perfetto_path=scoped(self.perfetto_path),
-            prof_path=scoped(self.prof_path),
-            timeseries_path=scoped(self.timeseries_path),
-            spans_path=scoped(self.spans_path),
-            heatmap_path=scoped(self.heatmap_path),
-            exp_id=exp_id,
-        )
+        return _scoped(self, exp_id, exp_id=exp_id)
 
     def for_job(self, job_id: int) -> "CaptureSpec":
         """Namespace the output paths for one service job.
@@ -128,20 +137,7 @@ class CaptureSpec:
         pool but keeps its documented per-experiment-only paths
         (``p.jsonl`` → ``p.fig04.jsonl``).
         """
-        tag = f"job{job_id}"
-
-        def scoped(path: Optional[str]) -> Optional[str]:
-            return _with_exp_id(path, tag) if path else None
-
-        return replace(
-            self,
-            events_path=scoped(self.events_path),
-            perfetto_path=scoped(self.perfetto_path),
-            prof_path=scoped(self.prof_path),
-            timeseries_path=scoped(self.timeseries_path),
-            spans_path=scoped(self.spans_path),
-            heatmap_path=scoped(self.heatmap_path),
-        )
+        return _scoped(self, f"job{job_id}")
 
     def output_paths(self) -> Dict[str, str]:
         """The non-None output paths by kind (what the run ledger
@@ -165,8 +161,11 @@ class Capture:
         self.systems_observed = 0
         self._events_stream: Optional[IO[str]] = None
         self._perfetto: Optional[PerfettoExporter] = None
-        self._metrics: List[MetricsProcessor] = []
-        self._profiles: List[ProfileProcessor] = []
+        # the capture-wide views, fed by every system (None: not armed)
+        self.metrics: Optional[MetricsProcessor] = (
+            MetricsProcessor() if spec.metrics else None)
+        self.profile: Optional[CycleProfile] = (
+            CycleProfile() if spec.prof_path else None)
         self._timeseries: List[TimeSeriesProcessor] = []
         self._critpaths: List[CritPathAggregator] = []
         self._watchdogs: List[WatchdogProcessor] = []
@@ -192,57 +191,35 @@ class Capture:
         if self._perfetto is not None:
             self._perfetto.new_run()
             bus.attach(self._perfetto)
-        if self.spec.metrics:
-            self._metrics.append(bus.attach(MetricsProcessor()))
-        if self.spec.prof_path:
-            self._profiles.append(bus.attach(ProfileProcessor()))
+        if self.metrics is not None:
+            bus.attach(self.metrics)
         if self.spec.timeseries_path:
-            self._timeseries.append(bus.attach(
-                TimeSeriesProcessor(self.spec.timeseries_window)))
-        if self.spec.wants_spans:
-            agg = CritPathAggregator(top_k=max(self.spec.explain_top, 1),
-                                     verify=True)
-            self._critpaths.append(agg)
-            bus.attach(SpanAssembler(sink=agg.add, max_kept=0))
+            self._timeseries.append(bus.attach(TimeSeriesProcessor()))
+        if self.spec.wants_spans or self.profile is not None:
+            sink = None
+            if self.spec.wants_spans:
+                agg = CritPathAggregator(
+                    top_k=max(self.spec.explain_top, 1), verify=True)
+                self._critpaths.append(agg)
+                sink = agg.add
+            bus.attach(SpanAssembler(
+                sink=sink, max_kept=0,
+                walk_sink=(self.profile.add if self.profile is not None
+                           else None)))
         if self.spec.watchdog:
             self._watchdogs.append(bus.attach(WatchdogProcessor()))
         if self.spec.wants_misses:
-            self._lenses.append(bus.attach(CacheLensProcessor(
-                reuse_sample=self.spec.reuse_sample)))
+            self._lenses.append(bus.attach(CacheLensProcessor()))
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    @property
-    def profiles(self) -> List[ProfileProcessor]:
-        return list(self._profiles)
-
-    @property
-    def timeseries(self) -> List[TimeSeriesProcessor]:
-        return list(self._timeseries)
-
-    def merged_metrics(self) -> StatGroup:
-        merged = StatGroup("obs-merged")
-        for proc in self._metrics:
-            merged.merge(proc.stats)
-        return merged
-
-    def merged_profile(self) -> ProfileProcessor:
-        merged = ProfileProcessor()
-        for proc in self._profiles:
-            merged.merge(proc)
-        return merged
-
     def merged_critpath(self) -> CritPathAggregator:
         merged = CritPathAggregator(top_k=max(self.spec.explain_top, 1),
                                     verify=True)
         for agg in self._critpaths:
             merged.merge(agg)
         return merged
-
-    @property
-    def lenses(self) -> List[CacheLensProcessor]:
-        return list(self._lenses)
 
     def merged_cachelens(self) -> Dict[str, Dict[str, object]]:
         """Per-cache why-miss summary folded across observed systems
@@ -267,12 +244,11 @@ class Capture:
             self._events_stream.close()
             self._events_stream = None
         pieces: List[str] = []
-        if self.spec.metrics:
-            pieces.append(summarize_metrics(self.merged_metrics()))
-        if self.spec.prof_path:
-            merged = self.merged_profile()
-            write_folded(self.spec.prof_path, merged)
-            pieces.append(merged.summary())
+        if self.metrics is not None:
+            pieces.append(self.metrics.summary())
+        if self.profile is not None:
+            write_folded(self.spec.prof_path, self.profile)
+            pieces.append(self.profile.summary())
         if self.spec.timeseries_path:
             write_csv(self.spec.timeseries_path,
                       [(i, proc) for i, proc in enumerate(self._timeseries)])

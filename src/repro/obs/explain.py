@@ -129,15 +129,14 @@ def replay_events(source, top: int = 5, verify: bool = True
     return agg, assemblers
 
 
-def replay_misses(source, reuse_sample: int = 8) -> Dict[str, dict]:
+def replay_misses(source) -> Dict[str, dict]:
     """Rebuild cache-lens state from a JSONL trace (path or iterable).
 
     Returns the merged why-miss summary with cache names run-namespaced
     exactly like :func:`replay_events` spans, so the two halves of the
-    report line up. ``reuse_sample`` must match the rate
-    the trace was captured with for the reuse histogram to reproduce
-    the live one (sampling is deterministic, so at the same rate it
-    does, bit for bit).
+    report line up. Captures and replays both sample reuse distances
+    at the lens's default rate, and sampling is deterministic, so the
+    replayed reuse histogram reproduces the live one bit for bit.
     """
     from .cachelens import CacheLensProcessor, merge_summaries
 
@@ -145,8 +144,7 @@ def replay_misses(source, reuse_sample: int = 8) -> Dict[str, dict]:
     for run, event in _read_events(source):
         lens = lenses.get(run)
         if lens is None:
-            lens = lenses[run] = CacheLensProcessor(
-                reuse_sample=reuse_sample)
+            lens = lenses[run] = CacheLensProcessor()
         lens.handle(event)
     summaries = []
     for run, lens in lenses.items():
@@ -289,16 +287,14 @@ def _ledger_events_path(entry: dict) -> Optional[str]:
     return capture.get("events")
 
 
-def _run_live(exp_id: str, profile: str, top: int, misses: bool = False,
-              reuse_sample: int = 8):
+def _run_live(exp_id: str, profile: str, top: int, misses: bool = False):
     """Run one experiment under a span (and optionally lens) capture."""
     from repro.harness import run_experiment
     from repro.harness.suite import clear_cache
     from .capture import CaptureSpec, capture_scope
 
     clear_cache()   # a warm memoized suite would publish no events
-    spec = CaptureSpec(spans=True, explain_top=max(top, 1),
-                       misses=misses, reuse_sample=reuse_sample)
+    spec = CaptureSpec(spans=True, explain_top=max(top, 1), misses=misses)
     with capture_scope(spec) as cap:
         report = run_experiment(exp_id, profile)
     assert cap is not None
@@ -334,10 +330,6 @@ def main(argv=None) -> int:
                         help="append the why-miss analysis (miss "
                              "taxonomy, would-hit-if shadows, reuse "
                              "distances)")
-    parser.add_argument("--reuse-sample", type=int, default=8,
-                        metavar="N",
-                        help="reuse-distance scan stride for --misses "
-                             "(default: 8; 1 = exact)")
     parser.add_argument("--json", default=None, metavar="PATH.json",
                         help="also write the SLO-gate summary JSON")
     parser.add_argument("--suite", default=None,
@@ -346,8 +338,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.top < 0:
         parser.error("--top must be >= 0")
-    if args.reuse_sample < 1:
-        parser.error("--reuse-sample must be >= 1")
     if (args.ledger is None) != (args.job is None):
         parser.error("--ledger and --job go together")
     modes = sum(x is not None for x in (args.events, args.run, args.ledger))
@@ -379,8 +369,7 @@ def main(argv=None) -> int:
     elif args.run is not None:
         events_path = None
         agg, _report, lens_summary = _run_live(
-            args.run, args.profile, args.top, misses=args.misses,
-            reuse_sample=args.reuse_sample)
+            args.run, args.profile, args.top, misses=args.misses)
         suite = args.suite or args.run
     else:
         events_path = args.events
@@ -388,8 +377,7 @@ def main(argv=None) -> int:
     if events_path is not None:
         try:
             agg, _assemblers = replay_events(events_path, top=args.top)
-            lens_summary = (replay_misses(events_path,
-                                          reuse_sample=args.reuse_sample)
+            lens_summary = (replay_misses(events_path)
                             if args.misses else None)
         except OSError as exc:
             print(f"cannot read events {events_path}: {exc.strerror}",

@@ -8,8 +8,8 @@
 * :class:`MetricsProcessor` — folds the event stream into the existing
   :class:`~repro.sim.stats.StatGroup` containers (counters plus
   load-to-use / miss-latency / DRAM-latency histograms with
-  p50/p95/p99), mergeable across runs and workers via
-  ``StatGroup.merge``.
+  p50/p95/p99); its books are plain sums, so one processor can take
+  the events of many systems.
 * :class:`NullProcessor` — a no-op sink for overhead benchmarking.
 """
 
@@ -85,10 +85,10 @@ class MetricsProcessor(TypedEventProcessor):
     """Folds the event stream into counters and latency histograms.
 
     The containers are the same :class:`~repro.sim.stats.StatGroup`
-    machinery every component already uses, so per-run groups merge
-    losslessly (``StatGroup.merge`` accumulates histogram buckets) —
-    that is how ``--metrics-summary`` aggregates an experiment that
-    builds many systems, and how parallel workers fold their runs.
+    machinery every component already uses. Every count and histogram
+    bucket is a plain sum, so one processor attached to many buses
+    reports their total — that is how ``--metrics-summary`` covers an
+    experiment that builds many systems.
     """
 
     def __init__(self, group: Optional[StatGroup] = None) -> None:

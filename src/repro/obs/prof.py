@@ -2,27 +2,31 @@
 
 Answers the paper's central question — *where do the cycles go?* — by
 attributing every simulated cycle of every walker context to a
-``(DSA, routine state, X-Action category)`` triple, reconstructed
-purely from the event stream:
+``(DSA, routine, X-Action category | wait kind)`` triple.
 
-* ``Miss`` / ``WalkerDispatch`` open a context and start an *exec*
-  phase for the dispatched routine.
-* ``WalkerYield`` closes the exec phase.  Its duration is apportioned
+The profile is a fold over the walks a
+:class:`~repro.obs.spans.SpanAssembler` retires (its ``walk_sink``):
+the assembler runs the one walker-phase machine, and
+:meth:`CycleProfile.add` books each phase of a retired walk under the
+routine in effect:
+
+* an *exec* phase (routine in the back-end pipeline) is apportioned
   across the five X-Action categories (:data:`ACTION_CATEGORIES`)
-  proportionally to the per-category #Exe costs the controller
-  publishes on the event, using integer largest-remainder rounding so
-  the shares sum *exactly* to the phase length.  A routine that
-  reported no costs books the whole phase as ``busy``.  The walker
-  then enters a *wait* phase, classified ``dram_wait`` when the yield
-  left DRAM fills outstanding and ``event_wait`` otherwise.
-* ``WalkerWake`` closes the wait phase; any gap until the next
-  dispatch books as ``sched_wait``.
-* ``WalkerRetire`` closes the final phase and seals the context.
+  proportionally to the per-category #Exe costs of the ``WalkerYield``
+  or ``WalkerRetire`` that closed it, using integer largest-remainder
+  rounding so the shares sum *exactly* to the phase length.  A routine
+  that reported no costs books the whole phase as ``busy``;
+* a *wait* phase books ``dram_wait`` when the yield left DRAM fills
+  outstanding and ``event_wait`` otherwise;
+* a woken-but-not-redispatched interval books ``busy`` (thread walkers
+  compute there);
+* the time before the first dispatch books ``sched_wait`` under the
+  routine name ``admit``.
 
 Phases tile the half-open interval ``[admission, retire)`` with no
 gaps and no overlaps, which yields the **conservation invariant**: per
 context, attributed cycles sum exactly to the retire event's
-``lifetime``.  :attr:`ProfileProcessor.conservation_ok` checks it for
+``lifetime``.  :attr:`CycleProfile.conservation_ok` checks it for
 every retired context — a mismatch means the event stream itself is
 inconsistent (lost or re-ordered events), so tests assert it.
 
@@ -34,21 +38,13 @@ Output is a folded-stacks mapping ``component;routine;kind -> cycles``
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, List, Sequence, TextIO, Tuple, Union
 
-from .events import (
-    ACTION_CATEGORIES,
-    Miss,
-    Tag,
-    WalkerDispatch,
-    WalkerRetire,
-    WalkerWake,
-    WalkerYield,
-)
-from .processors import TypedEventProcessor
+from .events import ACTION_CATEGORIES, Tag
+from .spans import WalkSpan
 
 __all__ = [
-    "ProfileProcessor",
+    "CycleProfile",
     "apportion",
     "write_folded",
     "WAIT_KINDS",
@@ -61,11 +57,6 @@ WAIT_KINDS: Tuple[str, ...] = (
 
 #: Column order for breakdown tables: action categories, then waits.
 ALL_KINDS: Tuple[str, ...] = ACTION_CATEGORIES + WAIT_KINDS
-
-_ADMIT = "admit"          # between Miss and the first dispatch
-_EXEC = "exec"            # routine in the back-end pipeline
-_WAIT = "wait"            # dormant, waiting on fills / internal events
-_READY = "ready"          # woken (or computing, for thread walkers)
 
 
 def apportion(duration: int, costs: Sequence[int]) -> List[int]:
@@ -89,36 +80,19 @@ def apportion(duration: int, costs: Sequence[int]) -> List[int]:
     return shares
 
 
-class _Context:
-    """In-flight attribution state for one (component, tag) walk."""
+class CycleProfile:
+    """Attributes walker-context cycles to (DSA, routine, category).
 
-    __slots__ = ("admitted", "mark", "phase", "routine",
-                 "wait_kind", "attributed")
+    Feed it retired walks as a span assembler's ``walk_sink``::
 
-    def __init__(self, cycle: int) -> None:
-        self.admitted = cycle
-        self.mark = cycle              # start of the current phase
-        self.phase = _ADMIT
-        self.routine = ""              # last dispatched routine
-        self.wait_kind = "event_wait"
-        # (routine, kind) -> cycles
-        self.attributed: Dict[Tuple[str, str], int] = {}
+        prof = CycleProfile()
+        bus.attach(SpanAssembler(walk_sink=prof.add, max_kept=0))
 
-    def book(self, routine: str, kind: str, cycles: int) -> None:
-        if cycles:
-            key = (routine, kind)
-            self.attributed[key] = self.attributed.get(key, 0) + cycles
-
-    def total(self) -> int:
-        return sum(self.attributed.values())
-
-
-class ProfileProcessor(TypedEventProcessor):
-    """Attributes walker-context cycles to (DSA, routine, category)."""
+    Its books are plain sums, so one profile can take the walks of
+    every system an experiment builds.
+    """
 
     def __init__(self) -> None:
-        super().__init__()
-        self._open: Dict[Tuple[str, Tag], _Context] = {}
         # (component, routine, kind) -> cycles, over retired contexts
         self.stacks: Dict[Tuple[str, str, str], int] = {}
         self.contexts_retired = 0
@@ -126,93 +100,42 @@ class ProfileProcessor(TypedEventProcessor):
         # (component, tag, attributed, lifetime) for broken contexts
         self.mismatches: List[Tuple[str, Tag, int, int]] = []
 
-    # -- event handlers ------------------------------------------------
-    def on_miss(self, ev: Miss) -> None:
-        self._open[(ev.component, ev.tag)] = _Context(ev.cycle)
-
-    def on_walker_dispatch(self, ev: WalkerDispatch) -> None:
-        ctx = self._open.get((ev.component, ev.tag))
-        if ctx is None:
-            # thread-style walkers are admitted at first dispatch
-            ctx = self._open[(ev.component, ev.tag)] = _Context(ev.cycle)
-        else:
-            self._close_phase(ctx, ev.cycle)
-        ctx.phase = _EXEC
-        ctx.routine = ev.routine
-        ctx.mark = ev.cycle
-
-    def on_walker_yield(self, ev: WalkerYield) -> None:
-        ctx = self._open.get((ev.component, ev.tag))
-        if ctx is None:
-            return
-        self._close_phase(ctx, ev.cycle, ev.action_costs)
-        ctx.phase = _WAIT
-        ctx.wait_kind = "dram_wait" if ev.fills else "event_wait"
-        ctx.mark = ev.cycle
-
-    def on_walker_wake(self, ev: WalkerWake) -> None:
-        ctx = self._open.get((ev.component, ev.tag))
-        if ctx is None:
-            return
-        self._close_phase(ctx, ev.cycle)
-        ctx.phase = _READY
-        ctx.mark = ev.cycle
-
-    def on_walker_retire(self, ev: WalkerRetire) -> None:
-        key = (ev.component, ev.tag)
-        ctx = self._open.pop(key, None)
-        if ctx is None:
-            return
-        self._close_phase(ctx, ev.cycle, ev.action_costs)
-        attributed = ctx.total()
+    def add(self, walk: WalkSpan, lifetime: int) -> None:
+        """Book one retired walk's phases; ``lifetime`` is what its
+        ``WalkerRetire`` claimed."""
+        stacks = self.stacks
+        comp = walk.component
+        attributed = 0
+        for ph in walk.phases:
+            cycles = ph.end - ph.start
+            attributed += cycles
+            routine, kind = ph.routine, ph.kind
+            if kind == "exec":
+                shares = apportion(cycles, ph.costs)
+                if shares:
+                    for cat, share in zip(ACTION_CATEGORIES, shares):
+                        if share:
+                            key = (comp, routine, cat)
+                            stacks[key] = stacks.get(key, 0) + share
+                    continue
+                kind = "busy"
+            elif kind == "sched_wait":
+                if ph.woken:
+                    kind = "busy"
+                else:
+                    routine = routine or "admit"
+            key = (comp, routine, kind)
+            stacks[key] = stacks.get(key, 0) + cycles
         self.contexts_retired += 1
         self.cycles_attributed += attributed
-        if attributed != ev.lifetime:
-            self.mismatches.append(
-                (ev.component, ev.tag, attributed, ev.lifetime))
-        stacks = self.stacks
-        for (routine, kind), cycles in ctx.attributed.items():
-            skey = (ev.component, routine, kind)
-            stacks[skey] = stacks.get(skey, 0) + cycles
-
-    # -- phase accounting ----------------------------------------------
-    def _close_phase(self, ctx: _Context, cycle: int,
-                     costs: Sequence[int] = ()) -> None:
-        duration = cycle - ctx.mark
-        if duration <= 0:
-            return
-        phase = ctx.phase
-        if phase == _EXEC:
-            shares = apportion(duration, costs)
-            if shares:
-                for i, share in enumerate(shares):
-                    ctx.book(ctx.routine, ACTION_CATEGORIES[i], share)
-            else:
-                ctx.book(ctx.routine, "busy", duration)
-        elif phase == _WAIT:
-            ctx.book(ctx.routine, ctx.wait_kind, duration)
-        elif phase == _READY:
-            # woken but not re-dispatched: thread walkers compute here
-            ctx.book(ctx.routine, "busy", duration)
-        else:  # _ADMIT: miss accepted, dispatch still pending
-            ctx.book(ctx.routine or "admit", "sched_wait", duration)
+        if attributed != lifetime:
+            self.mismatches.append((comp, walk.tag, attributed, lifetime))
 
     # -- invariants & reporting ----------------------------------------
     @property
     def conservation_ok(self) -> bool:
         """True iff every retired context's cycles summed exactly."""
         return not self.mismatches
-
-    @property
-    def contexts_open(self) -> int:
-        return len(self._open)
-
-    def merge(self, other: "ProfileProcessor") -> None:
-        for key, cycles in other.stacks.items():
-            self.stacks[key] = self.stacks.get(key, 0) + cycles
-        self.contexts_retired += other.contexts_retired
-        self.cycles_attributed += other.cycles_attributed
-        self.mismatches.extend(other.mismatches)
 
     def folded_lines(self) -> List[str]:
         """``component;routine;kind cycles`` lines, sorted for diffing."""
@@ -245,8 +168,7 @@ class ProfileProcessor(TypedEventProcessor):
         return "\n".join(lines)
 
 
-def write_folded(target: Union[str, TextIO],
-                 prof: ProfileProcessor) -> int:
+def write_folded(target: Union[str, TextIO], prof: CycleProfile) -> int:
     """Write folded stacks (flamegraph.pl input) to a path or stream.
 
     Returns the number of stack lines written.  ``flamegraph.pl

@@ -11,15 +11,20 @@ request-path events, ``walk_id`` on walker/DRAM events):
   origin request admits the walker, merged requests join it mid-flight.
   N merged requests share *one* :class:`WalkSpan` subtree.
 * ``WalkerDispatch`` / ``WalkerYield`` / ``WalkerWake`` build the
-  walk's phase timeline (the same state machine as
-  :class:`~repro.obs.prof.ProfileProcessor`, but keeping the intervals
-  instead of folding them): phases tile ``[admitted, retired)`` with no
-  gaps or overlaps.
+  walk's phase timeline: phases tile ``[admitted, retired)`` with no
+  gaps or overlaps.  This is the one walker-phase machine in
+  ``repro.obs``: the critical-path blame (:mod:`repro.obs.critpath`)
+  and the cycle profile (:mod:`repro.obs.prof`) are two folds of it.
+  Each phase records the routine in effect (the last one dispatched)
+  and, for an exec phase, the X-Action costs of the yield or retire
+  that closed it.
 * ``DRAMIssue`` / ``Fill`` hang DRAM child spans off the owning walk.
-* ``WalkerRetire`` seals the walk and closes every request in its
-  ``served`` list.  Requests riding the walk but *not* served (stores
-  replayed through MetaIO) stay open — their journey continues into a
-  later walk or hit under the same ``req_id``.
+* ``WalkerRetire`` seals the walk, hands it with the event's
+  ``lifetime`` to the optional ``walk_sink`` (the cycle profile), and
+  closes every request in its ``served`` list.  Requests riding the
+  walk but *not* served (stores replayed through MetaIO) stay open —
+  their journey continues into a later walk or hit under the same
+  ``req_id``.
 
 Memory is bounded: completed spans stream to an optional ``sink``
 callback (the critical-path aggregator), and at most ``max_kept`` are
@@ -33,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .events import Hit, Merge, QueueStall, RequestArrive
 from .processors import TypedEventProcessor
 
 __all__ = [
@@ -52,11 +58,11 @@ PHASE_KINDS: Tuple[str, ...] = (
     "sched_wait", "exec", "dram_wait", "event_wait",
 )
 
-# internal phase-machine states (mirrors repro.obs.prof)
-_ADMIT = "admit"
-_EXEC = "exec"
-_WAIT = "wait"
-_READY = "ready"
+# internal phase-machine states
+_ADMIT = "admit"          # between Miss and the first dispatch
+_EXEC = "exec"            # routine in the back-end pipeline
+_WAIT = "wait"            # dormant, waiting on fills / internal events
+_READY = "ready"          # woken, not yet re-dispatched
 
 
 @dataclass
@@ -77,6 +83,9 @@ class WalkPhase:
     start: int
     end: int
     kind: str            # one of PHASE_KINDS
+    routine: str = ""    # last dispatched routine ("" before the first)
+    costs: Tuple[int, ...] = ()   # exec: the closing event's action_costs
+    woken: bool = False  # sched_wait: woken, not re-dispatched (vs admitted)
 
     @property
     def cycles(self) -> int:
@@ -103,6 +112,7 @@ class WalkSpan:
     _phase: str = _ADMIT
     _mark: int = 0
     _wait_dram: bool = False
+    _routine: str = ""
 
     @property
     def lifetime(self) -> int:
@@ -116,24 +126,25 @@ class WalkSpan:
         return out
 
     # -- phase machine -------------------------------------------------
-    def _close_phase(self, cycle: int, kind: str) -> None:
-        if cycle > self._mark:
-            self.phases.append(WalkPhase(self._mark, cycle, kind))
-        self._mark = cycle
-
     def _transition(self, cycle: int, to_state: str,
-                    dram_wait: bool = False) -> None:
+                    costs: Tuple[int, ...] = ()) -> None:
+        """Close the current phase at ``cycle`` and enter ``to_state``;
+        ``costs`` are the closing yield's or retire's action costs."""
         state = self._phase
-        if state == _EXEC:
-            self._close_phase(cycle, "exec")
-        elif state == _WAIT:
-            self._close_phase(cycle,
-                              "dram_wait" if self._wait_dram else "event_wait")
-        else:   # _ADMIT or _READY: waiting on the front-end scheduler
-            self._close_phase(cycle, "sched_wait")
+        if cycle > self._mark:
+            if state == _EXEC:
+                phase = WalkPhase(self._mark, cycle, "exec",
+                                  self._routine, costs)
+            elif state == _WAIT:
+                phase = WalkPhase(self._mark, cycle,
+                                  "dram_wait" if self._wait_dram
+                                  else "event_wait", self._routine)
+            else:   # _ADMIT or _READY: waiting on the front-end scheduler
+                phase = WalkPhase(self._mark, cycle, "sched_wait",
+                                  self._routine, woken=state == _READY)
+            self.phases.append(phase)
+        self._mark = cycle
         self._phase = to_state
-        if to_state == _WAIT:
-            self._wait_dram = dram_wait
 
 
 @dataclass
@@ -182,16 +193,35 @@ class SpanAssembler(TypedEventProcessor):
     ``namespace`` prefixes component names (the trace-replay CLI uses
     ``run{n}/`` to keep multi-system JSONL files separable, matching
     the Perfetto exporter's convention).
+
+    ``walk_sink`` (if given) receives every retired :class:`WalkSpan`
+    with its retire event's ``lifetime``, once, at retire time — the
+    cycle profile attaches here::
+
+        prof = CycleProfile()
+        bus.attach(SpanAssembler(walk_sink=prof.add, max_kept=0))
+
+    With no ``sink`` and ``max_kept=0`` nothing can read a request span,
+    so the assembler does not subscribe to the request-path events
+    (``RequestArrive``, ``QueueStall``, ``Hit``, ``Merge``) and
+    assembles walks only.
     """
 
     def __init__(self,
                  sink: Optional[Callable[[RequestSpan], None]] = None,
                  max_kept: int = 1000,
-                 namespace: str = "") -> None:
+                 namespace: str = "",
+                 walk_sink: Optional[Callable[[WalkSpan, int], None]] = None
+                 ) -> None:
         super().__init__()
         if max_kept < 0:
             raise ValueError("max_kept must be >= 0")
+        if sink is None and not max_kept:
+            # no request span can be read: assemble walks only
+            for cls in (RequestArrive, QueueStall, Hit, Merge):
+                del self._dispatch[cls]
         self.sink = sink
+        self.walk_sink = walk_sink
         self.max_kept = max_kept
         self.namespace = namespace
         self._requests: Dict[int, RequestSpan] = {}
@@ -277,11 +307,13 @@ class SpanAssembler(TypedEventProcessor):
             return
         walk.routines += 1
         walk._transition(ev.cycle, _EXEC)
+        walk._routine = ev.routine
 
     def on_walker_yield(self, ev) -> None:
         walk = self._walks.get(ev.walk_id)
         if walk is not None:
-            walk._transition(ev.cycle, _WAIT, dram_wait=bool(ev.fills))
+            walk._transition(ev.cycle, _WAIT, ev.action_costs)
+            walk._wait_dram = bool(ev.fills)
 
     def on_walker_wake(self, ev) -> None:
         walk = self._walks.get(ev.walk_id)
@@ -292,11 +324,13 @@ class SpanAssembler(TypedEventProcessor):
         walk = self._walks.pop(ev.walk_id, None)
         if walk is None:
             return
-        walk._transition(ev.cycle, _ADMIT)   # close the final phase
+        walk._transition(ev.cycle, _ADMIT, ev.action_costs)  # final phase
         walk.retired = ev.cycle
         walk.found = ev.found
         walk.served = ev.served
         self.walks_closed += 1
+        if self.walk_sink is not None:
+            self.walk_sink(walk, ev.lifetime)
         served = set(ev.served)
         for rid in walk.riders:
             span = self._requests.get(rid)

@@ -4,10 +4,10 @@ A *snapshot* serializes the complete simulator state of a DSA model —
 the kernel's bucketed event queue (persistent tick callbacks and pooled
 completion events included, by identity), walker contexts and X-register
 files, meta-tag and address-cache arrays with their LRU/occupancy state,
-MSHRs, the DRAM bank struct-of-arrays, every stat counter, the RNG
-stream and routine resume cursors — to a versioned, digest-stamped
-file. Restoring and running to completion is **byte-identical** to a
-straight run: golden-trace digests and all stats match, for every DSA.
+MSHRs, the DRAM bank struct-of-arrays, every stat counter and routine
+resume cursors — to a versioned, digest-stamped file. Restoring and
+running to completion is **byte-identical** to a straight run:
+golden-trace digests and all stats match, for every DSA.
 
 Everything is state and is pickled verbatim: queues, walkers, tags,
 stats, cursors, messages, scheduled events. Event callbacks are bound
@@ -46,7 +46,6 @@ import hashlib
 import json
 import os
 import pickle
-import random
 import struct as _struct
 from typing import Any, Dict, Iterable, Optional, Tuple
 
@@ -175,7 +174,6 @@ def save_model(path: str, model: Any) -> Dict[str, Any]:
         # uid continuity: new messages after restore must not collide
         # with uids keyed in pickled in-flight maps
         "msg_ids": messages._ids,
-        "rng": random.getstate(),
     }
     try:
         payload = pickle.dumps(payload_obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -266,9 +264,9 @@ def load_model(path: str, overrides: Optional[Dict[str, Any]] = None,
     :func:`geometry_digest` value) guards against restoring a stale or
     foreign snapshot into a job that assumes different geometry.
 
-    Restoring rebinds the module-level message-uid stream and RNG state
-    to the snapshot's, so only one restored system should be simulated
-    at a time per process (the same rule ordinary experiments follow).
+    Restoring rebinds the module-level message-uid stream to the
+    snapshot's, so only one restored system should be simulated at a
+    time per process (the same rule ordinary experiments follow).
     """
     from ..core import messages
 
@@ -287,7 +285,6 @@ def load_model(path: str, overrides: Optional[Dict[str, Any]] = None,
             from exc
     model = payload_obj["model"]
     messages._ids = payload_obj["msg_ids"]
-    random.setstate(payload_obj["rng"])
     if overrides:
         apply_fork_overrides(model, overrides)
     return model, header

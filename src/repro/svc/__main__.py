@@ -17,7 +17,9 @@ replays as a table::
     $ python -m repro.svc history --ledger runs.jsonl
 
 Exit status: 0 when every swept point passed its checks (``history``:
-the ledger was read); 1 when a swept point failed its checks; 2 for a
+the ledger was read); 1 when a swept point failed its checks or failed
+to run (one ``FAILED`` line per such point; the sweep still waits for
+the others and prints its summary line); 2 for a
 usage error, such as an unknown experiment or grid field, a spec the
 service would refuse, or a ledger that cannot be read. A bad
 ``sweep`` command line fails before any warmup snapshot is written or
@@ -33,7 +35,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from .jobs import JobSpec
+from .jobs import JobFailed, JobSpec
 from .service import Service, sweep_specs, validate_spec
 
 PROFILES = ("ci", "quick", "full")
@@ -131,7 +133,15 @@ def _cmd_sweep(args, specs: List[JobSpec]) -> int:
         jobs = [svc.submit(spec) for spec in specs]
         ok = True
         for job in jobs:
-            payload = job.result()
+            try:
+                payload = job.result()
+            except JobFailed as exc:
+                # one line per failed point; the sweep waits for the rest
+                reason = str(exc).strip().splitlines()[-1]
+                print(f"[{job.digest[:12]}] {job.spec.experiment} "
+                      f"FAILED: {reason}")
+                ok = False
+                continue
             first_line = payload["rendered"].splitlines()[0]
             origin = "store" if job.from_store else "ran"
             if job.followers:

@@ -30,6 +30,7 @@ simulation.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -102,9 +103,12 @@ def validate_spec(spec: JobSpec) -> None:
     if spec.is_synthetic:
         if spec.experiment.startswith("sleep:"):
             try:
-                float(spec.experiment.split(":", 1)[1])
+                seconds = float(spec.experiment.split(":", 1)[1])
             except ValueError:
-                raise ValueError(f"bad sleep spec {spec.experiment!r}")
+                seconds = math.nan
+            if not (math.isfinite(seconds) and seconds >= 0):
+                raise ValueError(f"bad sleep spec {spec.experiment!r} "
+                                 "(want finite seconds >= 0)")
         elif spec.experiment.startswith("ckpt:"):
             from ..harness.sweep import SWEEP_DSAS
             from ..sim.checkpoint import check_fork_overrides

@@ -3,8 +3,6 @@
 import hashlib
 import json
 
-import pytest
-
 from repro.harness.__main__ import main
 from repro.obs.capture import CaptureSpec, capture_scope, current_capture
 
@@ -132,25 +130,17 @@ def test_prof_flag_writes_folded_and_table(capsys, tmp_path):
 def test_timeseries_flag_writes_csv(capsys, tmp_path):
     csv = tmp_path / "ts.csv"
     code, out = _run_cli(capsys, "fig07", "--profile", "ci",
-                         "--timeseries", str(csv),
-                         "--timeseries-window", "250")
+                         "--timeseries", str(csv))
     assert code == 0
     lines = (tmp_path / "ts.fig07.csv").read_text().splitlines()
     assert lines[0].startswith("run,window_start,window_end,")
     assert len(lines) > 1
-    # window width honored
+    # the capture samples 1000-cycle windows
     first = lines[1].split(",")
     header = lines[0].split(",")
     start = int(first[header.index("window_start")])
     end = int(first[header.index("window_end")])
-    assert end - start == 250
-
-
-def test_timeseries_window_validation(capsys):
-    with pytest.raises(SystemExit):
-        main(["fig07", "--profile", "ci", "--timeseries", "x.csv",
-              "--timeseries-window", "0"])
-    capsys.readouterr()
+    assert end - start == 1000
 
 
 def test_prof_and_timeseries_compose_with_parallel(capsys, tmp_path):

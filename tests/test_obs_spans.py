@@ -210,6 +210,24 @@ def test_max_kept_zero_is_stream_only():
     assert asm.completed == [] and asm.dropped == 0
 
 
+def test_walk_only_assembler_skips_request_events():
+    """No request sink and no retention: only walks are assembled, with
+    the same phases a full assembler records."""
+    full = SpanAssembler(max_kept=10)
+    retired = []
+    walk_only = SpanAssembler(
+        max_kept=0, walk_sink=lambda walk, lifetime: retired.append(walk))
+    subscribed = set(walk_only.subscriptions())
+    assert not subscribed & {RequestArrive, QueueStall, Hit, Merge}
+    assert {Miss, WalkerDispatch, WalkerRetire} <= subscribed
+    for ev in _merged_walk_stream():
+        full.handle(ev)
+        walk_only.handle(ev)
+    assert walk_only.requests_completed == 0
+    [walk] = retired
+    assert walk.phases == full.completed[0].episodes[0].walk.phases
+
+
 def test_uncorrelated_events_are_ignored():
     asm = SpanAssembler()
     asm.handle(RequestArrive(cycle=0, component="c", tag=(1,),

@@ -11,7 +11,11 @@ never restore into a silently wrong simulation.
 
 import dataclasses
 import json
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +37,8 @@ from repro.sim.checkpoint import (
     SnapshotVersionError,
     TornSnapshotError,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # a fixed, derandomized profile: the same warm cycles on every run
 RESTORE_PROFILE = settings(max_examples=2, derandomize=True,
@@ -105,6 +111,25 @@ def test_snapshot_roundtrip_is_repeatable(tmp_path):
     first = ck.finish_model(ck.load_model(str(path))[0])
     second = ck.finish_model(ck.load_model(str(path))[0])
     assert first == second
+
+
+def test_same_warmup_in_fresh_processes_digests_equally(tmp_path):
+    """A snapshot's identity depends on the simulation only: the same
+    warmup written by two fresh interpreters has one payload digest, so
+    a rewritten warmup still hits results stored under the old one."""
+    code = ("import sys\n"
+            "from repro.harness.sweep import write_warm_snapshot\n"
+            "header = write_warm_snapshot(sys.argv[1], 'widx', 'ci')\n"
+            "print(header['payload_sha256'])\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    digests = []
+    for name in ("a.ckpt", "b.ckpt"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / name)], env=env,
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # ----------------------------------------------------------------------

@@ -130,6 +130,12 @@ def test_bad_integer_is_a_usage_error(argv, message, tmp_path, monkeypatch,
                  id="unknown-experiment"),
     pytest.param(["sweep", "sleep:abc"], "bad sleep spec 'sleep:abc'",
                  id="bad-sleep-seconds"),
+    pytest.param(["sweep", "sleep:-1"], "bad sleep spec 'sleep:-1'",
+                 id="negative-sleep"),
+    pytest.param(["sweep", "sleep:nan"], "bad sleep spec 'sleep:nan'",
+                 id="nan-sleep"),
+    pytest.param(["sweep", "sleep:inf"], "bad sleep spec 'sleep:inf'",
+                 id="infinite-sleep"),
     pytest.param(["sweep", "fig04", "--grid", "nosuch=1"],
                  "unknown profile field(s) ['nosuch']",
                  id="unknown-grid-field"),
@@ -158,3 +164,21 @@ def test_bad_sweep_input_is_a_usage_error(argv, message, tmp_path,
     assert line.startswith("repro.svc sweep: error: ")
     assert message in line
     assert not (tmp_path / "w.ckpt").exists()
+
+
+def test_failed_point_is_reported_and_the_sweep_finishes(tmp_path,
+                                                        monkeypatch, capsys):
+    """A point whose every attempt dies is one FAILED line: the sweep
+    still prints its summary line and exits 1, with no traceback."""
+    from repro.svc.pool import CRASH_ONCE_ENV
+
+    # the marker's directory is missing, so every worker that picks the
+    # job up dies before it can record having crashed once
+    monkeypatch.setenv(CRASH_ONCE_ENV, str(tmp_path / "missing" / "marker"))
+    assert main(["sweep", "sleep:0", "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    failed = [line for line in captured.out.splitlines()
+              if "FAILED" in line]
+    assert len(failed) == 1 and "worker died" in failed[0]
+    assert "submitted=1 completed=0" in captured.out
