@@ -149,7 +149,29 @@ class Controller(Component):
         # persistent DRAM fill callback: the per-fill context rides on the
         # request's tag cookie instead of a fresh closure per block
         self._fill_cb = self._on_dram_fill
-        self._load_to_use_hist = self.stats.histogram("load_to_use")
+        # counters bumped once per request, window probe or walk are
+        # bound here (as ActionExecutor binds its own), so a bump is an
+        # attribute add, not a name probe; cold paths keep stats.inc
+        stats = self.stats
+        self._n_meta_loads = stats.counter("meta_loads")
+        self._n_meta_stores = stats.counter("meta_stores")
+        self._n_dram_fills = stats.counter("dram_fills")
+        self._n_dram_writes = stats.counter("dram_writes")
+        self._n_tag_probes = stats.counter("tag_probes")
+        self._n_hits = stats.counter("hits")
+        self._n_store_hits = stats.counter("store_hits")
+        self._n_takes = stats.counter("takes")
+        self._n_merge_ops = stats.counter("merge_ops")
+        self._n_miss_merges = stats.counter("miss_merges")
+        self._n_nowalk_misses = stats.counter("nowalk_misses")
+        self._n_stall_set_conflict = stats.counter("stall_set_conflict")
+        self._n_stall_no_context = stats.counter("stall_no_context")
+        self._n_misses = stats.counter("misses")
+        self._n_walks_started = stats.counter("walks_started")
+        self._n_routines_dispatched = stats.counter("routines_dispatched")
+        self._n_walks_completed = stats.counter("walks_completed")
+        self._load_to_use_hist = stats.histogram("load_to_use")
+        self._walk_latency_hist = stats.histogram("walk_latency")
         self._internal: Deque[Message] = deque()
         self._execq: Deque[_RoutineExec] = deque()
         self._walkers: Dict[Tag, WalkerRun] = {}
@@ -208,7 +230,7 @@ class Controller(Component):
         msg = Message(EV_META_LOAD, tag=tag, fields=fields,
                       issued_at=self.sim.now)
         self.metaio_in.enq(msg)
-        self.stats.inc("meta_loads")
+        self._n_meta_loads.value += 1
         bus = self.bus
         if bus is not None:
             self.metatags.announce(bus)
@@ -230,7 +252,7 @@ class Controller(Component):
         msg = Message(EV_META_STORE, tag=tag, fields=fields,
                       issued_at=self.sim.now)
         self.metaio_in.enq(msg)
-        self.stats.inc("meta_stores")
+        self._n_meta_stores.value += 1
         bus = self.bus
         if bus is not None:
             self.metatags.announce(bus)
@@ -262,12 +284,12 @@ class Controller(Component):
         wid = walker.walk_id
         request = self.dram.request
         if write:
-            self.stats.inc("dram_writes", blocks)
+            self._n_dram_writes.value += blocks
             for block in range(first, last + 1, bb):
                 request(MemRequest(block, is_write=True, walk_id=wid),
                         _drop_response)
             return blocks
-        self.stats.inc("dram_fills", blocks)
+        self._n_dram_fills.value += blocks
         walker.fills_outstanding += blocks
         tag = walker.tag
         for block in range(first, last + 1, bb):
@@ -389,7 +411,7 @@ class Controller(Component):
     def _serve_hit(self, msg: Message, entry: MetaTagEntry) -> None:
         now = self.sim.now
         self.metatags.touch(entry, now)
-        self.stats.inc("hits")
+        self._n_hits.value += 1
         bus = self.bus
         take = bool(msg.fields.get("take"))
         if msg.fields.get("preload"):
@@ -416,12 +438,12 @@ class Controller(Component):
             if released.sector_start >= 0:
                 self.dataram.free(released.sector_start,
                                   released.sector_end - released.sector_start)
-            self.stats.inc("takes")
+            self._n_takes.value += 1
 
     def _serve_store_hit(self, msg: Message, entry: MetaTagEntry) -> None:
         now = self.sim.now
         self.metatags.touch(entry, now)
-        self.stats.inc("store_hits")
+        self._n_store_hits.value += 1
         bus = self.bus
         if bus is not None:
             bus.publish(Hit(cycle=now, component=self.name, tag=msg.tag,
@@ -442,7 +464,7 @@ class Controller(Component):
             incoming = struct.unpack("<d", struct.pack("<Q", payload_bits))[0]
             merged = struct.pack("<d", current + incoming)
             self.dataram.write_sector(sector, merged)
-            self.stats.inc("merge_ops")
+            self._n_merge_ops.value += 1
         else:
             self.dataram.write_sector(
                 sector, (payload_bits & ((1 << 64) - 1)).to_bytes(8, "little")
@@ -486,7 +508,7 @@ class Controller(Component):
                 # Merge into the in-flight walk (active-bitmap hit).
                 self.metaio_in.remove(msg)
                 walker.waiters.append(msg)
-                self.stats.inc("miss_merges")
+                self._n_miss_merges.value += 1
                 if self.bus is not None:
                     self.bus.publish(Merge(cycle=self.sim.now,
                                            component=self.name,
@@ -495,7 +517,7 @@ class Controller(Component):
                 served += 1
                 continue
             entry = self.metatags.lookup(msg.tag)
-            self.stats.inc("tag_probes")
+            self._n_tag_probes.value += 1
             if entry is not None and entry.servable:
                 self.metaio_in.remove(msg)
                 if msg.event == EV_META_STORE:
@@ -506,7 +528,7 @@ class Controller(Component):
                 continue
             if msg.event == EV_META_LOAD and msg.fields.get("nowalk"):
                 self.metaio_in.remove(msg)
-                self.stats.inc("nowalk_misses")
+                self._n_nowalk_misses.value += 1
                 if self.bus is not None:
                     # status=0: answered without a walk (not a hit) —
                     # closes the request's journey for span assembly
@@ -571,7 +593,7 @@ class Controller(Component):
             set_index = self.metatags.set_of(msg.tag)
             pending = self._pending_allocs.get(set_index, 0)
             if self.metatags.claimable_ways(msg.tag) <= pending:
-                self.stats.inc("stall_set_conflict")
+                self._n_stall_set_conflict.value += 1
                 bus = self.bus
                 if bus is not None and bus.wants(QueueStall):
                     bus.publish(QueueStall(cycle=self.sim.now,
@@ -582,7 +604,7 @@ class Controller(Component):
                 continue
             ctx = self.xregs.allocate(self.sim.now)
             if ctx is None:
-                self.stats.inc("stall_no_context")
+                self._n_stall_no_context.value += 1
                 bus = self.bus
                 if bus is not None and bus.wants(QueueStall):
                     bus.publish(QueueStall(cycle=self.sim.now,
@@ -598,8 +620,8 @@ class Controller(Component):
                                walk_id=self._walk_seq,
                                started_at=self.sim.now)
             self._walkers[msg.tag] = walker
-            self.stats.inc("misses")
-            self.stats.inc("walks_started")
+            self._n_misses.value += 1
+            self._n_walks_started.value += 1
             if self.bus is not None:
                 self.bus.publish(Miss(cycle=self.sim.now,
                                       component=self.name,
@@ -616,7 +638,7 @@ class Controller(Component):
         walker.inflight = inflight
         walker.routines_run += 1
         self._execq.append(inflight)
-        self.stats.inc("routines_dispatched")
+        self._n_routines_dispatched.value += 1
         bus = self.bus
         if bus is not None:
             # per-category cost accounting taxes every executed action,
@@ -672,8 +694,8 @@ class Controller(Component):
     def _complete_walker(self, walker: WalkerRun,
                          ex: Optional[_RoutineExec] = None) -> None:
         now = self.sim.now
-        self.stats.inc("walks_completed")
-        self.stats.histogram("walk_latency").add(now - walker.started_at)
+        self._n_walks_completed.value += 1
+        self._walk_latency_hist.add(now - walker.started_at)
         bus = self.bus
         # req_ids answered by this retire (replayed stores excluded:
         # their journey continues through MetaIO); only tracked when a
@@ -728,7 +750,7 @@ class Controller(Component):
                         released.sector_start,
                         released.sector_end - released.sector_start,
                     )
-                self.stats.inc("takes")
+                self._n_takes.value += 1
                 consumed = True
         if bus is not None and bus.wants(WalkerRetire):
             costs = ex.costs if ex is not None else None

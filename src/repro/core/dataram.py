@@ -35,6 +35,15 @@ class DataRAM:
         # free ranges as sorted, disjoint [start, end) pairs
         self._free: List[Tuple[int, int]] = [(0, num_sectors)]
         self.stats = StatGroup("data-ram")
+        # every access and (de)allocation bumps these, so they are bound
+        # once; alloc failures stay on stats.inc
+        self._n_allocations = self.stats.counter("allocations")
+        self._n_sectors_allocated = self.stats.counter("sectors_allocated")
+        self._n_frees = self.stats.counter("frees")
+        self._n_sectors_freed = self.stats.counter("sectors_freed")
+        self._n_bytes_written = self.stats.counter("bytes_written")
+        self._n_bytes_read = self.stats.counter("bytes_read")
+        self._n_read_accesses = self.stats.counter("read_accesses")
 
     # ------------------------------------------------------------------
     # allocation
@@ -53,8 +62,8 @@ class DataRAM:
                     self._free.pop(i)
                 else:
                     self._free[i] = (start + nsectors, end)
-                self.stats.inc("allocations")
-                self.stats.inc("sectors_allocated", nsectors)
+                self._n_allocations.value += 1
+                self._n_sectors_allocated.value += nsectors
                 return start
         self.stats.inc("alloc_failures")
         return None
@@ -88,8 +97,8 @@ class DataRAM:
             else:
                 merged.append(r)
         self._free = merged
-        self.stats.inc("frees")
-        self.stats.inc("sectors_freed", nsectors)
+        self._n_frees.value += 1
+        self._n_sectors_freed.value += nsectors
 
     @property
     def free_sectors(self) -> int:
@@ -112,7 +121,7 @@ class DataRAM:
             )
         base = sector * self.sector_bytes + offset
         self._storage[base:base + len(data)] = data
-        self.stats.inc("bytes_written", len(data))
+        self._n_bytes_written.value += len(data)
 
     def read_sectors(self, start: int, end: int) -> bytes:
         """Read sectors [start, end) — the hit-port data return."""
@@ -120,9 +129,9 @@ class DataRAM:
             raise IndexError(f"range [{start},{end}) outside RAM")
         lo = start * self.sector_bytes
         hi = end * self.sector_bytes
-        self.stats.inc("bytes_read", hi - lo)
-        self.stats.inc("read_accesses",
-                       max(1, -(-(hi - lo) // self.access_bytes)))
+        self._n_bytes_read.value += hi - lo
+        self._n_read_accesses.value += max(1,
+                                           -(-(hi - lo) // self.access_bytes))
         return bytes(self._storage[lo:hi])
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -75,6 +75,11 @@ class MetaTagArray:
         ]
         self._index: Dict[Tag, MetaTagEntry] = {}
         self.stats = StatGroup("meta-tags")
+        # bumped once per walk or take; bound so a bump is an attribute
+        # add (conflicts stay on stats.inc)
+        self._n_allocations = self.stats.counter("allocations")
+        self._n_evictions = self.stats.counter("evictions")
+        self._n_deallocations = self.stats.counter("deallocations")
         # observability: the owning controller propagates its event bus
         # and simulator here (see Controller.ensure_bus) so fills and
         # evictions publish with (set, way) coordinates. Unarmed cost is
@@ -114,12 +119,9 @@ class MetaTagArray:
     # lookup / allocate / free
     # ------------------------------------------------------------------
     def lookup(self, tag: Tag) -> Optional[MetaTagEntry]:
-        """Associative search (no side effects beyond stats)."""
-        self.stats.inc("lookups")
-        entry = self._index.get(tag)
-        if entry is not None:
-            self.stats.inc("tag_hits")
-        return entry
+        """Associative search with no side effects; the controller
+        counts its hit-port probes itself (``tag_probes``)."""
+        return self._index.get(tag)
 
     def touch(self, entry: MetaTagEntry, now: int) -> None:
         entry.last_used = now
@@ -222,7 +224,7 @@ class MetaTagArray:
         # -1, an evicted victim carries its orphaned data-RAM range, which
         # the claimant (ALLOCM / warm) must free before use.
         self._index[tag] = target
-        self.stats.inc("allocations")
+        self._n_allocations.value += 1
         if self.bus is not None:
             self._publish_fill(self.bus, target)
         return target
@@ -238,7 +240,7 @@ class MetaTagArray:
         # preserve the orphaned sector range for the claimant to free
         entry.sector_start = start
         entry.sector_end = end
-        self.stats.inc("evictions")
+        self._n_evictions.value += 1
         if self.bus is not None:
             self._publish_evict(self.bus, victim_tag, entry.set_index,
                                 entry.way, "conflict")
@@ -255,7 +257,7 @@ class MetaTagArray:
         released.sector_start = entry.sector_start
         released.sector_end = entry.sector_end
         entry.reset()
-        self.stats.inc("deallocations")
+        self._n_deallocations.value += 1
         if self.bus is not None:
             self._publish_evict(self.bus, tag, entry.set_index, entry.way,
                                 "dealloc")

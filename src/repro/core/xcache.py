@@ -45,9 +45,10 @@ class XCacheSystem:
         self.dram = DRAMModel(self.sim, self.image, dram_config)
         self.controller = Controller(self.sim, config, program, self.dram,
                                      store_merge=store_merge)
+        # the collector: with no handler registered (see on_response),
+        # the controller appends every response here
         self.responses: List[MetaResponse] = []
-        self._user_handler: Optional[Callable[[MetaResponse], None]] = None
-        self.controller.set_response_handler(self._collect)
+        self.controller.set_response_handler(self.responses.append)
         # harness-level observation (--events/--perfetto/--metrics-summary):
         # systems built inside an active capture scope self-register
         active_capture = obs_capture.current_capture()
@@ -117,14 +118,16 @@ class XCacheSystem:
         return self.observe(CacheLensProcessor(
             reuse_sample=reuse_sample, heatmap_window=heatmap_window))
 
-    def _collect(self, resp: MetaResponse) -> None:
-        self.responses.append(resp)
-        if self._user_handler is not None:
-            self._user_handler(resp)
-
     def on_response(self, handler: Callable[[MetaResponse], None]) -> None:
-        """Register a callback fired on every meta response."""
-        self._user_handler = handler
+        """Register the callback fired on every meta response.
+
+        The handler replaces the collector: the controller calls it
+        directly and :attr:`responses` stays empty, so a response, its
+        request message and its data are freed when the handler returns
+        (unless the handler keeps them). Without a handler, every
+        response is appended to :attr:`responses`.
+        """
+        self.controller.set_response_handler(handler)
 
     # ------------------------------------------------------------------
     # convenience request issue
@@ -147,7 +150,11 @@ class XCacheSystem:
     # execution
     # ------------------------------------------------------------------
     def run(self, until: Optional[int] = None) -> List[MetaResponse]:
-        """Run until the system drains; returns responses collected."""
+        """Run until the system drains; returns :attr:`responses`.
+
+        That list holds every response so far only while no handler is
+        registered with :meth:`on_response`; with one, it stays empty.
+        """
         self.sim.run(until=until)
         self.controller.finalize()
         return self.responses

@@ -96,6 +96,7 @@ class RequestPump(Component):
         self._next = 0
         self._outstanding = 0
         self._completed = 0
+        self._n_issued = self.stats.counter("issued")
 
     def start(self) -> None:
         if self.total == 0:
@@ -109,7 +110,7 @@ class RequestPump(Component):
             index = self._next
             self._next += 1
             self._outstanding += 1
-            self.stats.inc("issued")
+            self._n_issued.value += 1
             self.issue_fn(index)
 
     def complete(self) -> None:

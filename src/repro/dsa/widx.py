@@ -206,10 +206,12 @@ class _HashProbeEngine(Component):
         self.cache = cache
         self.reference = reference
         self.hash_cycles = hash_cycles
+        self._n_hashes = self.stats.counter("hashes")
+        self._n_agen_ops = self.stats.counter("agen_ops")
 
     def probe(self, key: int, callback: Callable[[Optional[int]], None]) -> None:
-        self.stats.inc("hashes")
-        self.stats.inc("agen_ops", 2)
+        self._n_hashes.value += 1
+        self._n_agen_ops.value += 2
         rid, walk, root = self.reference[key]
 
         def after_hash() -> None:
@@ -224,7 +226,7 @@ class _HashProbeEngine(Component):
         if i >= len(walk):
             callback(rid)
             return
-        self.stats.inc("agen_ops")
+        self._n_agen_ops.value += 1
         self.cache.access(walk[i], False,
                           lambda _lat: self._walk(walk, i + 1, rid, callback))
 

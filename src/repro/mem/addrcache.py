@@ -84,6 +84,15 @@ class AddressCache(Component):
         # geometry announce for cache-contents observers: lazily, before
         # this component's first armed cache event (armed path only)
         self._announced = False
+        # one bump per access, fill or write-back: bound counters
+        stats = self.stats
+        self._n_accesses = stats.counter("accesses")
+        self._n_hits = stats.counter("hits")
+        self._n_misses = stats.counter("misses")
+        self._n_mshr_merges = stats.counter("mshr_merges")
+        self._n_mshr_stalls = stats.counter("mshr_stalls")
+        self._n_writebacks = stats.counter("writebacks")
+        self._n_fills = stats.counter("fills")
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -177,31 +186,31 @@ class AddressCache(Component):
                     callback: Callable[[int], None], start: int) -> None:
         block = self._block_of(addr)
         line = self._find(block)
-        self.stats.inc("accesses")
+        self._n_accesses.value += 1
         self._lru_tick += 1
         if line is not None:
             line.last_used = self._lru_tick
             if is_write:
                 line.dirty = True
-            self.stats.inc("hits")
+            self._n_hits.value += 1
             if self.bus is not None:
                 self._publish_access(self.bus, block, "hit", is_write)
             self.sim.call_after(self.config.hit_latency,
                                 partial(self._complete_hit, callback, start))
             return
 
-        self.stats.inc("misses")
+        self._n_misses.value += 1
 
         on_fill = partial(self._fill_waiter, block, is_write, callback, start)
         if self._mshrs.lookup(block) is not None:
             self._mshrs.allocate(block, on_fill, is_write)
-            self.stats.inc("mshr_merges")
+            self._n_mshr_merges.value += 1
             if self.bus is not None:
                 self._publish_access(self.bus, block, "merge", is_write)
             return
         if self._mshrs.full:
             # Back-pressure: retry once an MSHR frees up.
-            self.stats.inc("mshr_stalls")
+            self._n_mshr_stalls.value += 1
             if self.bus is not None:
                 self._publish_access(self.bus, block, "mshr_stall", is_write)
             self._stalled.append(partial(self.access, addr, is_write,
@@ -232,7 +241,7 @@ class AddressCache(Component):
                 return
         victim = min(lines, key=lambda l: l.last_used)
         if victim.dirty:
-            self.stats.inc("writebacks")
+            self._n_writebacks.value += 1
             # Fire-and-forget write-back: functional data is already in
             # the shared image, so only the traffic/timing matters.
             self.lower.request(
@@ -268,7 +277,7 @@ class AddressCache(Component):
         target.dirty = False
         self._lru_tick += 1
         target.last_used = self._lru_tick
-        self.stats.inc("fills")
+        self._n_fills.value += 1
         if self.bus is not None:
             self._announce(self.bus)
             if self.bus.wants(CacheFill):

@@ -151,7 +151,15 @@ class DRAMModel(Component):
         self._bank_free_at: List[int] = [0] * config.num_banks
         self._bus_free_at = 0
         self._resp_pool: List[MemResponse] = []
-        self._latency_hist = self.stats.histogram("latency")
+        # every request bumps these: bound once, not probed by name
+        stats = self.stats
+        self._n_row_hits = stats.counter("row_hits")
+        self._n_row_misses = stats.counter("row_misses")
+        self._n_row_conflicts = stats.counter("row_conflicts")
+        self._n_reads = stats.counter("reads")
+        self._n_writes = stats.counter("writes")
+        self._n_bytes = stats.counter("bytes")
+        self._latency_hist = stats.histogram("latency")
 
     # ------------------------------------------------------------------
     # address mapping
@@ -189,12 +197,15 @@ class DRAMModel(Component):
         if open_row == row:
             access = cfg.t_cl
             row_stat = "row_hits"
+            self._n_row_hits.value += 1
         elif open_row < 0:
             access = cfg.t_rcd + cfg.t_cl
             row_stat = "row_misses"
+            self._n_row_misses.value += 1
         else:
             access = cfg.t_rp + cfg.t_rcd + cfg.t_cl
             row_stat = "row_conflicts"
+            self._n_row_conflicts.value += 1
         self._bank_open_row[bank_index] = row
 
         data_ready = start + access
@@ -204,9 +215,11 @@ class DRAMModel(Component):
         self._bank_free_at[bank_index] = data_ready
         self._bus_free_at = done
 
-        self.stats.inc(row_stat)
-        self.stats.inc("writes" if req.is_write else "reads")
-        self.stats.inc("bytes", cfg.block_bytes)
+        if req.is_write:
+            self._n_writes.value += 1
+        else:
+            self._n_reads.value += 1
+        self._n_bytes.value += cfg.block_bytes
         self._latency_hist.add(done - now)
 
         if req.is_write:

@@ -14,15 +14,16 @@ stats, cursors, messages, scheduled events. Event callbacks are bound
 methods and ``functools.partial``\\ s of bound methods — pickle's
 memoization preserves callback identity against the owning components.
 
-Wire format (version 4)::
+Wire format (version 5)::
 
-    b"XCKPT4\\n" | u32 header_len | header JSON | pickle payload
+    b"XCKPT5\\n" | u32 header_len | header JSON | pickle payload
 
 Version 1 snapshots also carried compiled-routine state, version 2
-ones a kernel name and stats level, and version 3 ones Widx/DASX
-models without their per-key reference maps, a ``MemoryImage``
-allocation log, or tuple-keyed SpGEMM products; this build rejects all
-three with
+ones a kernel name and stats level, version 3 ones Widx/DASX models
+without their per-key reference maps, a ``MemoryImage`` allocation
+log, or tuple-keyed SpGEMM products, and version 4 ones systems that
+route responses through a collector method and components without
+their bound request-path counters; this build rejects all four with
 :class:`SnapshotVersionError` before unpickling their payload.
 
 The header records the format version, snapshot cycle, model class,
@@ -69,8 +70,8 @@ __all__ = [
     "finish_model",
 ]
 
-SNAPSHOT_FORMAT = 4
-_MAGIC = b"XCKPT4\n"
+SNAPSHOT_FORMAT = 5
+_MAGIC = b"XCKPT5\n"
 
 
 class SnapshotError(RuntimeError):

@@ -131,13 +131,6 @@ class StatGroup:
     def as_dict(self) -> Dict[str, int]:
         return {name: c.value for name, c in sorted(self.counters.items())}
 
-    def merge(self, other: "StatGroup") -> None:
-        """Accumulate another group's counters into this one."""
-        for name, counter in other.counters.items():
-            self.counter(name).inc(counter.value)
-        for name, hist in other.histograms.items():
-            self.histogram(name).merge(hist)
-
     def reset(self) -> None:
         for counter in self.counters.values():
             counter.reset()

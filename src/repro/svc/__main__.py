@@ -160,7 +160,7 @@ def _cmd_sweep(args, specs: List[JobSpec]) -> int:
           f"completed={metrics['completed']} "
           f"coalesced={metrics['coalesced']} "
           f"store_hits={metrics['store_hits']} "
-          f"simulations={store.get('misses', 'n/a')} "
+          f"simulations={store.get('stores', 'n/a')} "
           f"worker_restarts={metrics['worker_restarts']}")
     return 0 if ok else 1
 

@@ -98,9 +98,11 @@ def _hash_package_sources() -> str:
 
 @dataclass
 class StoreStats:
-    """Lookup and write counters of one store. ``misses`` counts the
-    simulations a service ran; in-flight coalescing never reaches the
-    store and is counted by ``Service.metrics()["coalesced"]``."""
+    """Lookup and write counters of one store. ``stores`` counts the
+    results a service's simulations wrote; ``misses`` counts lookups
+    that found nothing, including those of jobs that then failed. In-flight
+    coalescing never reaches the store and is counted by
+    ``Service.metrics()["coalesced"]``."""
 
     hits: int = 0          # get() found a finished result
     misses: int = 0        # get() found nothing

@@ -7,6 +7,7 @@ import pytest
 from repro.core import XCacheConfig, XCacheSystem
 from repro.core.messages import Message
 from repro.dsa.walkers import build_event_walker
+from repro.harness.sweep import SWEEP_DSAS, build_model
 from repro.sim import Component, Simulator
 
 
@@ -86,6 +87,16 @@ def test_user_response_handler_invoked(mini_system):
     mini_system.load((1,), walk_fields={"addr": addr})
     mini_system.run()
     assert seen == [(1,)]
+
+
+@pytest.mark.parametrize("dsa", SWEEP_DSAS)
+def test_dsa_model_handler_replaces_the_collector(dsa):
+    """Every X-Cache DSA model registers a response handler, so a
+    finished run keeps no response, request message or payload."""
+    model = build_model(dsa, "ci")
+    result = model.run()
+    assert model.system.responses == []
+    assert result.checks_passed
 
 
 def test_run_until_cuts_off(mini_system):

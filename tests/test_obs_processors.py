@@ -133,15 +133,17 @@ def test_empty_histogram_percentile_contract():
         h.percentile(-0.1)
 
 
-def test_metrics_groups_merge_across_runs():
-    a = _feed_metrics(MetricsProcessor())
-    b = _feed_metrics(MetricsProcessor())
-    total = StatGroup("merged")
-    total.merge(a.stats)
-    total.merge(b.stats)
-    assert total.get("requests") == 8
-    assert total.histogram("load_to_use").count == 6
-    assert total.histogram("miss_latency").percentile(0.99) == 100
+def test_one_metrics_processor_sums_two_buses():
+    # a capture attaches one processor to every system's bus, so its
+    # counts and histograms are the sum over both streams
+    metrics = _feed_metrics(_feed_metrics(MetricsProcessor()))
+    assert metrics.stats.get("requests") == 8
+    assert metrics.stats.get("hits") == 4
+    assert metrics.stats.get("walks_completed") == 2
+    assert metrics.hit_rate() == 6 / 8
+    assert metrics.stats.histogram("load_to_use").count == 6
+    assert metrics.stats.histogram("miss_latency").percentile(0.99) == 100
+    assert metrics.stats.histogram("dram_latency").count == 2
 
 
 # ----------------------------------------------------------------------

@@ -177,9 +177,11 @@ def test_version_mismatch_rejected(widx_snapshot, tmp_path):
     blob = path.read_bytes()
     # same magic family, different version byte: the compile-era
     # format 1, format 2 (whose MessageQueue pickles no longer load),
-    # format 3 (whose Widx/DASX models lack their reference maps) and an
+    # format 3 (whose Widx/DASX models lack their reference maps),
+    # format 4 (whose components lack their bound counters) and an
     # unknown future one
-    for old in (b"XCKPT1\n", b"XCKPT2\n", b"XCKPT3\n", b"XCKPT9\n"):
+    for old in (b"XCKPT1\n", b"XCKPT2\n", b"XCKPT3\n", b"XCKPT4\n",
+                b"XCKPT9\n"):
         stale = tmp_path / "stale.ckpt"
         stale.write_bytes(old + blob[len(ck._MAGIC):])
         with pytest.raises(SnapshotVersionError):

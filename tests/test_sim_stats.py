@@ -104,33 +104,18 @@ def test_statgroup_as_dict_sorted():
     assert list(g.as_dict()) == ["a", "b"]
 
 
-def test_statgroup_merge():
-    g1 = StatGroup("g1")
-    g2 = StatGroup("g2")
-    g1.inc("x", 1)
-    g2.inc("x", 2)
-    g2.inc("y", 3)
-    g2.histogram("h").add(5)
-    g1.merge(g2)
-    assert g1.get("x") == 3
-    assert g1.get("y") == 3
-    assert g1.histogram("h").count == 1
-
-
 def test_statgroup_merge_histograms_both_sides():
-    # merge must combine overlapping buckets, preserve weights, and keep
-    # moments/percentiles consistent with feeding one histogram directly
-    g1 = StatGroup("g1")
-    g2 = StatGroup("g2")
+    # Histogram.merge must combine overlapping buckets, preserve weights,
+    # and keep moments/percentiles consistent with feeding one histogram
+    # directly
+    merged = Histogram("lat")
     for v in (10, 10, 20, 30):
-        g1.histogram("lat").add(v)
-    g1.histogram("only_left").add(1)
+        merged.add(v)
+    other = Histogram("lat")
     for v in (20, 40):
-        g2.histogram("lat").add(v)
-    g2.histogram("lat").add(40, weight=2)
-    g2.histogram("only_right").add(7)
-    g1.merge(g2)
-    merged = g1.histogram("lat")
+        other.add(v)
+    other.add(40, weight=2)
+    merged.merge(other)
     reference = Histogram("ref")
     for v in (10, 10, 20, 30, 20, 40, 40, 40):
         reference.add(v)
@@ -141,23 +126,28 @@ def test_statgroup_merge_histograms_both_sides():
     for p in (0.5, 0.95, 0.99):
         assert merged.percentile(p) == reference.percentile(p)
     assert merged.min_seen == 10 and merged.max_seen == 40
-    assert g1.histogram("only_left").count == 1
-    assert g1.histogram("only_right").count == 1
-    # the source group is untouched
-    assert g2.histogram("lat").count == 4
+    # merging into an empty histogram copies the other side exactly
+    only_right = Histogram("only_right")
+    only_right.merge(other)
+    assert only_right.items() == other.items()
+    assert (only_right.min_seen, only_right.max_seen) == (20, 40)
+    # the source histogram is untouched
+    assert other.count == 4
 
 
 def test_statgroup_merge_is_commutative_on_buckets():
-    a, b = StatGroup("a"), StatGroup("b")
+    a, b = Histogram("a"), Histogram("b")
     for v in (1, 2, 2):
-        a.histogram("h").add(v)
+        a.add(v)
     for v in (2, 3):
-        b.histogram("h").add(v)
-    ab, ba = StatGroup("ab"), StatGroup("ba")
+        b.add(v)
+    ab, ba = Histogram("ab"), Histogram("ba")
     ab.merge(a), ab.merge(b)
     ba.merge(b), ba.merge(a)
-    assert ab.histogram("h").items() == ba.histogram("h").items()
-    assert ab.histogram("h").total == ba.histogram("h").total
+    assert ab.items() == ba.items()
+    assert ab.total == ba.total
+
+
 def test_statgroup_reset():
     g = StatGroup("g")
     g.inc("x", 5)

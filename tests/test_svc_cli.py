@@ -182,3 +182,5 @@ def test_failed_point_is_reported_and_the_sweep_finishes(tmp_path,
               if "FAILED" in line]
     assert len(failed) == 1 and "worker died" in failed[0]
     assert "submitted=1 completed=0" in captured.out
+    # the point never finished, so no simulation result was written
+    assert "simulations=0" in captured.out
