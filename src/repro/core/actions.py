@@ -19,6 +19,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
+from ..data.hashindex import fnv1a64
 from .isa import Action, ActionCategory, Opcode, Operand
 from .messages import Message
 
@@ -119,6 +120,8 @@ class ActionExecutor:
         self._n_xreg_writes = stats.counter("xreg_writes")
         self._n_branches = stats.counter("branches")
         self._n_branches_taken = stats.counter("branches_taken")
+        self._n_hash_ops = stats.counter("hash_ops")
+        self._n_hash_cycles = stats.counter("hash_cycles")
         # opcode -> (handler, category counter, ALU counter or None)
         self._dispatch = {}
 
@@ -242,10 +245,9 @@ class ActionExecutor:
                 for name, operand in action.attr("fields", ())
             }
             for name, operand in action.attr("hash_fields", ()):
-                from ..data.hashindex import fnv1a64
                 fields[name] = fnv1a64(self._resolve(walker, msg, operand))
-                self.c.stats.inc("hash_ops")
-                self.c.stats.inc("hash_cycles", delay)
+                self._n_hash_ops.value += 1
+                self._n_hash_cycles.value += delay
             self.c.raise_internal(walker, event, fields, delay)
             return _OK
         if action.queue == "resp":

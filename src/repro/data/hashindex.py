@@ -18,17 +18,25 @@ exactly one block ("the data fill ... is a single node").
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, Iterable, List, Optional, Tuple
+import sys
+from array import array
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..mem.layout import MemoryImage
 
-__all__ = ["HashIndex", "fnv1a64"]
+__all__ = ["HashIndex", "IndexLayout", "fnv1a64"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-_NODE_HEAD = struct.Struct("<QQQ")   # key, rid, next
+
+
+def _u64_bytes(words: array) -> memoryview:
+    """An ``array('Q')``'s bytes in the image's little-endian order, as a
+    view (a second copy of a large node block would raise peak RSS)."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return memoryview(words).cast("B")
 
 
 def fnv1a64(key: int) -> int:
@@ -81,6 +89,14 @@ class HashIndex:
         Keys and RIDs are stored as u64, so one outside [0, 2**64) would
         alias another; it raises :class:`ValueError` instead.
         """
+        return cls._build(image, pairs, num_buckets)[0]
+
+    @classmethod
+    def _build(cls, image: MemoryImage, pairs: Iterable[Tuple[int, int]],
+               num_buckets: int
+               ) -> Tuple["HashIndex", memoryview, memoryview]:
+        """:meth:`build`, returning the node block and the bucket table
+        it wrote as well (both empty when it wrote nothing)."""
         pairs = list(pairs)
         for i, (key, rid) in enumerate(pairs):
             if not (0 <= key <= _MASK64 and 0 <= rid <= _MASK64):
@@ -88,24 +104,30 @@ class HashIndex:
                                  f"must lie in [0, 2**64)")
         index = cls(image, num_buckets)
         if not pairs:   # alloc(0, align=64) would still move the break
-            return index
+            return index, memoryview(b""), memoryview(b"")
         size = cls.NODE_BYTES
         base = image.alloc(size * len(pairs), align=size)
-        nodes = bytearray(size * len(pairs))
         heads = [MemoryImage.NULL] * num_buckets
+        nexts = [MemoryImage.NULL] * len(pairs)
         chains = index._chain_lengths
         mask = num_buckets - 1
-        pack_into = _NODE_HEAD.pack_into
-        for i, (key, rid) in enumerate(pairs):
+        for i, (key, _rid) in enumerate(pairs):
             bucket = fnv1a64(key) & mask
-            pack_into(nodes, size * i, key, rid, heads[bucket])
+            nexts[i] = heads[bucket]
             heads[bucket] = base + size * i
             chains[bucket] = chains.get(bucket, 0) + 1
-        image.write_block(base, nodes)
-        image.write_block(index.table_addr,
-                          struct.pack(f"<{num_buckets}Q", *heads))
+        # one u64 word per 8 node bytes; the zeroed rest is the padding
+        stride = size // 8
+        nodes = array("Q", [0]) * (stride * len(pairs))
+        nodes[cls.KEY_OFF // 8::stride] = array("Q", [k for k, _r in pairs])
+        nodes[cls.RID_OFF // 8::stride] = array("Q", [r for _k, r in pairs])
+        nodes[cls.NEXT_OFF // 8::stride] = array("Q", nexts)
+        node_block = _u64_bytes(nodes)
+        table = _u64_bytes(array("Q", heads))
+        image.write_block(base, node_block)
+        image.write_block(index.table_addr, table)
         index.num_entries = len(pairs)
-        return index
+        return index, node_block, table
 
     # ------------------------------------------------------------------
     # functional probes (ground truth for the DSA models)
@@ -145,3 +167,42 @@ class HashIndex:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"HashIndex(buckets={self.num_buckets}, "
                 f"entries={self.num_entries}, max_chain={self.max_chain()})")
+
+
+class IndexLayout(NamedTuple):
+    """A built index's two blocks, kept to lay the same index out again.
+
+    Node ``next`` pointers and bucket roots are absolute addresses, so
+    the blocks are valid only in an image whose break stands at ``brk``,
+    where the build started.
+    """
+
+    brk: int
+    num_buckets: int
+    nodes: memoryview
+    table: memoryview
+    chain_lengths: Dict[int, int]
+
+    @classmethod
+    def build(cls, image: MemoryImage, pairs: Iterable[Tuple[int, int]],
+              num_buckets: int) -> Tuple[HashIndex, "IndexLayout"]:
+        """:meth:`HashIndex.build` in ``image``, and the layout it wrote."""
+        brk = image.used
+        index, nodes, table = HashIndex._build(image, pairs, num_buckets)
+        return index, cls(brk, num_buckets, nodes, table,
+                          index._chain_lengths)
+
+    def place(self, image: MemoryImage) -> HashIndex:
+        """The same index in ``image``: the allocations and block writes
+        :meth:`HashIndex.build` makes there, without hashing a key."""
+        if image.used != self.brk:
+            raise ValueError(f"image break {image.used:#x} is not the "
+                             f"layout's {self.brk:#x}")
+        index = HashIndex(image, self.num_buckets)
+        if self.nodes:
+            base = image.alloc(len(self.nodes), align=HashIndex.NODE_BYTES)
+            image.write_block(base, self.nodes)
+            image.write_block(index.table_addr, self.table)
+        index.num_entries = len(self.nodes) // HashIndex.NODE_BYTES
+        index._chain_lengths = self.chain_lengths
+        return index

@@ -27,15 +27,14 @@ from ..core.config import XCacheConfig, table3_config
 from ..core.controller import MetaResponse
 from ..core.energy import EnergyModel
 from ..core.xcache import XCacheSystem
-from ..data.hashindex import HashIndex
 from ..mem.addrcache import AddressCache, CacheConfig
 from ..mem.dram import DRAMConfig, DRAMModel
 from ..mem.layout import MemoryImage
 from ..sim import Simulator
 from .base import RunResult
 from .walkers import build_hash_walker
-from .widx import WidxWorkload, _HashProbeEngine, _rid_reference, \
-    _walk_reference, matched_cache_config
+from .widx import WidxWorkload, _HashProbeEngine, _index_with, \
+    _rid_reference, _walk_reference, matched_cache_config
 
 __all__ = ["DasxXCacheModel", "DasxBaselineModel", "DasxAddressModel"]
 
@@ -55,9 +54,8 @@ class DasxXCacheModel:
                                     name="dasx-walker")
         self.system = XCacheSystem(self.config, program,
                                    dram_config=dram_config)
-        self.index = HashIndex.build(self.system.image, workload.pairs,
-                                     workload.num_buckets)
-        self._reference = _rid_reference(self.index, workload.probes)
+        self.index, self._reference = _index_with(
+            self.system.image, workload, _rid_reference)
         self._rounds: List[Sequence[int]] = [
             workload.probes[i:i + round_size]
             for i in range(0, len(workload.probes), round_size)
@@ -161,9 +159,8 @@ class DasxBaselineModel:
         self.dram = DRAMModel(self.sim, self.image, dram_config)
         cfg = cache_config or matched_cache_config(table3_config("dasx"))
         self.cache = AddressCache(self.sim, self.dram, cfg)
-        self.index = HashIndex.build(self.image, workload.pairs,
-                                     workload.num_buckets)
-        self._reference = _walk_reference(self.index, workload.probes)
+        self.index, self._reference = _index_with(
+            self.image, workload, _walk_reference)
         self.engines = [
             _HashProbeEngine(self.sim, self.cache, self._reference,
                              workload.hash_cycles, f"collector{i}")

@@ -23,6 +23,7 @@ Variants modelled here:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -30,7 +31,7 @@ from ..core.config import XCacheConfig, table3_config
 from ..core.controller import MetaResponse
 from ..core.energy import EnergyModel
 from ..core.xcache import XCacheSystem
-from ..data.hashindex import HashIndex
+from ..data.hashindex import HashIndex, IndexLayout
 from ..mem.addrcache import AddressCache, CacheConfig
 from ..mem.dram import DRAMConfig, DRAMModel
 from ..mem.layout import MemoryImage
@@ -81,10 +82,6 @@ def matched_cache_config(config: XCacheConfig) -> CacheConfig:
                        hit_latency=config.hit_latency)
 
 
-def _build_index(image: MemoryImage, workload: WidxWorkload) -> HashIndex:
-    return HashIndex.build(image, workload.pairs, workload.num_buckets)
-
-
 #: per probe key: (rid or None, node addresses walked, bucket-root entry)
 WalkTable = Dict[int, Tuple[Optional[int], Tuple[int, ...], int]]
 
@@ -108,6 +105,65 @@ def _walk_reference(index: HashIndex, keys: Iterable[int]) -> WalkTable:
     return table
 
 
+Reference = Callable[[HashIndex, Iterable[int]], dict]
+
+
+class _Shared:
+    """What every model built from one workload object reuses: the
+    index's layout, and each reference kind once a model computed it
+    from its freshly laid-out image."""
+
+    __slots__ = ("workload", "layout", "references")
+
+    def __init__(self, workload: WidxWorkload, layout: IndexLayout) -> None:
+        key = id(workload)
+        self.workload = weakref.ref(workload, lambda ref: _forget(key, ref))
+        self.layout = layout
+        self.references: Dict[Reference, dict] = {}
+
+
+#: id(workload) -> its entry, dropped when the workload dies. Nothing a
+#: model or a workload holds reaches it, so no snapshot pickles it, and
+#: an equal but distinct workload (a new pass or experiment) shares
+#: nothing: it pays for its own first build, as a fresh run does
+_SHARED: Dict[int, _Shared] = {}
+
+
+def _forget(key: int, ref: weakref.ref) -> None:
+    entry = _SHARED.get(key)
+    if entry is not None and entry.workload is ref:
+        del _SHARED[key]
+
+
+def _index_with(image: MemoryImage, workload: WidxWorkload,
+                reference: Reference) -> Tuple[HashIndex, dict]:
+    """``workload``'s index laid out in ``image``, and its ``reference``
+    (:func:`_rid_reference` or :func:`_walk_reference`) for the probes.
+
+    The first model built from a workload object builds the index. A
+    later one whose image stands at the same break writes the same two
+    blocks at the same addresses instead, and reuses a reference kind an
+    earlier model computed. An image at another break gets its own build
+    and references.
+    """
+    key = id(workload)
+    entry = _SHARED.get(key)
+    if entry is None or entry.workload() is not workload:
+        index, layout = IndexLayout.build(image, workload.pairs,
+                                          workload.num_buckets)
+        entry = _SHARED[key] = _Shared(workload, layout)
+    elif entry.layout.brk == image.used:
+        index = entry.layout.place(image)
+    else:
+        index = HashIndex.build(image, workload.pairs, workload.num_buckets)
+        return index, reference(index, workload.probes)
+    table = entry.references.get(reference)
+    if table is None:
+        table = entry.references[reference] = reference(index,
+                                                        workload.probes)
+    return index, table
+
+
 class WidxXCacheModel:
     """Widx datapath over a programmed X-Cache."""
 
@@ -121,8 +177,8 @@ class WidxXCacheModel:
                                     workload.hash_cycles)
         self.system = XCacheSystem(self.config, program,
                                    dram_config=dram_config)
-        self.index = _build_index(self.system.image, workload)
-        self._reference = _rid_reference(self.index, workload.probes)
+        self.index, self._reference = _index_with(
+            self.system.image, workload, _rid_reference)
         self.window = window
         self._expected: Dict[int, Optional[int]] = {}
         self._failures = 0
@@ -245,8 +301,8 @@ class _AddressVariantBase:
         self.dram = DRAMModel(self.sim, self.image, dram_config)
         cfg = cache_config or matched_cache_config(table3_config("widx"))
         self.cache = AddressCache(self.sim, self.dram, cfg)
-        self.index = _build_index(self.image, workload)
-        self._reference = _walk_reference(self.index, workload.probes)
+        self.index, self._reference = _index_with(
+            self.image, workload, _walk_reference)
         self.engines = [
             _HashProbeEngine(self.sim, self.cache, self._reference,
                              workload.hash_cycles, f"engine{i}")

@@ -94,44 +94,63 @@ class MetricsProcessor(TypedEventProcessor):
     def __init__(self, group: Optional[StatGroup] = None) -> None:
         super().__init__()
         self.stats = group if group is not None else StatGroup("obs")
+        counter = self.stats.counter
+        self._n_requests = counter("requests")
+        self._n_nowalk_misses = counter("nowalk_misses")
+        self._n_hits = counter("hits")
+        self._n_store_hits = counter("store_hits")
+        self._n_misses = counter("misses")
+        self._n_merges = counter("merges")
+        self._n_walks_completed = counter("walks_completed")
+        self._n_fills = counter("fills")
+        self._n_dram_reads = counter("dram_reads")
+        self._n_dram_writes = counter("dram_writes")
+        self._n_evictions = counter("evictions")
+        self._n_stalls = counter("stalls")
         self._load_to_use = self.stats.histogram("load_to_use")
         self._miss_latency = self.stats.histogram("miss_latency")
         self._dram_latency = self.stats.histogram("dram_latency")
 
     # -- handlers ------------------------------------------------------
     def on_request_arrive(self, ev) -> None:
-        self.stats.inc("requests")
+        self._n_requests.value += 1
 
     def on_hit(self, ev) -> None:
         if not ev.status:
             # nowalk miss: answered negatively without a walk
-            self.stats.inc("nowalk_misses")
+            self._n_nowalk_misses.value += 1
             return
-        self.stats.inc("store_hits" if ev.store else "hits")
+        if ev.store:
+            self._n_store_hits.value += 1
+        else:
+            self._n_hits.value += 1
         self._load_to_use.add(ev.load_to_use)
 
     def on_miss(self, ev) -> None:
-        self.stats.inc("misses")
+        self._n_misses.value += 1
 
     def on_merge(self, ev) -> None:
-        self.stats.inc("merges")
+        self._n_merges.value += 1
 
     def on_walker_retire(self, ev) -> None:
-        self.stats.inc("walks_completed")
+        self._n_walks_completed.value += 1
         self._miss_latency.add(ev.lifetime)
 
     def on_fill(self, ev) -> None:
-        self.stats.inc("fills")
+        self._n_fills.value += 1
 
     def on_dram_issue(self, ev) -> None:
-        self.stats.inc("dram_writes" if ev.is_write else "dram_reads")
+        if ev.is_write:
+            self._n_dram_writes.value += 1
+        else:
+            self._n_dram_reads.value += 1
         self._dram_latency.add(ev.complete_at - ev.cycle)
 
     def on_evict(self, ev) -> None:
-        self.stats.inc("evictions")
+        self._n_evictions.value += 1
 
     def on_queue_stall(self, ev) -> None:
-        self.stats.inc("stalls")
+        self._n_stalls.value += 1
 
     # -- reporting -----------------------------------------------------
     def hit_rate(self) -> float:

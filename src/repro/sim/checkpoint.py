@@ -14,17 +14,18 @@ stats, cursors, messages, scheduled events. Event callbacks are bound
 methods and ``functools.partial``\\ s of bound methods — pickle's
 memoization preserves callback identity against the owning components.
 
-Wire format (version 5)::
+Wire format (version 6)::
 
-    b"XCKPT5\\n" | u32 header_len | header JSON | pickle payload
+    b"XCKPT6\\n" | u32 header_len | header JSON | pickle payload
 
 Version 1 snapshots also carried compiled-routine state, version 2
 ones a kernel name and stats level, version 3 ones Widx/DASX models
 without their per-key reference maps, a ``MemoryImage`` allocation
-log, or tuple-keyed SpGEMM products, and version 4 ones systems that
+log, or tuple-keyed SpGEMM products, version 4 ones systems that
 route responses through a collector method and components without
-their bound request-path counters; this build rejects all four with
-:class:`SnapshotVersionError` before unpickling their payload.
+their bound request-path counters, and version 5 ones action
+executors without their bound hash counters; this build rejects all
+five with :class:`SnapshotVersionError` before unpickling their payload.
 
 The header records the format version, snapshot cycle, model class,
 payload length + sha256 (the *snapshot digest*), and a geometry digest.
@@ -70,8 +71,8 @@ __all__ = [
     "finish_model",
 ]
 
-SNAPSHOT_FORMAT = 5
-_MAGIC = b"XCKPT5\n"
+SNAPSHOT_FORMAT = 6
+_MAGIC = b"XCKPT6\n"
 
 
 class SnapshotError(RuntimeError):

@@ -114,14 +114,19 @@ class Simulator:
     def run(self, until: Optional[int] = None, max_events: int = 500_000_000) -> int:
         """Run until the event queue drains (or ``until`` cycles elapse).
 
-        Returns the final cycle. ``max_events`` counts *callbacks
-        executed* (not cycles advanced) and guards against livelock in a
-        buggy model; hitting it raises :class:`SimulationError`. The
-        running total is surfaced as :attr:`events_executed`, so
-        benchmarks can report events/sec without wrapping callbacks.
+        Returns the final cycle. The clock never runs backwards: an
+        ``until`` before :attr:`now` raises :class:`SimulationError`.
+        ``max_events`` counts *callbacks executed* (not cycles advanced)
+        and guards against livelock in a buggy model; hitting it raises
+        :class:`SimulationError`. The running total is surfaced as
+        :attr:`events_executed`, so benchmarks can report events/sec
+        without wrapping callbacks.
         """
         if self._running:
             raise SimulationError("re-entrant run()")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until cycle {until}; now is {self.now}")
         self._running = True
         self._stopped = False
         events = 0

@@ -245,6 +245,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         sweep.error("--repeat must be >= 1")
     if args.checkpoint_every < 0:
         sweep.error("--checkpoint-every must be >= 0")
+    if args.warm_cycles is not None and args.warm_cycles < 1:
+        sweep.error("--warm-cycles must be >= 1")
     from ..sim.checkpoint import SnapshotError
 
     try:

@@ -211,6 +211,18 @@ def test_enq_self_hash_fields():
     assert system.controller.stats.get("hash_cycles") == 10
 
 
+def test_hash_fields_count_through_bound_counters(monkeypatch):
+    """test_enq_self_hash_fields, hash counts included, with by-name
+    counting made to fail: the executor bumps bound counters."""
+    from repro.sim.stats import StatGroup
+
+    def by_name(self, name, amount=1):
+        raise AssertionError(f"StatGroup.inc({name!r})")
+
+    monkeypatch.setattr(StatGroup, "inc", by_name)
+    test_enq_self_hash_fields()
+
+
 def test_peek_extracts_fill_bytes(mini_system):
     addr = mini_system.image.alloc_u64_array([0xCAFEBABE])
     mini_system.load((1,), walk_fields={"addr": addr})

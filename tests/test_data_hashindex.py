@@ -190,3 +190,42 @@ def test_build_rejects_keys_and_rids_outside_u64(pair):
     image = MemoryImage()
     with pytest.raises(ValueError, match=r"pairs\[1\]"):
         HashIndex.build(image, [(1, 2), pair, (-7, 3)], 16)
+
+
+# ----------------------------------------------------------------------
+# a kept layout, written again into a second image
+# ----------------------------------------------------------------------
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, _MASK64),
+                                st.integers(0, _MASK64)), max_size=40),
+       num_buckets=st.integers(0, 6).map(lambda e: 1 << e),
+       prior=st.integers(0, 200))
+def test_placed_layout_equals_the_build(pairs, num_buckets, prior):
+    from repro.data.hashindex import IndexLayout
+
+    images = [MemoryImage(), MemoryImage()]
+    for image in images:
+        image.alloc(prior, align=1)
+    built, layout = IndexLayout.build(images[0], pairs, num_buckets)
+    placed = layout.place(images[1])
+    first, second = images
+    assert second.used == first.used
+    assert second.read_block(0, second.used) == \
+        first.read_block(0, first.used)
+    assert vars(placed).keys() == vars(built).keys()
+    for name in ("table_addr", "num_buckets", "num_entries"):
+        assert getattr(placed, name) == getattr(built, name)
+    for key, _rid in pairs:
+        assert placed.chain_length(key) == built.chain_length(key)
+        assert placed.probe_with_walk(key) == built.probe_with_walk(key)
+
+
+def test_layout_refuses_an_image_at_another_break():
+    from repro.data.hashindex import IndexLayout
+
+    _index, layout = IndexLayout.build(MemoryImage(), [(1, 2), (3, 4)], 4)
+    image = MemoryImage()
+    image.alloc(8)
+    with pytest.raises(ValueError, match="break"):
+        layout.place(image)
+    assert image.used == 72

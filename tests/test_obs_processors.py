@@ -102,6 +102,36 @@ def test_metrics_processor_counts_and_histograms():
     assert m.stats.histogram("dram_latency").mean == 15.0
 
 
+def test_metrics_handlers_count_through_bound_counters(monkeypatch):
+    # every handler bumps a counter bound at construction: none looks
+    # one up by name, and the counts are the by-name ones
+    from repro.obs import DRAMIssue, Evict, Fill
+
+    def by_name(self, name, amount=1):
+        raise AssertionError(f"StatGroup.inc({name!r}) on the event path")
+
+    metrics = MetricsProcessor()
+    monkeypatch.setattr(StatGroup, "inc", by_name)
+    _feed_metrics(metrics)
+    bus = EventBus()
+    bus.attach(metrics)
+    bus.publish(_hit(status=0))
+    bus.publish(Fill(cycle=12, component="ctl", tag=(9,), addr=64))
+    bus.publish(Evict(cycle=13, component="ctl", tag=(9,), sectors=1))
+    bus.publish(DRAMIssue(cycle=14, component="dram", addr=128,
+                          is_write=True, complete_at=30))
+    counts = {name: metrics.stats.get(name) for name in (
+        "requests", "nowalk_misses", "hits", "store_hits", "misses",
+        "merges", "walks_completed", "fills", "dram_reads", "dram_writes",
+        "evictions", "stalls")}
+    assert counts == {"requests": 4, "nowalk_misses": 1, "hits": 2,
+                      "store_hits": 1, "misses": 1, "merges": 1,
+                      "walks_completed": 1, "fills": 1, "dram_reads": 1,
+                      "dram_writes": 1, "evictions": 1, "stalls": 1}
+    assert metrics.stats.histogram("load_to_use").count == 3
+    assert metrics.stats.histogram("dram_latency").count == 2
+
+
 def test_metrics_summary_text():
     text = _feed_metrics(MetricsProcessor()).summary()
     assert "hit-rate=0.7500" in text

@@ -178,10 +178,11 @@ def test_version_mismatch_rejected(widx_snapshot, tmp_path):
     # same magic family, different version byte: the compile-era
     # format 1, format 2 (whose MessageQueue pickles no longer load),
     # format 3 (whose Widx/DASX models lack their reference maps),
-    # format 4 (whose components lack their bound counters) and an
+    # format 4 (whose components lack their bound counters), format 5
+    # (whose action executors lack their bound hash counters) and an
     # unknown future one
     for old in (b"XCKPT1\n", b"XCKPT2\n", b"XCKPT3\n", b"XCKPT4\n",
-                b"XCKPT9\n"):
+                b"XCKPT5\n", b"XCKPT9\n"):
         stale = tmp_path / "stale.ckpt"
         stale.write_bytes(old + blob[len(ck._MAGIC):])
         with pytest.raises(SnapshotVersionError):
@@ -231,6 +232,23 @@ def test_fork_override_whitelist_enforced(widx_snapshot):
         sweep_points({"ways": [4, 8]})
     with pytest.raises(ForkOverrideError):
         sweep_points({"dram.num_banks": [2]})
+
+
+@pytest.mark.parametrize("warm_cycles", [-5, 0])
+def test_warm_cycles_below_one_write_no_snapshot(warm_cycles, tmp_path,
+                                                 capsys):
+    from repro.harness.__main__ import main
+
+    path = tmp_path / "warm.ckpt"
+    with pytest.raises(ValueError, match="warm_cycles must be >= 1"):
+        write_warm_snapshot(str(path), "widx", "ci",
+                            warm_cycles=warm_cycles)
+    assert main(["--write-snapshot", str(path), "--snapshot-dsa", "widx",
+                 "--profile", "ci", "--warm-cycles", str(warm_cycles)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: warm_cycles must be >= 1" in captured.err
+    assert not path.exists()
 
 
 def test_save_refuses_mid_run(widx_snapshot, tmp_path):

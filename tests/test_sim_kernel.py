@@ -71,6 +71,27 @@ def test_run_until_stops_before_later_events():
     assert sim.pending == 1
 
 
+def test_run_until_before_now_rejected():
+    # the clock never runs backwards, and stays where it was
+    sim = Simulator()
+    sim.call_at(100, lambda: None)
+    sim.call_at(200, lambda: None)
+    sim.run(until=100)
+    assert sim.now == 100
+    with pytest.raises(SimulationError, match="now is 100"):
+        sim.run(until=50)
+    assert sim.now == 100
+    fresh = Simulator()
+    fresh.call_at(10, lambda: None)
+    with pytest.raises(SimulationError):
+        fresh.run(until=-5)
+    assert fresh.now == 0
+    with pytest.raises(SimulationError):
+        fresh.call_at(-4, lambda: None)
+    assert fresh.run(until=0) == 0
+    assert fresh.run() == 10
+
+
 def test_run_resumes_after_until():
     sim = Simulator()
     seen = []

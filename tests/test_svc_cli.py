@@ -104,6 +104,12 @@ def _usage_error_line(argv, capsys) -> str:
                   "warm.ckpt"],
                  "--checkpoint-every must be >= 0",
                  id="checkpoint-every-negative"),
+    pytest.param(["sweep", "ckpt:widx", "--warm-cycles", "-5",
+                  "--workers", "1", "--warmup-snapshot", "warm.ckpt"],
+                 "--warm-cycles must be >= 1", id="warm-cycles-negative"),
+    pytest.param(["sweep", "ckpt:widx", "--warm-cycles", "0",
+                  "--warmup-snapshot", "warm.ckpt"],
+                 "--warm-cycles must be >= 1", id="warm-cycles-0"),
     pytest.param(["history", "--ledger", "runs.jsonl", "--limit", "-1"],
                  "--limit must be >= 0", id="limit-negative"),
 ])
