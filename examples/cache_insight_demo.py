@@ -37,6 +37,7 @@ from repro.core import (
     compile_walker,
     op,
 )
+from repro.obs.cachelens import CacheLensProcessor
 
 
 def build_system():
@@ -70,7 +71,7 @@ def main():
     system = build_system()
     # reuse_sample=1: exact Mattson scan (the default 1:8 sample is for
     # production-size runs; at demo scale exactness is free)
-    lens = system.observe_cachelens(reuse_sample=1)
+    lens = system.observe(CacheLensProcessor(reuse_sample=1))
     cache = system.controller.name
 
     # one backing slot per tag we will ever touch

@@ -53,7 +53,7 @@ class XCacheSystem:
         # systems built inside an active capture scope self-register
         active_capture = obs_capture.current_capture()
         if active_capture is not None:
-            active_capture.attach_system(self)
+            active_capture.attach(self.ensure_bus())
 
     # ------------------------------------------------------------------
     # observability
@@ -80,43 +80,7 @@ class XCacheSystem:
             system.run()
             print(metrics.summary())
         """
-        self.ensure_bus().attach(processor)
-        return processor
-
-    def observe_spans(self, top_k: int = 5):
-        """Arm request-span assembly with critical-path blame; returns
-        ``(assembler, aggregator)``.
-
-        ::
-
-            asm, agg = system.observe_spans(top_k=3)
-            ...issue requests...
-            system.run()
-            for span, blame in agg.slowest():
-                print(span.req_id, span.latency, blame)
-        """
-        from ..obs.critpath import CritPathAggregator
-        from ..obs.spans import SpanAssembler
-
-        agg = CritPathAggregator(top_k=top_k, verify=True)
-        asm = self.observe(SpanAssembler(sink=agg.add))
-        return asm, agg
-
-    def observe_cachelens(self, reuse_sample: int = 8,
-                          heatmap_window: int = 1000):
-        """Arm cache-contents observability; returns the lens.
-
-        ::
-
-            lens = system.observe_cachelens()
-            ...issue requests...
-            system.run()
-            print(lens.report())
-        """
-        from ..obs.cachelens import CacheLensProcessor
-
-        return self.observe(CacheLensProcessor(
-            reuse_sample=reuse_sample, heatmap_window=heatmap_window))
+        return self.ensure_bus().attach(processor)
 
     def on_response(self, handler: Callable[[MetaResponse], None]) -> None:
         """Register the callback fired on every meta response.

@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "SWEEP_DSAS",
+    "SWEEP_MODEL_CLASSES",
     "SweepPoint",
     "build_model",
     "straight_run",
@@ -46,8 +47,17 @@ __all__ = [
     "parse_grid_entries",
 ]
 
-#: DSAs a snapshot sweep can drive (the paper's five Table-3 designs)
-SWEEP_DSAS = ("widx", "dasx", "sparch", "gamma", "graphpulse")
+#: the X-Cache model class :func:`build_model` builds for each DSA a
+#: snapshot sweep can drive (the paper's five Table-3 designs); a
+#: snapshot header records it as ``model_class``
+SWEEP_MODEL_CLASSES = {
+    "widx": "WidxXCacheModel",
+    "dasx": "DasxXCacheModel",
+    "sparch": "SpArchXCacheModel",
+    "gamma": "GammaXCacheModel",
+    "graphpulse": "GraphPulseXCacheModel",
+}
+SWEEP_DSAS = tuple(SWEEP_MODEL_CLASSES)
 
 
 def build_model(dsa: str, profile: str = "ci",

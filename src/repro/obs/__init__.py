@@ -14,9 +14,12 @@ repro.obs.explain``), windowed time-series sampling
 (``python -m repro.obs.regress``). :mod:`repro.obs.capture` wires it
 into the experiment harness (``--events`` / ``--perfetto`` /
 ``--metrics-summary`` / ``--prof`` / ``--timeseries`` / ``--spans`` /
-``--explain-top`` / ``--watchdog``).
+``--explain-top`` / ``--watchdog`` / ``--misses``), and ``python -m
+repro.obs.explain`` replays a recorded JSONL trace through the same
+capture, so a replay reports exactly what the live run did.
 
-Quick start::
+Quick start — ``system.observe(processor)`` is the one way to watch a
+single system::
 
     from repro.obs import MetricsProcessor
 

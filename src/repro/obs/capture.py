@@ -33,6 +33,11 @@ one :class:`~repro.obs.spans.SpanAssembler` per system. The critical
 path aggregator (its top-K keeps the earliest of equal latencies, so
 the order systems merge in picks the drill-downs), the cache lens,
 the watchdog and the time series stay per system.
+
+A capture is also how a trace is replayed: ``python -m
+repro.obs.explain`` arms one bus per ``run`` of a JSONL trace with
+:meth:`Capture.attach` and publishes the trace's records to it, so the
+replay's report and SLO summary are the live capture's.
 """
 
 from __future__ import annotations
@@ -176,13 +181,18 @@ class Capture:
             self._perfetto = PerfettoExporter(spec.perfetto_path)
 
     # ------------------------------------------------------------------
-    # system registration (called from XCacheSystem.__init__)
+    # system registration
     # ------------------------------------------------------------------
-    def attach_system(self, system) -> None:
-        """Arm a freshly built system's bus with this capture's sinks."""
+    def attach(self, bus) -> None:
+        """Arm one system's bus with this capture's processors.
+
+        Each call is one system, ``run`` n of the JSONL stream:
+        :class:`~repro.core.xcache.XCacheSystem` passes its bus when it
+        is built inside the capture, and ``repro.obs.explain`` passes
+        one bus per ``run`` of the trace it replays.
+        """
         run = self.systems_observed
         self.systems_observed += 1
-        bus = system.ensure_bus()
         if self.spec.events_path:
             if self._events_stream is None:
                 self._events_stream = open(self.spec.events_path, "w")
@@ -198,12 +208,11 @@ class Capture:
         if self.spec.wants_spans or self.profile is not None:
             sink = None
             if self.spec.wants_spans:
-                agg = CritPathAggregator(
-                    top_k=max(self.spec.explain_top, 1), verify=True)
+                agg = CritPathAggregator(top_k=max(self.spec.explain_top, 1))
                 self._critpaths.append(agg)
                 sink = agg.add
             bus.attach(SpanAssembler(
-                sink=sink, max_kept=0,
+                sink=sink,
                 walk_sink=(self.profile.add if self.profile is not None
                            else None)))
         if self.spec.watchdog:
@@ -215,8 +224,7 @@ class Capture:
     # inspection
     # ------------------------------------------------------------------
     def merged_critpath(self) -> CritPathAggregator:
-        merged = CritPathAggregator(top_k=max(self.spec.explain_top, 1),
-                                    verify=True)
+        merged = CritPathAggregator(top_k=max(self.spec.explain_top, 1))
         for agg in self._critpaths:
             merged.merge(agg)
         return merged

@@ -161,18 +161,17 @@ class CritPathAggregator:
     Use as the assembler's sink::
 
         agg = CritPathAggregator(top_k=5)
-        bus.attach(SpanAssembler(sink=agg.add, max_kept=0))
+        bus.attach(SpanAssembler(sink=agg.add))
 
-    ``verify=True`` runs :func:`verify_request` on every span and
-    collects any problems on :attr:`mismatches` (the fig14 CI suite
-    asserts it stays empty).
+    Every span is checked with :func:`verify_request`; any problems
+    collect on :attr:`mismatches` (the fig14 CI suite asserts it stays
+    empty).
     """
 
-    def __init__(self, top_k: int = 5, verify: bool = False) -> None:
+    def __init__(self, top_k: int = 5) -> None:
         if top_k < 0:
             raise ValueError("top_k must be >= 0")
         self.top_k = top_k
-        self.verify = verify
         self.requests = 0
         self._seq = 0
         self._by_component: Dict[str, _ComponentStats] = {}
@@ -184,8 +183,7 @@ class CritPathAggregator:
     # -- ingestion -----------------------------------------------------
     def add(self, span: RequestSpan) -> None:
         blame = blame_request(span)
-        if self.verify:
-            self.mismatches.extend(verify_request(span))
+        self.mismatches.extend(verify_request(span))
         self.requests += 1
         comp = self._by_component.get(span.component)
         if comp is None:

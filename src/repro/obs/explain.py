@@ -1,55 +1,52 @@
 """Explain *why a request was slow* (``python -m repro.obs.explain``).
 
-Two modes:
+Replays a JSONL event trace through the same
+:class:`~repro.obs.capture.Capture` a live span capture arms, so it
+prints exactly the why-slow section (and, with ``--misses``, the
+why-miss section) that the live capture appended to its report, and
+``--json`` writes the live ``--spans`` file byte for byte::
 
-* **Replay** — point it at a JSONL event trace captured earlier::
+    python -m repro.harness fig04 --profile ci --events t.jsonl --misses
+    python -m repro.obs.explain t.fig04.jsonl --top 3 --misses \\
+        --json s.json --suite fig04
 
-      python -m repro.harness fig04 --events t.jsonl
-      python -m repro.obs.explain t.fig04.jsonl --top 5
+Each record's ``run`` stamp names the system that published it. The
+replay arms one bus per ``run`` the first time that run appears, as
+the live capture armed one per system it built, so components that
+several systems share merge exactly as they did live. A record with
+no ``run`` counts as run 0. A live run explains itself with ``python
+-m repro.harness EXP --explain-top K [--misses] [--spans PATH]``.
 
-  Records are rebuilt with :func:`~repro.obs.events.event_from_json`;
-  the capture layer's ``run`` stamp keeps multi-system files separable
-  (components are namespaced ``run{n}/`` exactly like the Perfetto
-  exporter).
+**Ledger** mode drills a *service job* down to its simulated critical
+path: it looks a ``job_id`` up in a ``repro.svc`` run ledger and
+replays the per-job event capture its entry points at::
 
-* **Live** — run an experiment under a span capture and explain it in
-  one step::
+    REPRO_SVC_LEDGER=runs.jsonl python -m repro.svc sweep fig04 \\
+        --events t.jsonl
+    python -m repro.obs.explain --ledger runs.jsonl --job 3
 
-      python -m repro.obs.explain --run fig04 --profile ci --top 3
-
-* **Ledger** — drill a *service job* down to its simulated critical
-  path: look a ``job_id`` up in a ``repro.svc`` run ledger and replay
-  the per-job event capture its entry points at::
-
-      REPRO_SVC_LEDGER=runs.jsonl python -m repro.svc sweep fig04 \\
-          --events t.jsonl
-      python -m repro.obs.explain --ledger runs.jsonl --job 3
-
-  The header shows the job's host-time latency split (queue_wait /
-  dispatch / sim_exec / store_write) before the in-sim blame table —
-  one command crosses the service/simulation boundary.
+The header shows the job's host-time latency split (queue_wait /
+dispatch / sim_exec / store_write) before the in-sim blame table —
+one command crosses the service/simulation boundary.
 
 Either way the output is the per-DSA blame table (which bucket of
 {hit_path, sched_wait, exec, dram, queue_stall} owns the request
 cycles) followed by a drill-down of the K slowest requests: arrival,
 admission stalls, each walk episode with its phase timeline and DRAM
 children, and the exact blame split — the numbers sum to the request's
-latency by construction.
-
-``--misses`` adds the *why-miss* half (``repro.obs.cachelens``): every
-miss classified compulsory / capacity / conflict, would-have-hit-if
-shadow counters, and reuse-distance histograms — in any of the three
-modes (replayed traces carry the cache events when captured armed, so
-``explain t.fig04.jsonl --misses`` works offline).
-
-``--json`` additionally writes the machine-readable summary the SLO
-gate (``python -m repro.obs.regress --slo``) consumes; with
-``--misses`` each component entry also carries ``hit_rate`` and
-``conflict_share`` for the cache-contents SLO budgets.
+latency by construction. ``--misses`` adds the *why-miss* half
+(``repro.obs.cachelens``): every miss classified compulsory / capacity
+/ conflict, would-have-hit-if shadow counters, and reuse-distance
+histograms (the trace carries the cache events when it was captured
+armed). ``--json`` writes the machine-readable summary the SLO gate
+(``python -m repro.obs.regress --slo``) consumes; with ``--misses``
+each component entry also carries ``hit_rate`` and ``conflict_share``
+for the cache-contents SLO budgets.
 
 Exit status: 0 when every request's blame conserves, 1 when one does
-not, 2 when the ledger, the job or its event trace cannot be read or a
-trace line is not a JSON object (one stderr line, naming the path).
+not, 2 when the ledger, the job or its event trace cannot be read, or
+a trace line is not a JSON object or carries a ``run`` that is not a
+non-negative integer (one stderr line, naming the path).
 """
 
 from __future__ import annotations
@@ -57,15 +54,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, Iterator, Optional, TextIO, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
+from .bus import EventBus
+from .capture import Capture, CaptureSpec
 from .critpath import BLAME_BUCKETS, CritPathAggregator
 from .events import Event, event_from_json
-from .spans import RequestSpan, SpanAssembler
+from .spans import RequestSpan
 
 __all__ = [
-    "replay_events",
-    "replay_misses",
     "format_drilldown",
     "explain_report",
     "slo_summary",
@@ -73,22 +70,16 @@ __all__ = [
 ]
 
 
-def _read_events(source) -> Iterator[Tuple[int, Event]]:
-    """Yield ``(run, event)`` for each record of a JSONL trace (path or
-    line iterable).
+def _read_events(path: str) -> Iterator[Tuple[int, Event]]:
+    """Yield ``(run, event)`` for each record of a JSONL trace.
 
     Unknown wire names — records from a newer taxonomy — are skipped,
     not fatal. A line that is not a JSON object (a capture killed
-    mid-write leaves a torn last line) raises ``ValueError`` naming the
-    source and the line number.
+    mid-write leaves a torn last line), or whose ``run`` is not a
+    non-negative integer, raises ``ValueError`` naming the path and
+    the line number.
     """
-    if isinstance(source, str):
-        fh: TextIO = open(source, "r", encoding="utf-8")
-        name, close = source, True
-    else:
-        fh, close = source, False
-        name = getattr(source, "name", "<events>")
-    try:
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -99,59 +90,17 @@ def _read_events(source) -> Iterator[Tuple[int, Event]]:
                 record = None
             if not isinstance(record, dict):
                 raise ValueError(
-                    f"line {lineno} of {name} is not a JSON object")
+                    f"line {lineno} of {path} is not a JSON object")
+            run = record.get("run", 0)
+            if type(run) is not int or run < 0:
+                raise ValueError(
+                    f"line {lineno} of {path} has run {run!r}, not a "
+                    f"non-negative integer")
             try:
                 event = event_from_json(record)
             except KeyError:
                 continue
-            yield record.get("run", 0), event
-    finally:
-        if close:
-            fh.close()
-
-
-def replay_events(source, top: int = 5, verify: bool = True
-                  ) -> Tuple[CritPathAggregator, Dict[int, SpanAssembler]]:
-    """Rebuild spans from a JSONL trace (path or line iterable).
-
-    Returns the filled aggregator plus the per-``run`` assemblers (one
-    per system observed by the original capture).
-    """
-    agg = CritPathAggregator(top_k=top, verify=verify)
-    assemblers: Dict[int, SpanAssembler] = {}
-    for run, event in _read_events(source):
-        asm = assemblers.get(run)
-        if asm is None:
-            asm = assemblers[run] = SpanAssembler(
-                sink=agg.add, max_kept=0,
-                namespace=f"run{run}/" if run else "")
-        asm.handle(event)
-    return agg, assemblers
-
-
-def replay_misses(source) -> Dict[str, dict]:
-    """Rebuild cache-lens state from a JSONL trace (path or iterable).
-
-    Returns the merged why-miss summary with cache names run-namespaced
-    exactly like :func:`replay_events` spans, so the two halves of the
-    report line up. Captures and replays both sample reuse distances
-    at the lens's default rate, and sampling is deterministic, so the
-    replayed reuse histogram reproduces the live one bit for bit.
-    """
-    from .cachelens import CacheLensProcessor, merge_summaries
-
-    lenses: Dict[int, CacheLensProcessor] = {}
-    for run, event in _read_events(source):
-        lens = lenses.get(run)
-        if lens is None:
-            lens = lenses[run] = CacheLensProcessor()
-        lens.handle(event)
-    summaries = []
-    for run, lens in lenses.items():
-        prefix = f"run{run}/" if run else ""
-        summaries.append({prefix + name: entry
-                          for name, entry in lens.summary().items()})
-    return merge_summaries(summaries)
+            yield run, event
 
 
 def _blame_line(blame: Dict[str, int]) -> str:
@@ -282,47 +231,22 @@ def format_job_header(entry: dict) -> str:
     return "\n".join(lines)
 
 
-def _ledger_events_path(entry: dict) -> Optional[str]:
-    capture = entry.get("capture") or {}
-    return capture.get("events")
-
-
-def _run_live(exp_id: str, profile: str, top: int, misses: bool = False):
-    """Run one experiment under a span (and optionally lens) capture."""
-    from repro.harness import run_experiment
-    from repro.harness.suite import clear_cache
-    from .capture import CaptureSpec, capture_scope
-
-    clear_cache()   # a warm memoized suite would publish no events
-    spec = CaptureSpec(spans=True, explain_top=max(top, 1), misses=misses)
-    with capture_scope(spec) as cap:
-        report = run_experiment(exp_id, profile)
-    assert cap is not None
-    lens_summary = cap.merged_cachelens() if misses else None
-    return cap.merged_critpath(), report.render(), lens_summary
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.obs.explain",
-        description="Critical-path why-slow analysis for captured "
-                    "(or live) runs.")
+        description="Replay a captured event trace through the span "
+                    "capture: critical-path why-slow (and why-miss) "
+                    "analysis.")
     parser.add_argument("events", nargs="?", default=None,
                         metavar="PATH.jsonl",
                         help="JSONL event trace to replay "
                              "(from --events captures)")
-    parser.add_argument("--run", default=None, metavar="EXP",
-                        help="run this experiment live instead of "
-                             "replaying a trace")
     parser.add_argument("--ledger", default=None, metavar="LEDGER.jsonl",
                         help="repro.svc run ledger to resolve --job in")
     parser.add_argument("--job", type=int, default=None, metavar="ID",
                         help="service job id to drill into (needs "
                              "--ledger; replays the job's recorded "
                              "event capture)")
-    parser.add_argument("--profile", default="ci",
-                        choices=("ci", "quick", "full"),
-                        help="profile for --run (default: ci)")
     parser.add_argument("--top", type=int, default=5, metavar="K",
                         help="slowest requests to drill into "
                              "(default: 5)")
@@ -334,16 +258,15 @@ def main(argv=None) -> int:
                         help="also write the SLO-gate summary JSON")
     parser.add_argument("--suite", default=None,
                         help="suite label for --json (default: the "
-                             "experiment id or trace stem)")
+                             "trace file name, or job<ID> with "
+                             "--ledger)")
     args = parser.parse_args(argv)
     if args.top < 0:
         parser.error("--top must be >= 0")
     if (args.ledger is None) != (args.job is None):
         parser.error("--ledger and --job go together")
-    modes = sum(x is not None for x in (args.events, args.run, args.ledger))
-    if modes != 1:
-        parser.error("give exactly one of PATH.jsonl, --run EXP, "
-                     "or --ledger/--job")
+    if (args.events is None) == (args.ledger is None):
+        parser.error("give exactly one of PATH.jsonl or --ledger/--job")
 
     if args.ledger is not None:
         from repro.svc.telemetry import RunLedger
@@ -359,46 +282,38 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         print(format_job_header(entry))
-        events_path = _ledger_events_path(entry)
+        events_path = (entry.get("capture") or {}).get("events")
         if events_path is None:
             print("(no event capture recorded for this job — submit "
                   "with --events to enable the in-sim drilldown)",
                   file=sys.stderr)
             return 2
         suite = args.suite or f"job{args.job}"
-    elif args.run is not None:
-        events_path = None
-        agg, _report, lens_summary = _run_live(
-            args.run, args.profile, args.top, misses=args.misses)
-        suite = args.suite or args.run
     else:
         events_path = args.events
         suite = args.suite or events_path.rsplit("/", 1)[-1]
-    if events_path is not None:
-        try:
-            agg, _assemblers = replay_events(events_path, top=args.top)
-            lens_summary = (replay_misses(events_path)
-                            if args.misses else None)
-        except OSError as exc:
-            print(f"cannot read events {events_path}: {exc.strerror}",
-                  file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"cannot read events {events_path}: {exc}",
-                  file=sys.stderr)
-            return 2
 
-    print(explain_report(agg, top=args.top))
-    if lens_summary is not None:
-        from .cachelens import why_miss_report
-
-        print(why_miss_report(lens_summary))
-    if args.json:
-        doc = slo_summary(agg, suite, lens=lens_summary)
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    return 0 if agg.conservation_ok else 1
+    capture = Capture(CaptureSpec(spans=True, explain_top=args.top,
+                                  misses=args.misses, spans_path=args.json,
+                                  exp_id=suite))
+    buses: Dict[int, EventBus] = {}
+    try:
+        for run, event in _read_events(events_path):
+            bus = buses.get(run)
+            if bus is None:
+                bus = buses[run] = EventBus()
+                capture.attach(bus)
+            bus.publish(event)
+    except OSError as exc:
+        print(f"cannot read events {events_path}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"cannot read events {events_path}: {exc}",
+              file=sys.stderr)
+        return 2
+    print(capture.finish())
+    return 0 if capture.merged_critpath().conservation_ok else 1
 
 
 if __name__ == "__main__":

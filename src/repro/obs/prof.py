@@ -86,7 +86,7 @@ class CycleProfile:
     Feed it retired walks as a span assembler's ``walk_sink``::
 
         prof = CycleProfile()
-        bus.attach(SpanAssembler(walk_sink=prof.add, max_kept=0))
+        bus.attach(SpanAssembler(walk_sink=prof.add))
 
     Its books are plain sums, so one profile can take the walks of
     every system an experiment builds.

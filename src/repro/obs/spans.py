@@ -26,11 +26,9 @@ request-path events, ``walk_id`` on walker/DRAM events):
   their journey continues into a later walk or hit under the same
   ``req_id``.
 
-Memory is bounded: completed spans stream to an optional ``sink``
-callback (the critical-path aggregator), and at most ``max_kept`` are
-retained on the assembler itself; anything past the cap increments
-``dropped`` instead of growing the list.  Open-state dicts are bounded
-by the number of in-flight requests/walkers by construction.
+Nothing is retained: completed spans stream to the ``sink`` callback
+(the critical-path aggregator), and the open-state dicts are bounded by
+the number of in-flight requests/walkers by construction.
 """
 
 from __future__ import annotations
@@ -183,69 +181,39 @@ class SpanAssembler(TypedEventProcessor):
     """Builds request span trees online from a live (or replayed) bus.
 
     ``sink`` (if given) receives every completed :class:`RequestSpan`
-    exactly once, at close time.  Independently, up to ``max_kept``
-    completed spans are retained on :attr:`completed`; the rest only
-    bump :attr:`dropped` (the spans still reach the sink — retention
-    and streaming are separate concerns).  ``max_kept=0`` disables
-    retention entirely (stream-only: nothing kept, nothing counted
-    dropped).
-
-    ``namespace`` prefixes component names (the trace-replay CLI uses
-    ``run{n}/`` to keep multi-system JSONL files separable, matching
-    the Perfetto exporter's convention).
+    exactly once, at close time; the assembler keeps none of them.
 
     ``walk_sink`` (if given) receives every retired :class:`WalkSpan`
     with its retire event's ``lifetime``, once, at retire time — the
     cycle profile attaches here::
 
         prof = CycleProfile()
-        bus.attach(SpanAssembler(walk_sink=prof.add, max_kept=0))
+        bus.attach(SpanAssembler(walk_sink=prof.add))
 
-    With no ``sink`` and ``max_kept=0`` nothing can read a request span,
-    so the assembler does not subscribe to the request-path events
-    (``RequestArrive``, ``QueueStall``, ``Hit``, ``Merge``) and
-    assembles walks only.
+    With no ``sink`` nothing can read a request span, so the assembler
+    does not subscribe to the request-path events (``RequestArrive``,
+    ``QueueStall``, ``Hit``, ``Merge``) and assembles walks only.
     """
 
     def __init__(self,
                  sink: Optional[Callable[[RequestSpan], None]] = None,
-                 max_kept: int = 1000,
-                 namespace: str = "",
                  walk_sink: Optional[Callable[[WalkSpan, int], None]] = None
                  ) -> None:
         super().__init__()
-        if max_kept < 0:
-            raise ValueError("max_kept must be >= 0")
-        if sink is None and not max_kept:
+        if sink is None:
             # no request span can be read: assemble walks only
             for cls in (RequestArrive, QueueStall, Hit, Merge):
                 del self._dispatch[cls]
         self.sink = sink
         self.walk_sink = walk_sink
-        self.max_kept = max_kept
-        self.namespace = namespace
         self._requests: Dict[int, RequestSpan] = {}
         self._walks: Dict[int, WalkSpan] = {}
-        self.completed: List[RequestSpan] = []
         self.requests_completed = 0
-        self.walks_closed = 0
-        self.dropped = 0
 
     # -- bookkeeping ---------------------------------------------------
-    def _name(self, component: str) -> str:
-        return self.namespace + component
-
     def _complete(self, span: RequestSpan) -> None:
         self.requests_completed += 1
-        if self.sink is not None:
-            self.sink(span)
-        if self.max_kept:
-            # retention is separate from streaming: a span past the cap
-            # still reached the sink, it just isn't kept here
-            if len(self.completed) < self.max_kept:
-                self.completed.append(span)
-            else:
-                self.dropped += 1
+        self.sink(span)
 
     @property
     def requests_open(self) -> int:
@@ -260,7 +228,7 @@ class SpanAssembler(TypedEventProcessor):
         if ev.req_id < 0:
             return
         self._requests[ev.req_id] = RequestSpan(
-            req_id=ev.req_id, component=self._name(ev.component),
+            req_id=ev.req_id, component=ev.component,
             tag=ev.tag, op=ev.op, arrive=ev.cycle)
 
     def on_queue_stall(self, ev) -> None:
@@ -282,8 +250,7 @@ class SpanAssembler(TypedEventProcessor):
     def on_miss(self, ev) -> None:
         if ev.walk_id < 0:
             return
-        walk = WalkSpan(walk_id=ev.walk_id,
-                        component=self._name(ev.component),
+        walk = WalkSpan(walk_id=ev.walk_id, component=ev.component,
                         tag=ev.tag, admitted=ev.cycle, _mark=ev.cycle)
         self._walks[ev.walk_id] = walk
         self._join(ev.req_id, walk, ev.cycle, "origin")
@@ -328,7 +295,6 @@ class SpanAssembler(TypedEventProcessor):
         walk.retired = ev.cycle
         walk.found = ev.found
         walk.served = ev.served
-        self.walks_closed += 1
         if self.walk_sink is not None:
             self.walk_sink(walk, ev.lifetime)
         served = set(ev.served)

@@ -21,9 +21,14 @@ the ledger was read); 1 when a swept point failed its checks or failed
 to run (one ``FAILED`` line per such point; the sweep still waits for
 the others and prints its summary line); 2 for a
 usage error, such as an unknown experiment or grid field, a spec the
-service would refuse, or a ledger that cannot be read. A bad
-``sweep`` command line fails before any warmup snapshot is written or
-worker started.
+service would refuse, a ``--warmup-snapshot`` of another DSA's model,
+or a ledger that cannot be read. A bad ``sweep`` command line fails
+before any warmup snapshot is written or worker started.
+
+Each result line names its grid point by the job's overrides (here
+``ckpt:widx --grid num_exe=2,4``)::
+
+    [c3f23806eaf7] == ckpt:widx profile=ci == num_exe=2 all_ok=True (ran)
 """
 
 from __future__ import annotations
@@ -85,7 +90,8 @@ def _sweep_specs(args) -> List[JobSpec]:
     checked against the fork-safe whitelist. With ``--warmup-snapshot``
     the warmup then runs **once** — locally, before any submit — and
     every job forks the same snapshot, identified in its digest by
-    snapshot content + overrides. Raises :class:`ValueError` or
+    snapshot content + overrides; an existing snapshot must hold the
+    DSA's X-Cache model. Raises :class:`ValueError` or
     :class:`~repro.sim.checkpoint.SnapshotError` for bad input.
     """
     from ..harness.sweep import parse_grid_entries, sweep_points
@@ -110,19 +116,34 @@ def _sweep_specs(args) -> List[JobSpec]:
         validate_spec(spec)
     snapshot = args.warmup_snapshot
     if ckpt and snapshot:
-        from ..harness.sweep import write_warm_snapshot
-        from ..sim.checkpoint import snapshot_digest
+        from ..harness.sweep import SWEEP_MODEL_CLASSES, write_warm_snapshot
+        from ..sim.checkpoint import read_header
 
-        if not os.path.exists(snapshot):
+        dsa = args.experiment.split(":", 1)[1]
+        if os.path.exists(snapshot):
+            header = read_header(snapshot)
+            if header["model_class"] != SWEEP_MODEL_CLASSES[dsa]:
+                raise ValueError(
+                    f"warmup snapshot {snapshot} holds a "
+                    f"{header['model_class']}, not the "
+                    f"{SWEEP_MODEL_CLASSES[dsa]} {args.experiment} forks")
+        else:
             header = write_warm_snapshot(
-                snapshot, args.experiment.split(":", 1)[1], args.profile,
+                snapshot, dsa, args.profile,
                 warm_cycles=args.warm_cycles, warm_frac=args.warm_frac)
             print(f"warmup snapshot: {snapshot} "
                   f"cycle={header['cycle']} "
                   f"digest={header['payload_sha256'][:12]}")
-        digest = snapshot_digest(snapshot)
-        specs = [replace(s, snapshot_digest=digest) for s in specs]
+        specs = [replace(s, snapshot_digest=header["payload_sha256"])
+                 for s in specs]
     return specs
+
+
+def _point_label(spec: JobSpec) -> str:
+    """The grid point ``spec`` runs: its fork (``ckpt:``) or profile
+    overrides, ``key=value`` joined by commas ("" when it has none)."""
+    overrides = spec.fork_overrides or spec.profile_overrides
+    return ",".join(f"{key}={value}" for key, value in sorted(overrides))
 
 
 def _cmd_sweep(args, specs: List[JobSpec]) -> int:
@@ -133,12 +154,14 @@ def _cmd_sweep(args, specs: List[JobSpec]) -> int:
         jobs = [svc.submit(spec) for spec in specs]
         ok = True
         for job in jobs:
+            point = _point_label(job.spec)
+            point = f" {point}" if point else ""
             try:
                 payload = job.result()
             except JobFailed as exc:
                 # one line per failed point; the sweep waits for the rest
                 reason = str(exc).strip().splitlines()[-1]
-                print(f"[{job.digest[:12]}] {job.spec.experiment} "
+                print(f"[{job.digest[:12]}] {job.spec.experiment}{point} "
                       f"FAILED: {reason}")
                 ok = False
                 continue
@@ -151,7 +174,7 @@ def _cmd_sweep(args, specs: List[JobSpec]) -> int:
                 origin += f", checkpoints={meta['checkpoints']}"
             if meta.get("resumed_from"):
                 origin += f", resumed_from={meta['resumed_from']}"
-            print(f"[{job.digest[:12]}] {first_line} "
+            print(f"[{job.digest[:12]}] {first_line}{point} "
                   f"all_ok={payload['all_ok']} ({origin})")
             ok = ok and payload["all_ok"]
         metrics = svc.metrics()

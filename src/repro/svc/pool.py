@@ -83,14 +83,15 @@ def _execute_ckpt(spec: JobSpec, send_progress) -> Tuple[str, bool, dict]:
     checkpoint* (this job ran before and was preempted or its worker
     crashed — continue from the persisted cycle, overrides already
     baked into the state), the spec's *warm snapshot* (fork it, apply
-    the fork overrides), or a fresh build. With ``checkpoint_every > 0``
-    and a ``checkpoint_dir``, the simulation is chunked and a resume
-    checkpoint persisted between chunks, so a crash loses at most one
-    interval. The checkpoints themselves never perturb the simulation:
-    a preempted+resumed run renders byte-identically to an undisturbed
-    one.
+    the fork overrides), or a fresh build. A restored model that is not
+    the DSA's X-Cache model (a snapshot of another DSA) fails the job.
+    With ``checkpoint_every > 0`` and a ``checkpoint_dir``, the
+    simulation is chunked and a resume checkpoint persisted between
+    chunks, so a crash loses at most one interval. The checkpoints
+    themselves never perturb the simulation: a preempted+resumed run
+    renders byte-identically to an undisturbed one.
     """
-    from ..harness.sweep import SWEEP_DSAS, build_model
+    from ..harness.sweep import SWEEP_DSAS, SWEEP_MODEL_CLASSES, build_model
     from ..sim import checkpoint as ck
 
     dsa = spec.experiment.split(":", 1)[1]
@@ -112,6 +113,10 @@ def _execute_ckpt(spec: JobSpec, send_progress) -> Tuple[str, bool, dict]:
         model = build_model(dsa, spec.profile,
                             config_overrides=overrides or None)
         model.start()
+    if type(model).__name__ != SWEEP_MODEL_CLASSES[dsa]:
+        raise ValueError(f"a ckpt:{dsa} job restored a "
+                         f"{type(model).__name__}, not a "
+                         f"{SWEEP_MODEL_CLASSES[dsa]}")
     sim = model.system.sim
     max_c = getattr(model, "_max_cycles", None)
     every = spec.checkpoint_every

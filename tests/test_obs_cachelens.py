@@ -370,7 +370,7 @@ def test_capture_spec_misses_activation_and_scoping(tmp_path):
 
 
 def test_system_observe_cachelens(mini_system):
-    lens = mini_system.observe_cachelens()
+    lens = mini_system.observe(CacheLensProcessor())
     addr = mini_system.image.alloc_u64_array([i + 100 for i in range(8)])
     for i in range(8):
         mini_system.load((i,), walk_fields={"addr": addr + 8 * i})
@@ -412,26 +412,28 @@ def test_fig14_ci_miss_taxonomy_conservation():
         assert entry["would_hit_more_sets"] <= entry["misses"]
 
 
-def test_replay_misses_matches_live(tmp_path):
-    """explain --misses over a JSONL capture reproduces the live lens."""
+def test_replay_misses_matches_live(tmp_path, capsys):
+    """explain --misses over a JSONL capture prints the live why-miss
+    section: fig07's five systems merge as they did live, and fig04's
+    per-set conflict counts survive the replay."""
     from repro.harness import run_experiment
-    from repro.harness.suite import clear_cache
     from repro.obs.capture import CaptureSpec, capture_scope
-    from repro.obs.explain import replay_misses
+    from repro.obs.explain import main
 
-    events = str(tmp_path / "ev.jsonl")
-    clear_cache()
-    try:
-        spec = CaptureSpec(events_path=events, misses=True)
-        with capture_scope(spec.for_experiment("fig04")) as cap:
-            run_experiment("fig04", "ci")
-        live = cap.merged_cachelens()
-    finally:
-        clear_cache()
-    replayed = replay_misses(str(tmp_path / "ev.fig04.jsonl"))
-    assert replayed == live
-    # the per-set conflict counts ride in the summary and survive replay
-    assert any(entry["conflict_sets"] for entry in live.values())
+    spec = CaptureSpec(events_path=str(tmp_path / "ev.jsonl"), misses=True)
+    live = {}
+    for exp_id in ("fig07", "fig04"):
+        with capture_scope(spec.for_experiment(exp_id)) as cap:
+            run_experiment(exp_id, "ci")
+        live[exp_id] = cap.summary_text
+        assert live[exp_id].startswith("-- why-miss (repro.obs.cachelens) --")
+        if exp_id == "fig07":
+            assert cap.systems_observed == 5
+        trace = str(tmp_path / f"ev.{exp_id}.jsonl")
+        assert main([trace, "--misses"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n" + live[exp_id] + "\n")
+    assert "hottest conflict sets" in live["fig04"]
 
 
 def test_perfetto_cache_counter_tracks():

@@ -181,7 +181,7 @@ def test_no_flags_means_no_capture(capsys, monkeypatch):
     def boom(*a, **k):  # pragma: no cover - should never fire
         raise AssertionError("capture created without flags")
 
-    monkeypatch.setattr(capture_mod.Capture, "attach_system", boom)
+    monkeypatch.setattr(capture_mod.Capture, "attach", boom)
     code, out = _run_cli(capsys, "tab01", "--profile", "ci")
     assert code == 0
 

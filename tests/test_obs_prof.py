@@ -62,7 +62,7 @@ def _profiled_bus():
     assembler retires."""
     prof = CycleProfile()
     bus = EventBus()
-    asm = bus.attach(SpanAssembler(walk_sink=prof.add, max_kept=0))
+    asm = bus.attach(SpanAssembler(walk_sink=prof.add))
     return bus, asm, prof
 
 
@@ -204,7 +204,7 @@ def test_breakdown_table_renders_percentages():
 # ----------------------------------------------------------------------
 def test_conservation_on_mini_system(mini_system):
     prof = CycleProfile()
-    asm = mini_system.observe(SpanAssembler(walk_sink=prof.add, max_kept=0))
+    asm = mini_system.observe(SpanAssembler(walk_sink=prof.add))
     addr = mini_system.image.alloc_u64_array(list(range(8)))
     for i in range(8):
         mini_system.load((i,), walk_fields={"addr": addr + 8 * i})
@@ -223,13 +223,13 @@ def test_fig14_ci_conservation_invariant(tmp_path, monkeypatch):
     from repro.obs.capture import Capture, CaptureSpec, capture_scope
 
     buses = []
-    attach_system = Capture.attach_system
+    attach = Capture.attach
 
-    def spy(self, system):
-        attach_system(self, system)
-        buses.append(system.ensure_bus())
+    def spy(self, bus):
+        attach(self, bus)
+        buses.append(bus)
 
-    monkeypatch.setattr(Capture, "attach_system", spy)
+    monkeypatch.setattr(Capture, "attach", spy)
     clear_cache()  # a memoized reload would publish no events
     folded = tmp_path / "cycles.folded"
     try:

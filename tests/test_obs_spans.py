@@ -34,7 +34,7 @@ from repro.obs.events import (
     WalkerYield,
     event_from_json,
 )
-from repro.obs.explain import explain_report, replay_events, slo_summary
+from repro.obs.explain import explain_report, slo_summary
 from repro.obs.export import event_to_dict
 from repro.obs.spans import SpanAssembler
 
@@ -166,7 +166,7 @@ def test_merged_requests_share_one_walk_subtree():
 
 
 def test_blame_conserves_and_classifies_on_synthetic_stream():
-    agg = CritPathAggregator(top_k=2, verify=True)
+    agg = CritPathAggregator(top_k=2)
     asm = SpanAssembler(sink=agg.add)
     for ev in _merged_walk_stream():
         asm.handle(ev)
@@ -184,39 +184,14 @@ def test_blame_conserves_and_classifies_on_synthetic_stream():
         assert verify_request(span) == []
 
 
-def test_dropped_span_accounting_at_cap():
-    sink = []
-    asm = SpanAssembler(sink=sink.append, max_kept=2)
-    for i in range(5):
-        asm.handle(RequestArrive(cycle=i, component="c", tag=(i,),
-                                 op="load", req_id=i))
-        asm.handle(Hit(cycle=i, component="c", tag=(i,), load_to_use=3,
-                       req_id=i))
-    assert asm.requests_completed == 5
-    assert len(asm.completed) == 2          # retention capped...
-    assert asm.dropped == 3
-    assert len(sink) == 5                   # ...but the sink saw all 5
-
-
-def test_max_kept_zero_is_stream_only():
-    sink = []
-    asm = SpanAssembler(sink=sink.append, max_kept=0)
-    for i in range(3):
-        asm.handle(RequestArrive(cycle=i, component="c", tag=(i,),
-                                 op="load", req_id=i))
-        asm.handle(Hit(cycle=i, component="c", tag=(i,), load_to_use=3,
-                       req_id=i))
-    assert len(sink) == 3
-    assert asm.completed == [] and asm.dropped == 0
-
-
 def test_walk_only_assembler_skips_request_events():
-    """No request sink and no retention: only walks are assembled, with
-    the same phases a full assembler records."""
-    full = SpanAssembler(max_kept=10)
+    """No request sink: only walks are assembled, with the same phases
+    a full assembler records."""
+    spans = []
+    full = SpanAssembler(sink=spans.append)
     retired = []
     walk_only = SpanAssembler(
-        max_kept=0, walk_sink=lambda walk, lifetime: retired.append(walk))
+        walk_sink=lambda walk, lifetime: retired.append(walk))
     subscribed = set(walk_only.subscriptions())
     assert not subscribed & {RequestArrive, QueueStall, Hit, Merge}
     assert {Miss, WalkerDispatch, WalkerRetire} <= subscribed
@@ -225,17 +200,19 @@ def test_walk_only_assembler_skips_request_events():
         walk_only.handle(ev)
     assert walk_only.requests_completed == 0
     [walk] = retired
-    assert walk.phases == full.completed[0].episodes[0].walk.phases
+    assert walk.phases == spans[0].episodes[0].walk.phases
 
 
 def test_uncorrelated_events_are_ignored():
-    asm = SpanAssembler()
+    sink = []
+    asm = SpanAssembler(sink=sink.append)
     asm.handle(RequestArrive(cycle=0, component="c", tag=(1,),
                              op="load"))            # req_id=-1
     asm.handle(Hit(cycle=1, component="c", tag=(1,), load_to_use=3))
     asm.handle(DRAMIssue(cycle=2, component="d", addr=0))  # unowned
     asm.handle(WalkerRetire(cycle=3, component="c", tag=(2,)))
     assert asm.requests_open == 0 and asm.requests_completed == 0
+    assert sink == []
 
 
 # ----------------------------------------------------------------------
@@ -260,8 +237,22 @@ def test_aggregator_merge_folds_counts_and_topk():
 # ----------------------------------------------------------------------
 # real systems
 # ----------------------------------------------------------------------
+def _observe_spans(system, top_k=5):
+    """Arm span assembly with critical-path blame on ``system``;
+    returns (assembler, aggregator, completed spans)."""
+    agg = CritPathAggregator(top_k=top_k)
+    spans = []
+
+    def sink(span):
+        spans.append(span)
+        agg.add(span)
+
+    asm = system.observe(SpanAssembler(sink=sink))
+    return asm, agg, spans
+
+
 def test_observe_spans_on_mini_system(mini_system):
-    asm, agg = mini_system.observe_spans(top_k=3)
+    asm, agg, spans = _observe_spans(mini_system, top_k=3)
     addr = mini_system.image.alloc_u64_array(list(range(8)))
     for i in range(8):
         mini_system.load((i,), walk_fields={"addr": addr + 8 * i})
@@ -274,14 +265,14 @@ def test_observe_spans_on_mini_system(mini_system):
     assert asm.requests_completed == 16
     assert asm.requests_open == 0 and asm.walks_open == 0
     assert agg.conservation_ok, agg.mismatches[:5]
-    for span in asm.completed:
+    for span in spans:
         assert verify_request(span) == []
         assert sum(blame_request(span).values()) == span.latency
 
 
 def test_hit_only_requests_reproduce_three_cycle_load_to_use(mini_system):
     """The paper's 3-cycle hit path: blame puts it all on hit_path."""
-    asm, agg = mini_system.observe_spans()
+    _asm, _agg, spans = _observe_spans(mini_system)
     addr = mini_system.image.alloc_u64_array(list(range(4)))
     for i in range(4):
         mini_system.load((i,), walk_fields={"addr": addr + 8 * i})
@@ -289,7 +280,7 @@ def test_hit_only_requests_reproduce_three_cycle_load_to_use(mini_system):
     for i in range(4):
         mini_system.load((i,), walk_fields={"addr": addr + 8 * i})
     mini_system.run()
-    hits = [s for s in asm.completed if s.outcome == "hit"
+    hits = [s for s in spans if s.outcome == "hit"
             and not s.episodes]
     assert len(hits) == 4
     for span in hits:
@@ -332,28 +323,52 @@ def _jsonl_lines(events, run=0):
     return [json.dumps(event_to_dict(ev, {"run": run})) for ev in events]
 
 
-def test_replay_events_rebuilds_spans_from_jsonl():
+def _aggregate(events, top_k=5):
+    agg = CritPathAggregator(top_k=top_k)
+    asm = SpanAssembler(sink=agg.add)
+    for ev in events:
+        asm.handle(ev)
+    return agg
+
+
+def _explain(tmp_path, capsys, lines, *argv):
+    """Replay ``lines`` as a trace file: (exit code, stdout, stderr)."""
+    from repro.obs.explain import main
+
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    code = main([str(trace), *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_replay_events_rebuilds_spans_from_jsonl(tmp_path, capsys):
     lines = _jsonl_lines(_merged_walk_stream())
     lines.insert(0, json.dumps({"event": "future_thing", "cycle": 0,
                                 "component": "c"}))   # skipped, not fatal
     lines.insert(1, "")                               # blank line ok
-    agg, assemblers = replay_events(lines)
-    assert set(assemblers) == {0}
-    assert agg.requests == 2
-    assert agg.conservation_ok, agg.mismatches
+    code, out, _err = _explain(tmp_path, capsys, lines)
+    assert code == 0
+    assert "requests=2 conservation=ok" in out
 
 
-def test_replay_namespaces_runs_like_perfetto():
+def test_replay_merges_runs_like_a_live_capture(tmp_path, capsys):
+    """Two systems that share component ``ctl`` report it as one
+    component, as the live capture that wrote the trace did."""
     lines = (_jsonl_lines(_merged_walk_stream(), run=0)
              + _jsonl_lines(_merged_walk_stream(), run=1))
-    agg, assemblers = replay_events(lines)
-    assert set(assemblers) == {0, 1}
-    assert agg.requests == 4                # same req_ids, separate runs
-    assert set(agg.summary_dict()) == {"ctl", "run1/ctl"}
+    out_json = tmp_path / "slo.json"
+    code, out, _err = _explain(tmp_path, capsys, lines,
+                               "--json", str(out_json))
+    assert code == 0
+    assert "requests=4 conservation=ok" in out
+    components = json.loads(out_json.read_text())["components"]
+    assert set(components) == {"ctl"}
+    assert components["ctl"]["requests"] == 4
 
 
 def test_explain_report_renders_table_and_drilldowns():
-    agg, _ = replay_events(_jsonl_lines(_merged_walk_stream()))
+    agg = _aggregate(_merged_walk_stream())
     text = explain_report(agg, top=1)
     assert "-- why-slow (repro.obs.critpath) --" in text
     assert "requests=2 conservation=ok" in text
@@ -365,27 +380,72 @@ def test_explain_report_renders_table_and_drilldowns():
 
 
 def test_slo_summary_shape():
-    agg, _ = replay_events(_jsonl_lines(_merged_walk_stream()))
-    payload = slo_summary(agg, "mini")
+    payload = slo_summary(_aggregate(_merged_walk_stream()), "mini")
     assert payload["suite"] == "mini"
     assert payload["components"]["ctl"]["requests"] == 2
     json.dumps(payload)                     # must be JSON-serializable
 
 
 def test_explain_cli_replay_and_json(tmp_path, capsys):
-    from repro.obs.explain import main
-
-    trace = tmp_path / "t.jsonl"
-    trace.write_text("\n".join(_jsonl_lines(_merged_walk_stream())) + "\n")
     out_json = tmp_path / "slo.json"
-    code = main([str(trace), "--top", "1", "--json", str(out_json),
-                 "--suite", "mini"])
-    out = capsys.readouterr().out
+    code, out, _err = _explain(
+        tmp_path, capsys, _jsonl_lines(_merged_walk_stream()),
+        "--top", "1", "--json", str(out_json), "--suite", "mini")
     assert code == 0
     assert "conservation=ok" in out
     payload = json.loads(out_json.read_text())
     assert payload["suite"] == "mini"
     assert payload["components"]["ctl"]["requests"] == 2
+
+
+@pytest.mark.parametrize("run", ["-1", '"0"', "1.5", "true", "null"])
+def test_explain_cli_malformed_run_exits_2(tmp_path, capsys, run):
+    """A record whose ``run`` is not a non-negative integer is malformed:
+    one error line naming the path and the line, nothing on stdout."""
+    lines = _jsonl_lines(_merged_walk_stream())
+    lines[3] = lines[3].replace('"run": 0', f'"run": {run}')
+    out_json = tmp_path / "slo.json"
+    code, out, err = _explain(tmp_path, capsys, lines,
+                              "--json", str(out_json))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert str(tmp_path / "t.jsonl") in err and "line 4 " in err
+    assert not out_json.exists()
+
+
+def test_fig07_replay_is_the_live_capture(tmp_path, capsys):
+    """Replaying a five-system fig07 capture prints the live capture's
+    report text, writes its --spans file byte for byte, and gets the
+    same SLO verdict."""
+    import pathlib
+
+    from repro.harness import run_experiment
+    from repro.obs.capture import CaptureSpec, capture_scope
+    from repro.obs.explain import main
+    from repro.obs.regress import check_slo
+
+    spec = CaptureSpec(events_path=str(tmp_path / "t.jsonl"),
+                       spans_path=str(tmp_path / "live.json"),
+                       explain_top=3, misses=True)
+    with capture_scope(spec.for_experiment("fig07")) as cap:
+        run_experiment("fig07", "ci")
+    assert cap.systems_observed == 5
+    replay_json = tmp_path / "replay.json"
+    code = main([str(tmp_path / "t.fig07.jsonl"), "--top", "3",
+                 "--misses", "--json", str(replay_json),
+                 "--suite", "fig07"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == cap.summary_text + "\n"
+    live_json = tmp_path / "live.fig07.json"
+    assert replay_json.read_bytes() == live_json.read_bytes()
+    slo = pathlib.Path(__file__).resolve().parents[1] / "SLO.json"
+    policy = json.loads(slo.read_text())
+    live_checks = check_slo(json.loads(live_json.read_text()), policy)
+    assert live_checks and all(check.ok for check in live_checks)
+    assert check_slo(json.loads(replay_json.read_text()),
+                     policy) == live_checks
 
 
 def test_explain_cli_unreadable_trace_exits_2(tmp_path, capsys):
@@ -402,9 +462,7 @@ def test_explain_cli_argument_validation(capsys):
     from repro.obs.explain import main
 
     with pytest.raises(SystemExit):
-        main([])                            # neither trace nor --run
-    with pytest.raises(SystemExit):
-        main(["t.jsonl", "--run", "fig04"])  # both
+        main([])                            # neither trace nor ledger
     capsys.readouterr()
 
 

@@ -375,6 +375,27 @@ def test_svc_preemption_resumes_from_checkpoint(tmp_path, monkeypatch):
     assert not list(ckdir.iterdir())
 
 
+def test_ckpt_job_fails_on_another_dsas_snapshot(tmp_path, monkeypatch):
+    """A ``ckpt:widx`` job submitted through the API with a DASX
+    snapshot fails, instead of running the DASX model under the widx
+    label."""
+    from repro.svc.jobs import JobFailed, JobSpec
+    from repro.svc.pool import CRASH_AFTER_CKPT_ENV, CRASH_ONCE_ENV
+    from repro.svc.service import Service
+
+    snap = str(tmp_path / "dasx.ckpt")
+    write_warm_snapshot(snap, "dasx", "ci", warm_cycles=2000)
+    monkeypatch.delenv(CRASH_ONCE_ENV, raising=False)
+    monkeypatch.delenv(CRASH_AFTER_CKPT_ENV, raising=False)
+    spec = JobSpec(experiment="ckpt:widx", profile="ci", snapshot=snap,
+                   snapshot_digest=ck.snapshot_digest(snap))
+    with Service(workers=1, store=None) as svc:
+        job = svc.submit(spec)
+        with pytest.raises(JobFailed, match="restored a DasxXCacheModel, "
+                                            "not a WidxXCacheModel"):
+            job.result(timeout=300)
+
+
 def test_service_validates_ckpt_specs():
     from repro.svc.jobs import JobSpec
     from repro.svc.service import validate_spec

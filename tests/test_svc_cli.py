@@ -190,3 +190,47 @@ def test_failed_point_is_reported_and_the_sweep_finishes(tmp_path,
     assert "submitted=1 completed=0" in captured.out
     # the point never finished, so no simulation result was written
     assert "simulations=0" in captured.out
+
+
+def test_warmup_snapshot_of_another_dsa_is_a_usage_error(tmp_path,
+                                                        monkeypatch,
+                                                        capsys):
+    """A ``ckpt:widx`` sweep handed a DASX snapshot exits 2 with one
+    error line before any worker starts, instead of forking the DASX
+    model under the widx label."""
+    import repro.svc.__main__ as cli
+    from repro.harness.sweep import write_warm_snapshot
+
+    snapshot = str(tmp_path / "dasx.ckpt")
+    write_warm_snapshot(snapshot, "dasx", "ci", warm_cycles=2000)
+    monkeypatch.setattr(cli, "Service", _no_service)
+    line = _usage_error_line(["sweep", "ckpt:widx", "--workers", "1",
+                              "--warmup-snapshot", snapshot], capsys)
+    assert line.startswith("repro.svc sweep: error: ")
+    assert "holds a DasxXCacheModel, not the WidxXCacheModel" in line
+
+
+def test_sweep_result_lines_name_their_grid_point(tmp_path, capsys):
+    """Each result line carries its point's fork overrides, so the
+    points of a grid differ by more than their digests."""
+    argv = ["sweep", "ckpt:widx", "--workers", "1",
+            "--warmup-snapshot", str(tmp_path / "w.ckpt"),
+            "--warm-cycles", "2000",
+            "--grid", "num_exe=2,4", "--grid", "dram.t_cl=8,11"]
+    assert main(argv) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "all_ok=" in line]
+    assert len(lines) == 4
+    for t_cl in (8, 11):
+        for num_exe in (2, 4):
+            tail = (f"== ckpt:widx profile=ci == "
+                    f"dram.t_cl={t_cl},num_exe={num_exe} all_ok=True (ran)")
+            assert sum(line.endswith(tail) for line in lines) == 1
+
+
+def test_sweep_result_lines_name_profile_overrides(capsys):
+    assert main(["sweep", "sleep:0", "--workers", "1",
+                 "--grid", "seed=1,2"]) == 0
+    out = capsys.readouterr().out
+    for seed in (1, 2):
+        assert f"== sleep: 0s == seed={seed} all_ok=True (ran)" in out
