@@ -33,7 +33,6 @@ from ..core.messages import reset_ids
 from .profiles import PROFILES, Profile, get_profile
 from .report import ExperimentReport, Expectation, format_table
 from .suite import SUITE_WORKLOADS, VariantSet, clear_cache, run_fig14_suite
-from .export import report_to_csv, report_to_dict, report_to_json, write_run
 
 EXPERIMENTS: Dict[str, Callable[[str], ExperimentReport]] = {
     "fig04": fig04.run,
@@ -77,8 +76,4 @@ __all__ = [
     "SUITE_WORKLOADS",
     "VariantSet",
     "clear_cache",
-    "report_to_dict",
-    "report_to_json",
-    "report_to_csv",
-    "write_run",
 ]

@@ -40,6 +40,11 @@ runs it):
 fig15 and fig16 reuse the suite fig14 (or whichever of the three runs
 first) simulated in the same run, so they capture no events of their
 own, serial or parallel.
+
+Snapshot-fork warm-start sweeps are not a harness mode: ``python -m
+repro.svc sweep ckpt:<dsa> --warmup-snapshot P.ckpt --grid FIELD=V1,V2``
+warms one model once and forks it into every grid point (see
+:mod:`repro.harness.sweep`).
 """
 
 from __future__ import annotations
@@ -50,42 +55,6 @@ import sys
 from ..obs.capture import CaptureSpec
 from . import EXPERIMENTS
 from .parallel import run_parallel, run_serial
-
-
-def _snapshot_mode(parser, args) -> int:
-    """``--write-snapshot`` / ``--sweep-from-snapshot`` entry points."""
-    from ..sim.checkpoint import SnapshotError
-    from .sweep import (
-        parse_grid_entries,
-        render_sweep,
-        run_snapshot_sweep,
-        sweep_points,
-        write_warm_snapshot,
-    )
-
-    if args.write_snapshot and args.sweep_from_snapshot:
-        parser.error("--write-snapshot and --sweep-from-snapshot are "
-                     "separate modes (write first, then sweep)")
-    try:
-        if args.write_snapshot:
-            header = write_warm_snapshot(
-                args.write_snapshot, args.snapshot_dsa, args.profile,
-                warm_cycles=args.warm_cycles, warm_frac=args.warm_frac)
-            print(f"snapshot: {args.write_snapshot} "
-                  f"model={header['model_class']} cycle={header['cycle']} "
-                  f"digest={header['payload_sha256'][:12]}")
-            return 0
-        grid = parse_grid_entries(args.sweep_grid)
-        points = sweep_points(grid) if grid else [{}]
-        from ..sim.checkpoint import read_header
-
-        header = read_header(args.sweep_from_snapshot)
-        results = run_snapshot_sweep(args.sweep_from_snapshot, points)
-        print(render_sweep(args.sweep_from_snapshot, header, results))
-        return 0 if all(p.result.checks_passed for p in results) else 1
-    except (SnapshotError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main(argv=None) -> int:
@@ -136,34 +105,7 @@ def main(argv=None) -> int:
                         help="write per-set occupancy/eviction heatmap "
                              "rows (per experiment: PATH.<exp_id>.csv; "
                              "implies --misses)")
-    snap = parser.add_argument_group(
-        "snapshot-fork sweeps",
-        "warm one model once, then fork the snapshot into a grid of "
-        "fork-safe config points (see repro.harness.sweep)")
-    snap.add_argument("--write-snapshot", default=None, metavar="PATH.ckpt",
-                      help="warm a model and write a snapshot, then exit")
-    snap.add_argument("--snapshot-dsa", default="widx",
-                      choices=("widx", "dasx", "sparch", "gamma",
-                               "graphpulse"),
-                      help="which DSA to warm for --write-snapshot")
-    snap.add_argument("--warm-cycles", type=int, default=None,
-                      metavar="CYCLES",
-                      help="snapshot at this cycle (default: probe a "
-                           "straight run and use --warm-frac of it)")
-    snap.add_argument("--warm-frac", type=float, default=0.85,
-                      help="snapshot point as a fraction of the straight "
-                           "run (default: 0.85)")
-    snap.add_argument("--sweep-from-snapshot", default=None,
-                      metavar="PATH.ckpt",
-                      help="fork this snapshot into every --sweep-grid "
-                           "point and print one result line per point")
-    snap.add_argument("--sweep-grid", action="append", default=[],
-                      metavar="FIELD=V1,V2",
-                      help="fork-safe override values (repeatable; "
-                           "dram.* targets DRAM timing)")
     args = parser.parse_args(argv)
-    if args.write_snapshot or args.sweep_from_snapshot:
-        return _snapshot_mode(parser, args)
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
     if args.explain_top < 0:

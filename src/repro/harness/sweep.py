@@ -1,49 +1,42 @@
-"""Snapshot-fork warm-start sweeps (``harness --sweep-from-snapshot``).
+"""The ``ckpt:<dsa>`` job helpers: build and warm one DSA model, expand
+a fork-override grid.
 
 A parameter sweep over *fork-safe* knobs (back-end width, latencies,
-scheduling window, compile thresholds, DRAM timing — see
+scheduling window, DRAM timing — see
 :data:`repro.sim.checkpoint.FORK_SAFE_FIELDS`) re-simulates the same
-warmup N times under the straight harness. The snapshot-fork sweep pays
-the warmup **once**: run one model to a snapshot point, save it, then
-fork the snapshot into each grid point — restore, apply the overrides,
-run only the post-warmup tail. Results for the *measured region* are
-identical to straight runs that changed the knob at the same cycle, and
-the end-to-end cost drops from ``N × (warmup + tail)`` to
-``warmup + N × tail`` (benchmarked in
+warmup N times under straight runs. A snapshot-fork sweep pays the
+warmup **once**: run one model to a snapshot point, save it, then fork
+the snapshot into each grid point — restore, apply the overrides, run
+only the post-warmup tail. The end-to-end cost drops from
+``N × (warmup + tail)`` to ``warmup + N × tail`` (benchmarked in
 ``benchmarks/bench_checkpoint_sweep.py``, gated ≥3x at 8 points).
 
 Geometry-changing overrides are rejected up front with
 :class:`~repro.sim.checkpoint.ForkOverrideError` — a warmed cache
 cannot be reinterpreted under a different shape.
 
-CLI::
+The service runs the sweep: ``svc sweep ckpt:<dsa>`` writes the warm
+snapshot with :func:`write_warm_snapshot` (once, before any job) and
+each job forks it::
 
-    # warm once and write the snapshot
-    python -m repro.harness --write-snapshot warm.ckpt \\
-        --snapshot-dsa widx --profile quick --warm-frac 0.85
-
-    # fork it into a grid (one line per point, deterministic order)
-    python -m repro.harness --sweep-from-snapshot warm.ckpt \\
-        --sweep-grid num_exe=2,4,8 --sweep-grid dram.t_cl=8,11
+    python -m repro.svc sweep ckpt:widx --profile quick \\
+        --warmup-snapshot warm.ckpt --warm-frac 0.85 \\
+        --grid num_exe=2,4,8 --grid dram.t_cl=8,11
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 __all__ = [
     "SWEEP_DSAS",
     "SWEEP_MODEL_CLASSES",
-    "SweepPoint",
     "build_model",
     "straight_run",
     "write_warm_snapshot",
     "sweep_points",
-    "run_snapshot_sweep",
-    "render_sweep",
     "parse_grid_entries",
 ]
 
@@ -179,54 +172,3 @@ def sweep_points(grid: Mapping[str, Sequence[Any]]
             raise ValueError(f"empty value list for grid field {field!r}")
         points = [{**p, field: v} for p in points for v in values]
     return points
-
-
-@dataclass
-class SweepPoint:
-    """One forked run: its overrides and what it measured."""
-
-    overrides: Dict[str, Any]
-    result: Any                 # RunResult
-    restore_s: float            # wall time of load + fork + rebind
-    tail_s: float               # wall time of the post-warmup simulation
-
-    @property
-    def label(self) -> str:
-        if not self.overrides:
-            return "(base)"
-        return ",".join(f"{k}={v}"
-                        for k, v in sorted(self.overrides.items()))
-
-
-def run_snapshot_sweep(snapshot_path: str,
-                       points: Sequence[Mapping[str, Any]]
-                       ) -> List[SweepPoint]:
-    """Fork ``snapshot_path`` into every override point, in order."""
-    from ..sim import checkpoint as ck
-
-    out: List[SweepPoint] = []
-    for overrides in points:
-        t0 = time.perf_counter()
-        model, _header = ck.load_model(snapshot_path,
-                                       overrides=dict(overrides) or None)
-        t1 = time.perf_counter()
-        result = ck.finish_model(model)
-        out.append(SweepPoint(dict(overrides), result,
-                              restore_s=t1 - t0,
-                              tail_s=time.perf_counter() - t1))
-    return out
-
-
-def render_sweep(snapshot_path: str, header: Mapping[str, Any],
-                 points: Sequence[SweepPoint]) -> str:
-    """Deterministic sweep report (wall times excluded on purpose)."""
-    lines = [f"== snapshot-fork sweep: {header['model_class']} "
-             f"@cycle {header['cycle']} "
-             f"(snapshot {header['payload_sha256'][:12]}) =="]
-    for point in points:
-        r = point.result
-        lines.append(
-            f"  {point.label}: cycles={r.cycles} hits={r.hits} "
-            f"misses={r.misses} dram={r.dram_accesses} "
-            f"checks={'ok' if r.checks_passed else 'FAIL'}")
-    return "\n".join(lines)

@@ -97,8 +97,9 @@ def blame_request(span: RequestSpan) -> Dict[str, int]:
     return blame
 
 
-def verify_request(span: RequestSpan) -> List[str]:
-    """Conservation / containment checks for one completed span.
+def verify_request(span: RequestSpan, blame: Dict[str, int]) -> List[str]:
+    """Conservation / containment checks for one completed span and its
+    :func:`blame_request` split ``blame``.
 
     Returns a list of problem strings (empty = consistent):
 
@@ -109,7 +110,6 @@ def verify_request(span: RequestSpan) -> List[str]:
     """
     problems: List[str] = []
     rid = span.req_id
-    blame = blame_request(span)
     total = sum(blame.values())
     if total != span.latency:
         problems.append(
@@ -183,7 +183,7 @@ class CritPathAggregator:
     # -- ingestion -----------------------------------------------------
     def add(self, span: RequestSpan) -> None:
         blame = blame_request(span)
-        self.mismatches.extend(verify_request(span))
+        self.mismatches.extend(verify_request(span, blame))
         self.requests += 1
         comp = self._by_component.get(span.component)
         if comp is None:

@@ -25,10 +25,17 @@ service would refuse, a ``--warmup-snapshot`` of another DSA's model,
 or a ledger that cannot be read. A bad ``sweep`` command line fails
 before any warmup snapshot is written or worker started.
 
-Each result line names its grid point by the job's overrides (here
-``ckpt:widx --grid num_exe=2,4``)::
+Each result line names its grid point by the job's overrides. A
+``ckpt:<dsa>`` line also names the snapshot the job forked and carries
+the point's simulated numbers (here ``ckpt:widx --profile quick
+--warmup-snapshot warm.ckpt --grid num_exe=2,4``)::
 
-    [c3f23806eaf7] == ckpt:widx profile=ci == num_exe=2 all_ok=True (ran)
+    [1f54d13e8ac9] == ckpt:widx WidxXCacheModel @cycle 20717 (snapshot
+    1c7efa01f785) == num_exe=2: cycles=24373 hits=7058 misses=1084
+    dram=3308 checks=ok all_ok=True (ran)
+
+A coalesced repeat shares its leader's job, so it prints no line of
+its own; the summary line counts it.
 """
 
 from __future__ import annotations
@@ -94,28 +101,19 @@ def _sweep_specs(args) -> List[JobSpec]:
     DSA's X-Cache model. Raises :class:`ValueError` or
     :class:`~repro.sim.checkpoint.SnapshotError` for bad input.
     """
-    from ..harness.sweep import parse_grid_entries, sweep_points
+    from ..harness.sweep import parse_grid_entries
 
-    grid = parse_grid_entries(args.grid)
-    capture = _capture_from_args(args)
-    ckpt = args.experiment.startswith("ckpt:")
-    if ckpt:
-        points = sweep_points(grid) if grid else [{}]
-        specs = [JobSpec(experiment=args.experiment, profile=args.profile,
-                         fork_overrides=tuple(sorted(point.items())),
-                         snapshot=args.warmup_snapshot,
-                         checkpoint_every=args.checkpoint_every,
-                         checkpoint_dir=args.checkpoint_dir,
-                         capture=capture, tag=args.tag)
-                 for _ in range(args.repeat) for point in points]
-    else:
-        specs = sweep_specs(args.experiment, args.profile, grid=grid,
-                            repeat=args.repeat, capture=capture,
-                            tag=args.tag)
+    specs = sweep_specs(args.experiment, args.profile,
+                        grid=parse_grid_entries(args.grid),
+                        repeat=args.repeat,
+                        capture=_capture_from_args(args), tag=args.tag,
+                        snapshot=args.warmup_snapshot,
+                        checkpoint_every=args.checkpoint_every,
+                        checkpoint_dir=args.checkpoint_dir)
     for spec in specs:
         validate_spec(spec)
     snapshot = args.warmup_snapshot
-    if ckpt and snapshot:
+    if args.experiment.startswith("ckpt:") and snapshot:
         from ..harness.sweep import SWEEP_MODEL_CLASSES, write_warm_snapshot
         from ..sim.checkpoint import read_header
 
@@ -151,7 +149,8 @@ def _cmd_sweep(args, specs: List[JobSpec]) -> int:
           f"({len(specs) // args.repeat} distinct points)")
     with Service(workers=args.workers,
                  store=args.store or "memory") as svc:
-        jobs = [svc.submit(spec) for spec in specs]
+        # a coalesced repeat is its leader's Job: one line per job
+        jobs = list(dict.fromkeys(svc.submit(spec) for spec in specs))
         ok = True
         for job in jobs:
             point = _point_label(job.spec)
@@ -165,7 +164,11 @@ def _cmd_sweep(args, specs: List[JobSpec]) -> int:
                       f"FAILED: {reason}")
                 ok = False
                 continue
-            first_line = payload["rendered"].splitlines()[0]
+            lines = payload["rendered"].splitlines()
+            # a ckpt: report is its header and one "point: numbers" line
+            summary = (f"{lines[0]} {lines[1].strip()}"
+                       if job.spec.experiment.startswith("ckpt:")
+                       else lines[0] + point)
             origin = "store" if job.from_store else "ran"
             if job.followers:
                 origin += f", +{job.followers} coalesced"
@@ -174,7 +177,7 @@ def _cmd_sweep(args, specs: List[JobSpec]) -> int:
                 origin += f", checkpoints={meta['checkpoints']}"
             if meta.get("resumed_from"):
                 origin += f", resumed_from={meta['resumed_from']}"
-            print(f"[{job.digest[:12]}] {first_line}{point} "
+            print(f"[{job.digest[:12]}] {summary} "
                   f"all_ok={payload['all_ok']} ({origin})")
             ok = ok and payload["all_ok"]
         metrics = svc.metrics()
@@ -216,7 +219,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "for explain --ledger)")
     sweep.add_argument("--grid", action="append", default=[],
                        metavar="FIELD=V1,V2",
-                       help="profile field values to sweep (repeatable)")
+                       help="profile field values to sweep, or for "
+                            "ckpt:<dsa> fork-safe config fields (dram.* "
+                            "for DRAM timing) (repeatable)")
     sweep.add_argument("--repeat", type=int, default=1,
                        help="submit the whole grid N times (dedup demo)")
     sweep.add_argument("--workers", type=int, default=2,

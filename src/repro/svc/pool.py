@@ -90,6 +90,12 @@ def _execute_ckpt(spec: JobSpec, send_progress) -> Tuple[str, bool, dict]:
     chunks, so a crash loses at most one interval. The checkpoints
     themselves never perturb the simulation: a preempted+resumed run
     renders byte-identically to an undisturbed one.
+
+    The report is two lines: a header naming where the run started — a
+    fork's snapshot (model class, cycle, digest prefix) or a fresh
+    build's profile — and ``<overrides>: cycles=… hits=… misses=…
+    dram=… checks=ok|FAIL``, the overrides ``(base)`` when there are
+    none.
     """
     from ..harness.sweep import SWEEP_DSAS, SWEEP_MODEL_CLASSES, build_model
     from ..sim import checkpoint as ck
@@ -103,12 +109,15 @@ def _execute_ckpt(spec: JobSpec, send_progress) -> Tuple[str, bool, dict]:
         resume_path = os.path.join(spec.checkpoint_dir,
                                    f"resume_{spec.digest()}.ckpt")
     resumed_from = 0
+    source = None  # the header of the snapshot a fork warmed from
     if resume_path and os.path.exists(resume_path):
         model, header = ck.load_model(resume_path)
         resumed_from = header["cycle"]
+        if spec.snapshot:
+            source = ck.read_header(spec.snapshot)
     elif spec.snapshot:
-        model, _header = ck.load_model(spec.snapshot,
-                                       overrides=overrides or None)
+        model, source = ck.load_model(spec.snapshot,
+                                      overrides=overrides or None)
     else:
         model = build_model(dsa, spec.profile,
                             config_overrides=overrides or None)
@@ -141,12 +150,14 @@ def _execute_ckpt(spec: JobSpec, send_progress) -> Tuple[str, bool, dict]:
     result = ck.finish_model(model)
     if resume_path and os.path.exists(resume_path):
         os.remove(resume_path)
+    provenance = (f"{source['model_class']} @cycle {source['cycle']} "
+                  f"(snapshot {source['payload_sha256'][:12]})"
+                  if source else f"profile={spec.profile}")
     label = ",".join(f"{k}={v}"
-                     for k, v in sorted(overrides.items())) or "(none)"
+                     for k, v in sorted(overrides.items())) or "(base)"
     rendered = "\n".join([
-        f"== ckpt:{dsa} profile={spec.profile} ==",
-        f"  overrides: {label}",
-        f"  cycles={result.cycles} hits={result.hits} "
+        f"== ckpt:{dsa} {provenance} ==",
+        f"  {label}: cycles={result.cycles} hits={result.hits} "
         f"misses={result.misses} dram={result.dram_accesses} "
         f"checks={'ok' if result.checks_passed else 'FAIL'}",
     ])

@@ -61,31 +61,41 @@ def sweep_specs(experiment: str, profile: str = "ci",
                 repeat: int = 1, **spec_kwargs) -> List[JobSpec]:
     """Fan a parameter grid into :class:`JobSpec`s.
 
-    ``grid`` maps :class:`~repro.harness.profiles.Profile` field names
-    to value lists; the cartesian product becomes one spec per point
-    (``profile_overrides``). ``repeat`` (>= 1) duplicates the whole
-    list — with deduplication on, repeats cost nothing and are how the
-    CI smoke proves the one-simulation property.
+    The cartesian product of ``grid`` becomes one spec per point. For a
+    ``ckpt:<dsa>`` experiment the grid names fork-safe config fields
+    (``dram.*`` for DRAM timing) and each point becomes the spec's
+    ``fork_overrides``; a field that is not fork-safe raises
+    :class:`~repro.sim.checkpoint.ForkOverrideError`. Otherwise it names
+    :class:`~repro.harness.profiles.Profile` fields and each point
+    becomes ``profile_overrides``. ``repeat`` (>= 1) duplicates the
+    whole list — with deduplication on, repeats cost nothing and are
+    how the CI smoke proves the one-simulation property.
     """
-    from ..harness.profiles import Profile
-
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
     grid = dict(grid or {})
-    valid = set(Profile.__dataclass_fields__)
-    unknown = sorted(set(grid) - valid)
-    if unknown:
-        raise ValueError(f"unknown profile field(s) {unknown}; "
-                         f"have {sorted(valid)}")
-    keys = sorted(grid)
+    if experiment.startswith("ckpt:"):
+        from ..sim.checkpoint import check_fork_overrides
+
+        check_fork_overrides(grid)
+        overrides_field = "fork_overrides"
+    else:
+        from ..harness.profiles import Profile
+
+        valid = set(Profile.__dataclass_fields__)
+        unknown = sorted(set(grid) - valid)
+        if unknown:
+            raise ValueError(f"unknown profile field(s) {unknown}; "
+                             f"have {sorted(valid)}")
+        overrides_field = "profile_overrides"
     points: List[tuple] = [()]
-    for key in keys:
+    for key in sorted(grid):
         values = list(grid[key])
         if not values:
             raise ValueError(f"empty value list for grid field {key!r}")
         points = [(*p, (key, v)) for p in points for v in values]
     specs = [JobSpec(experiment=experiment, profile=profile,
-                     profile_overrides=p, **spec_kwargs)
+                     **{overrides_field: p}, **spec_kwargs)
              for p in points]
     return [s for _ in range(repeat) for s in specs]
 

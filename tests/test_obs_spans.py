@@ -181,7 +181,7 @@ def test_blame_conserves_and_classifies_on_synthetic_stream():
                          "dram": 20, "queue_stall": 0}
     for span, blame in agg.slowest():
         assert sum(blame.values()) == span.latency == 30
-        assert verify_request(span) == []
+        assert verify_request(span, blame) == []
 
 
 def test_walk_only_assembler_skips_request_events():
@@ -234,6 +234,30 @@ def test_aggregator_merge_folds_counts_and_topk():
     assert set(stats["blame"]) == set(BLAME_BUCKETS)
 
 
+def test_aggregator_blames_each_request_once(monkeypatch):
+    """``add`` verifies the blame split it books instead of computing
+    it a second time, and the check reads that split."""
+    from repro.obs import critpath
+
+    calls = []
+
+    def counted(span, _blame=critpath.blame_request):
+        calls.append(span.req_id)
+        return _blame(span)
+
+    monkeypatch.setattr(critpath, "blame_request", counted)
+    agg = CritPathAggregator(top_k=2)
+    asm = SpanAssembler(sink=agg.add)
+    for ev in _merged_walk_stream():
+        asm.handle(ev)
+    assert agg.requests == 2 and agg.conservation_ok
+    assert sorted(calls) == [1, 2]
+    span, blame = agg.slowest()[0]
+    off_by_one = {**blame, "exec": blame["exec"] + 1}
+    assert verify_request(span, off_by_one) == [
+        f"req {span.req_id}: blame sums to 31, latency 30"]
+
+
 # ----------------------------------------------------------------------
 # real systems
 # ----------------------------------------------------------------------
@@ -266,8 +290,9 @@ def test_observe_spans_on_mini_system(mini_system):
     assert asm.requests_open == 0 and asm.walks_open == 0
     assert agg.conservation_ok, agg.mismatches[:5]
     for span in spans:
-        assert verify_request(span) == []
-        assert sum(blame_request(span).values()) == span.latency
+        blame = blame_request(span)
+        assert verify_request(span, blame) == []
+        assert sum(blame.values()) == span.latency
 
 
 def test_hit_only_requests_reproduce_three_cycle_load_to_use(mini_system):

@@ -24,7 +24,6 @@ from repro.harness.sweep import (
     SWEEP_DSAS,
     build_model,
     parse_grid_entries,
-    run_snapshot_sweep,
     straight_run,
     sweep_points,
     write_warm_snapshot,
@@ -235,19 +234,11 @@ def test_fork_override_whitelist_enforced(widx_snapshot):
 
 
 @pytest.mark.parametrize("warm_cycles", [-5, 0])
-def test_warm_cycles_below_one_write_no_snapshot(warm_cycles, tmp_path,
-                                                 capsys):
-    from repro.harness.__main__ import main
-
+def test_warm_cycles_below_one_write_no_snapshot(warm_cycles, tmp_path):
     path = tmp_path / "warm.ckpt"
     with pytest.raises(ValueError, match="warm_cycles must be >= 1"):
         write_warm_snapshot(str(path), "widx", "ci",
                             warm_cycles=warm_cycles)
-    assert main(["--write-snapshot", str(path), "--snapshot-dsa", "widx",
-                 "--profile", "ci", "--warm-cycles", str(warm_cycles)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: warm_cycles must be >= 1" in captured.err
     assert not path.exists()
 
 
@@ -295,16 +286,41 @@ def test_parse_grid_entries_types_values():
         parse_grid_entries(["num_exe"])
 
 
-def test_run_snapshot_sweep_base_point_matches_straight_run(widx_snapshot):
-    """The sweep runner's no-override point IS a straight run (an
-    overridden point is not: it changes the knob at the snapshot cycle,
-    a straight run changes it at cycle zero — by design)."""
-    path, _ = widx_snapshot
-    swept = run_snapshot_sweep(str(path), [{}, {"num_exe": 2}])
-    assert swept[0].result == straight_run("widx", "ci")
-    # the overridden point still completes the same work
-    assert swept[1].result.requests == swept[0].result.requests
-    assert swept[1].result.checks_passed
+def test_ckpt_job_fork_reports_straight_run_numbers(widx_snapshot):
+    """A ``ckpt:`` job run in-process: its no-override fork reports the
+    straight run's numbers (an overridden point is not a straight run:
+    it changes the knob at the snapshot cycle, a straight run changes
+    it at cycle zero — by design), and its header names the snapshot."""
+    from repro.svc.jobs import JobSpec
+    from repro.svc.pool import _execute_spec
+
+    path, header = widx_snapshot
+
+    def report(*overrides):
+        spec = JobSpec(experiment="ckpt:widx", profile="ci",
+                       snapshot=str(path),
+                       snapshot_digest=header["payload_sha256"],
+                       fork_overrides=overrides)
+        payload = _execute_spec(spec, send_progress=lambda _p: None,
+                                jobs_before=0)
+        assert payload["all_ok"]
+        title, line = payload["rendered"].splitlines()
+        assert title == (f"== ckpt:widx WidxXCacheModel "
+                         f"@cycle {header['cycle']} "
+                         f"(snapshot {header['payload_sha256'][:12]}) ==")
+        label, _, numbers = line.strip().partition(": ")
+        return label, dict(kv.split("=") for kv in numbers.split())
+
+    straight = straight_run("widx", "ci")
+    assert report() == ("(base)", {
+        "cycles": str(straight.cycles), "hits": str(straight.hits),
+        "misses": str(straight.misses),
+        "dram": str(straight.dram_accesses), "checks": "ok"})
+    # the overridden point still completes the same requests
+    label, forked = report(("num_exe", 2))
+    assert label == "num_exe=2"
+    assert (forked["hits"], forked["misses"], forked["checks"]) == (
+        str(straight.hits), str(straight.misses), "ok")
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ sweep of a ``sleep:`` job boots the only service these tests need."""
 
 import contextlib
 import io
+import re
 
 import pytest
 
@@ -31,6 +32,20 @@ def test_sweep_repeat_runs_one_simulation(swept):
     assert "submitted=2" in out
     assert "simulations=1" in out
     assert "worker_restarts=0" in out
+
+
+def test_sweep_prints_one_line_per_job(capsys):
+    """A coalesced repeat shares its leader's job, so it adds no result
+    line of its own; the summary line still counts every submission."""
+    assert main(["sweep", "sleep:0", "--workers", "1",
+                 "--grid", "seed=1,2", "--repeat", "2"]) == 0
+    out = capsys.readouterr().out
+    lines = [line for line in out.splitlines() if "all_ok=" in line]
+    assert [line.split()[1:] for line in lines] == [
+        ["==", "sleep:", "0s", "==", f"seed={seed}", "all_ok=True",
+         "(ran,", "+1", "coalesced)"] for seed in (1, 2)]
+    assert ("submitted=4 completed=2 coalesced=2 store_hits=0 "
+            "simulations=2 worker_restarts=0") in out
 
 
 def test_sweep_tag_reaches_the_ledger(swept):
@@ -211,21 +226,31 @@ def test_warmup_snapshot_of_another_dsa_is_a_usage_error(tmp_path,
 
 
 def test_sweep_result_lines_name_their_grid_point(tmp_path, capsys):
-    """Each result line carries its point's fork overrides, so the
-    points of a grid differ by more than their digests."""
+    """Each forked point's line names the snapshot it forked, its fork
+    overrides and its simulated numbers, so the points of a grid differ
+    by more than their digests."""
+    from repro.sim.checkpoint import read_header
+
+    snapshot = tmp_path / "w.ckpt"
     argv = ["sweep", "ckpt:widx", "--workers", "1",
-            "--warmup-snapshot", str(tmp_path / "w.ckpt"),
+            "--warmup-snapshot", str(snapshot),
             "--warm-cycles", "2000",
             "--grid", "num_exe=2,4", "--grid", "dram.t_cl=8,11"]
     assert main(argv) == 0
     lines = [line for line in capsys.readouterr().out.splitlines()
              if "all_ok=" in line]
     assert len(lines) == 4
+    title = re.escape(
+        f"== ckpt:widx WidxXCacheModel @cycle 2000 (snapshot "
+        f"{read_header(str(snapshot))['payload_sha256'][:12]}) ==")
     for t_cl in (8, 11):
         for num_exe in (2, 4):
-            tail = (f"== ckpt:widx profile=ci == "
-                    f"dram.t_cl={t_cl},num_exe={num_exe} all_ok=True (ran)")
-            assert sum(line.endswith(tail) for line in lines) == 1
+            line = re.compile(
+                rf"\[[0-9a-f]{{12}}\] {title} "
+                rf"dram\.t_cl={t_cl},num_exe={num_exe}: cycles=\d+ "
+                rf"hits=\d+ misses=\d+ dram=\d+ checks=ok "
+                rf"all_ok=True \(ran\)")
+            assert sum(bool(line.fullmatch(ln)) for ln in lines) == 1
 
 
 def test_sweep_result_lines_name_profile_overrides(capsys):

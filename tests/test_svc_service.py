@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.sim.checkpoint import ForkOverrideError
 from repro.svc.jobs import JobCancelled, JobSpec, JobState
 from repro.svc.service import Service, sweep_specs
 
@@ -168,6 +169,17 @@ def test_sweep_specs_cartesian_product_and_repeat():
     assert len({s.digest() for s in specs}) == 4  # repeats dedup
     overrides = {s.profile_overrides for s in specs}
     assert (("seed", 7), ("widx_skew", 1.2)) in overrides
+
+
+def test_sweep_specs_ckpt_grid_becomes_fork_overrides():
+    specs = sweep_specs("ckpt:widx", "ci",
+                        grid={"num_exe": [2, 4], "dram.t_cl": [8, 11]})
+    assert [s.fork_overrides for s in specs] == [
+        (("dram.t_cl", t_cl), ("num_exe", num_exe))
+        for t_cl in (8, 11) for num_exe in (2, 4)]
+    assert {s.profile_overrides for s in specs} == {()}
+    with pytest.raises(ForkOverrideError, match="'ways' is not fork-safe"):
+        sweep_specs("ckpt:widx", grid={"ways": [4]})
 
 
 def test_sweep_specs_rejects_unknown_fields():
