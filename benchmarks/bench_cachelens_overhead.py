@@ -24,8 +24,8 @@ simulation it observes:
   ceiling directly, i.e. an armed run keeps >=90% of unarmed
   throughput.
 * **lens events/sec** — raw classification rate of a synthetic
-  miss+fill stream through ``CacheLensProcessor.handle``, sizing the
-  per-event cost in isolation (reuse sampled 1:1, the worst case).
+  miss+fill stream published on a bus with only the lens attached,
+  sizing the per-event cost in isolation (default 1:8 reuse sampling).
 
 Run standalone to emit ``BENCH_cachelens.json``::
 
@@ -48,6 +48,7 @@ import time
 
 from repro.harness.parallel import execute_one
 from repro.harness.suite import clear_cache
+from repro.obs.bus import EventBus
 from repro.obs.capture import CaptureSpec
 from repro.obs.cachelens import MISS_CLASSES, CacheLensProcessor
 from repro.obs.events import CacheFill, CacheModel, Hit, Miss
@@ -85,8 +86,9 @@ def drive(spec: CaptureSpec):
 
 def drive_lens_events(num_events: int) -> float:
     """Raw classification throughput of a synthetic event stream."""
-    lens = CacheLensProcessor()
-    lens.handle(CacheModel(cycle=0, component="bench", kind="meta",
+    bus = EventBus()
+    lens = bus.attach(CacheLensProcessor())
+    bus.publish(CacheModel(cycle=0, component="bench", kind="meta",
                            ways=4, sets=64, tag_class="key"))
     # 3:1 hit:miss mix over a footprint just past the modelled capacity,
     # so every taxonomy branch (compulsory/capacity/conflict) runs
@@ -102,10 +104,10 @@ def drive_lens_events(num_events: int) -> float:
                                set_index=setidx))
             events.append(CacheFill(cycle=i, component="bench", tag=tag,
                                     set_index=setidx, way=0))
-    handle = lens.handle
+    publish = bus.publish
     start = time.perf_counter()
     for event in events:
-        handle(event)
+        publish(event)
     elapsed = time.perf_counter() - start
     entry = lens.summary()["bench"]
     assert sum(entry[c] for c in MISS_CLASSES) == entry["misses"]

@@ -42,8 +42,8 @@ import time
 from dataclasses import replace
 
 from repro.harness.profiles import get_profile
-from repro.harness.sweep import sweep_points
 from repro.sim import checkpoint as ck
+from repro.svc.service import sweep_specs
 
 DSA = "widx"
 WARM_FRAC = 0.9
@@ -128,7 +128,8 @@ def drive_sweep(points, snapshot_path: str) -> dict:
 
 
 def compare(out_dir: str = ".") -> dict:
-    points = sweep_points(GRID)
+    points = [dict(spec.fork_overrides)
+              for spec in sweep_specs(f"ckpt:{DSA}", grid=GRID)]
     snapshot_path = os.path.join(out_dir, f"bench_warm_{DSA}.ckpt")
     try:
         sweep = drive_sweep(points, snapshot_path)

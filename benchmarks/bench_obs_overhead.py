@@ -8,7 +8,8 @@ callback, under three configurations:
   test, the PR-1 hot path. This is the number that must stay within
   noise of ``BENCH_kernel.json``'s ``bucket_events_per_sec``.
 * ``noop_processor`` — an :class:`EventBus` with a type-subscribed
-  no-op processor: event construction + dict lookup + one call.
+  no-op processor (an ``on_hit`` that does nothing): event construction
+  + dict lookup + one call.
 * ``jsonl_export`` — a :class:`JsonlExporter` streaming every event to
   disk: the worst case anyone pays, and only when they asked for it.
 
@@ -33,7 +34,6 @@ import time
 from repro.obs.bus import EventBus
 from repro.obs.events import Hit
 from repro.obs.export import JsonlExporter
-from repro.obs.processors import NullProcessor
 from repro.sim import Simulator
 
 from bench_kernel_hotpath import make_delays
@@ -77,9 +77,16 @@ def drive(sim, num_events: int, delays, bus) -> float:
     return executed / elapsed
 
 
+class _NoopProcessor:
+    """Takes every Hit and does nothing with it."""
+
+    def on_hit(self, event) -> None:
+        pass
+
+
 def _noop_bus() -> EventBus:
     bus = EventBus()
-    bus.attach(NullProcessor())
+    bus.attach(_NoopProcessor())
     return bus
 
 
@@ -102,7 +109,7 @@ def compare(num_events: int = DEFAULT_EVENTS, seed: int = 1) -> dict:
         exporter = JsonlExporter(jsonl_path)
         export_bus.attach(exporter)
         export_eps = drive(Simulator(), num_events, delays, export_bus)
-        export_bus.close()
+        exporter.close()
         assert exporter.events_written >= num_events
 
     return {

@@ -3,8 +3,9 @@
 
 Three ways to observe the same Widx hash-probe run:
 
-1. a custom :class:`TypedEventProcessor` — write ``on_<event>`` methods
-   and the bus delivers exactly those event types, nothing else;
+1. a custom processor — a plain class that subclasses nothing: write
+   ``on_<event>`` methods and the bus delivers exactly those event
+   types, nothing else;
 2. a stock :class:`MetricsProcessor` — hit-rate plus load-to-use and
    miss-latency percentiles, fed from the same stream;
 3. a :class:`PerfettoExporter` — a Chrome-trace JSON you can drop into
@@ -23,15 +24,14 @@ import tempfile
 
 from repro.core.config import table3_config
 from repro.dsa import WidxXCacheModel
-from repro.obs import MetricsProcessor, PerfettoExporter, TypedEventProcessor
+from repro.obs import MetricsProcessor, PerfettoExporter
 from repro.workloads import make_widx_workload
 
 
-class WalkScoreboard(TypedEventProcessor):
+class WalkScoreboard:
     """Counts walker activity and tracks the deepest DRAM round-trip."""
 
     def __init__(self):
-        super().__init__()
         self.dispatches = 0
         self.retires = 0
         self.found = 0
@@ -72,7 +72,7 @@ def main():
     print(f"  cycles={result.cycles} hit-rate={result.hit_rate:.2f} "
           f"validated={result.checks_passed}\n")
 
-    print("1. custom TypedEventProcessor (WalkScoreboard):")
+    print("1. custom processor (WalkScoreboard):")
     print(f"   walkers dispatched={scoreboard.dispatches} "
           f"retired={scoreboard.retires} found={scoreboard.found}")
     print(f"   longest walk={scoreboard.longest_walk} cycles, "

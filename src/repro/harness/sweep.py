@@ -1,4 +1,4 @@
-"""The ``ckpt:<dsa>`` job helpers: build and warm one DSA model, expand
+"""The ``ckpt:<dsa>`` job helpers: build and warm one DSA model, parse
 a fork-override grid.
 
 A parameter sweep over *fork-safe* knobs (back-end width, latencies,
@@ -36,7 +36,6 @@ __all__ = [
     "build_model",
     "straight_run",
     "write_warm_snapshot",
-    "sweep_points",
     "parse_grid_entries",
 ]
 
@@ -153,22 +152,3 @@ def parse_grid_entries(entries: Sequence[str]) -> Dict[str, List[Any]]:
         grid[field] = typed
     return grid
 
-
-def sweep_points(grid: Mapping[str, Sequence[Any]]
-                 ) -> List[Dict[str, Any]]:
-    """Cartesian product of a fork-override grid, validated up front.
-
-    Every field must be fork-safe; a geometry-changing field raises
-    :class:`~repro.sim.checkpoint.ForkOverrideError` *before* any
-    simulation runs.
-    """
-    from ..sim.checkpoint import check_fork_overrides
-
-    check_fork_overrides(grid)
-    points: List[Dict[str, Any]] = [{}]
-    for field in sorted(grid):
-        values = list(grid[field])
-        if not values:
-            raise ValueError(f"empty value list for grid field {field!r}")
-        points = [{**p, field: v} for p in points for v in values]
-    return points

@@ -1,14 +1,16 @@
 """`repro.obs` — the observability plane.
 
 A zero-cost-when-off telemetry subsystem: typed events
-(:mod:`repro.obs.events`), a per-type-subscription bus
-(:mod:`repro.obs.bus`), processors that fold the stream into metrics
-(:mod:`repro.obs.processors`), and exporters for JSONL and
-Perfetto/Chrome-trace output (:mod:`repro.obs.export`). On top of the
-stream sit the cycle-attribution profiler (:mod:`repro.obs.prof`),
-per-request span trees (:mod:`repro.obs.spans`) with critical-path
-why-slow analysis (:mod:`repro.obs.critpath`, CLI ``python -m
-repro.obs.explain``), windowed time-series sampling
+(:mod:`repro.obs.events`), a bus that binds each attached processor's
+``on_<event>`` methods (:mod:`repro.obs.bus`), a processor that folds
+the stream into metrics (:mod:`repro.obs.processors`), and exporters
+for JSONL and Perfetto/Chrome-trace output (:mod:`repro.obs.export`).
+Processors subclass nothing: a method per event taken is the one
+interface. On top of the stream sit the cycle-attribution profiler
+(:mod:`repro.obs.prof`), per-request span trees
+(:mod:`repro.obs.spans`) with critical-path why-slow analysis
+(:mod:`repro.obs.critpath`, CLI ``python -m repro.obs.explain``),
+windowed time-series sampling
 (:mod:`repro.obs.timeseries`), the pathology watchdog
 (:mod:`repro.obs.watchdog`), and a benchmark regression + SLO gate
 (``python -m repro.obs.regress``). :mod:`repro.obs.capture` wires it
@@ -23,8 +25,13 @@ single system::
 
     from repro.obs import MetricsProcessor
 
+    class HitLogger:
+        def on_hit(self, ev):
+            print(ev.cycle, ev.tag)
+
     system = XCacheSystem(config, program)
     metrics = system.observe(MetricsProcessor())
+    system.observe(HitLogger())
     ...issue requests...
     system.run()
     print(metrics.summary())
@@ -55,13 +62,7 @@ from .events import (
     event_from_json,
 )
 from .bus import EventBus
-from .processors import (
-    EventProcessor,
-    MetricsProcessor,
-    NullProcessor,
-    TypedEventProcessor,
-    summarize_metrics,
-)
+from .processors import MetricsProcessor, summarize_metrics
 from .export import JsonlExporter, PerfettoExporter, event_to_dict
 from .prof import CycleProfile, apportion, write_folded
 from .spans import (
@@ -91,8 +92,7 @@ __all__ = [
     # bus
     "EventBus",
     # processors
-    "EventProcessor", "TypedEventProcessor", "MetricsProcessor",
-    "NullProcessor", "summarize_metrics",
+    "MetricsProcessor", "summarize_metrics",
     # spans / critical path
     "SpanAssembler", "RequestSpan", "WalkSpan", "WalkPhase", "EpisodeRef",
     "CritPathAggregator", "BLAME_BUCKETS", "blame_request", "verify_request",

@@ -1,4 +1,4 @@
-"""The per-type-subscription event bus.
+"""The event bus: each processor's ``on_<event>`` methods, bound at attach.
 
 A component publishes behind a single ``bus is None`` check::
 
@@ -7,136 +7,83 @@ A component publishes behind a single ``bus is None`` check::
         bus.publish(Hit(cycle=now, component=self.name, tag=tag, ...))
 
 so an un-observed run pays one attribute load per instrumentation site
-and never constructs an event. When armed, :meth:`EventBus.publish`
-fans the event to catch-all subscribers first (attachment order), then
-to subscribers of the event's exact type — delivery order within each
-list is attachment order, which keeps multi-processor runs (e.g. a
-legacy-trace bridge plus a metrics processor) deterministic.
+and never constructs an event.
 
-``publish`` delivers through a per-type **resolved handler tuple**
-(catch-all + exact-type, pre-concatenated and cached on first publish
-of each event class) so the armed hot path is one dict probe and one
-tuple walk instead of two list scans. ``subscribe``/``detach``
-invalidate the cache, so late attachment keeps working.
-
-Processors attach via :meth:`EventBus.attach`; anything with a
-``handle(event)`` method works, and a ``subscriptions()`` method
-returning event classes narrows delivery to those types (``None``
-means everything).
+A processor subclasses nothing: it has a method per event it takes,
+named after the event's wire name (``on_hit``, ``on_walker_retire``,
+...), and ``on_event`` takes every event (:attr:`Event.name` is
+``"event"``). :meth:`EventBus.attach` is the one way to subscribe. It
+binds those methods into one handler tuple per event class:
+every-event handlers first, then the typed ones, each in attach order,
+which keeps multi-processor runs deterministic. ``publish`` walks the
+tuple and ``wants`` is one dict probe. A handler set to ``None`` on the
+instance is not bound, so a processor can turn one off per instance.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Tuple, Type
 
-from .events import Event
+from .events import EVENT_TYPES, Event
 
 __all__ = ["EventBus"]
 
 Handler = Callable[[Event], None]
 
 
-class EventBus:
-    """Routes published events to per-type and catch-all subscribers."""
+def _bound(processors: List[object], name: str) -> Tuple[Handler, ...]:
+    """The callable ``name`` attribute of each processor, in order."""
+    return tuple(handler for handler in
+                 (getattr(p, name, None) for p in processors)
+                 if callable(handler))
 
-    __slots__ = ("_by_type", "_catch_all", "_processors", "_resolved")
+
+class EventBus:
+    """Routes each published event to the handlers bound for its class."""
+
+    __slots__ = ("_processors", "_handlers")
 
     def __init__(self) -> None:
-        self._by_type: Dict[Type[Event], List[Handler]] = {}
-        self._catch_all: List[Handler] = []
         self._processors: List[object] = []
-        # event class -> pre-concatenated (catch-all + per-type) handlers
-        self._resolved: Dict[Type[Event], Tuple[Handler, ...]] = {}
-
-    # ------------------------------------------------------------------
-    # subscription
-    # ------------------------------------------------------------------
-    def subscribe(self, handler: Handler,
-                  types: Optional[Iterable[Type[Event]]] = None) -> None:
-        """Register a bare callable for ``types`` (None = every event)."""
-        if types is None:
-            self._catch_all.append(handler)
-            self._resolved.clear()
-            return
-        for cls in types:
-            if not (isinstance(cls, type) and issubclass(cls, Event)):
-                raise TypeError(f"not an Event class: {cls!r}")
-            self._by_type.setdefault(cls, []).append(handler)
-        self._resolved.clear()
+        # event class -> (every-event handlers + its typed handlers)
+        self._handlers: Dict[Type[Event], Tuple[Handler, ...]] = {}
 
     def attach(self, processor) -> object:
-        """Attach a processor (``handle(event)`` + optional
-        ``subscriptions()``); returns it for chaining."""
-        handle = processor.handle
-        subs = getattr(processor, "subscriptions", None)
-        types = subs() if subs is not None else None
-        self.subscribe(handle, types)
+        """Bind ``processor``'s ``on_<event>`` methods; returns it."""
         self._processors.append(processor)
+        every = _bound(self._processors, "on_event")
+        handlers = {}
+        for name, cls in EVENT_TYPES.items():
+            bound = every + _bound(self._processors, f"on_{name}")
+            if bound:
+                handlers[cls] = bound
+        self._handlers = handlers
         return processor
 
-    def detach(self, processor) -> None:
-        """Remove an attached processor from every subscription list."""
-        if processor in self._processors:
-            self._processors.remove(processor)
-        handle = getattr(processor, "handle", None)
-        targets = (handle, processor)
-        self._catch_all[:] = [h for h in self._catch_all
-                              if h not in targets]
-        for cls in list(self._by_type):
-            kept = [h for h in self._by_type[cls] if h not in targets]
-            if kept:
-                self._by_type[cls] = kept
-            else:
-                del self._by_type[cls]
-        self._resolved.clear()
-
-    # ------------------------------------------------------------------
-    # publication
-    # ------------------------------------------------------------------
     def wants(self, cls: Type[Event]) -> bool:
-        """True when publishing ``cls`` would reach any subscriber.
+        """True when publishing ``cls`` would reach any handler.
 
         Hot publish sites gate event *construction* on this, so a bus
         armed for one concern (say, miss taxonomy) does not tax every
         other instrumentation site with dataclass construction::
 
             bus = self.bus
-            if bus is not None and bus.wants(QueueEnter):
-                bus.publish(QueueEnter(...))
+            if bus is not None and bus.wants(QueueStall):
+                bus.publish(QueueStall(...))
 
         Cost when False is two attribute loads and a dict probe —
         within noise of the unarmed ``bus is None`` test.
         """
-        return bool(self._catch_all) or cls in self._by_type
+        return cls in self._handlers
 
     def publish(self, event: Event) -> None:
-        cls = event.__class__
-        handlers = self._resolved.get(cls)
-        if handlers is None:
-            handlers = self._resolved[cls] = (
-                tuple(self._catch_all) + tuple(self._by_type.get(cls, ())))
-        for handler in handlers:
+        for handler in self._handlers.get(event.__class__, ()):
             handler(event)
 
-    # ------------------------------------------------------------------
-    # lifecycle / inspection
-    # ------------------------------------------------------------------
     @property
     def processors(self) -> Tuple[object, ...]:
         return tuple(self._processors)
 
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._catch_all) + sum(
-            len(v) for v in self._by_type.values())
-
-    def close(self) -> None:
-        """Flush/close every attached processor that supports it."""
-        for processor in self._processors:
-            closer = getattr(processor, "close", None)
-            if closer is not None:
-                closer()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"EventBus({len(self._processors)} processors, "
-                f"{self.subscriber_count} subscriptions)")
+                f"{len(self._handlers)} event classes)")

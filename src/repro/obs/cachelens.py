@@ -58,7 +58,6 @@ from .events import (
     Miss,
     Tag,
 )
-from .processors import TypedEventProcessor
 
 __all__ = ["CacheLensProcessor", "ShadowCache", "merge_summaries",
            "why_miss_report", "MISS_CLASSES", "reuse_bucket_label",
@@ -401,7 +400,7 @@ class _LensState:
         return out
 
 
-class CacheLensProcessor(TypedEventProcessor):
+class CacheLensProcessor:
     """Folds the cache event streams into the lens state per cache.
 
     ``reuse_sample`` bounds the Mattson scan cost: the stack order is
@@ -416,7 +415,6 @@ class CacheLensProcessor(TypedEventProcessor):
 
     def __init__(self, reuse_sample: int = DEFAULT_REUSE_SAMPLE,
                  heatmap_window: int = 1000) -> None:
-        super().__init__()
         if reuse_sample < 1:
             raise ValueError(f"reuse_sample must be >= 1, "
                              f"got {reuse_sample}")

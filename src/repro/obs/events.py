@@ -16,8 +16,9 @@ Design rules:
 * Every event stamps ``cycle`` (simulation time) and ``component`` (the
   publishing model element); subclass fields describe the milestone.
 * ``Event.name`` is a stable snake_case wire name used by the JSONL
-  exporter and by :class:`~repro.obs.processors.TypedEventProcessor`
-  auto-dispatch (``on_<name>`` methods).
+  exporter and by :meth:`~repro.obs.bus.EventBus.attach`, which binds a
+  processor's ``on_<name>`` methods (``on_event``, after the base
+  class's name, takes every event).
 * **Causal IDs.** Request-path events carry a ``req_id`` (the MetaIO
   message uid) and walker/DRAM events carry a ``walk_id`` (a
   per-controller walk-episode sequence number), so downstream
@@ -365,7 +366,8 @@ ALL_EVENT_TYPES: Tuple[Type[Event], ...] = (
     CacheModel, CacheFill, CacheEvict, CacheAccess,
 )
 
-#: wire-name -> event class (drives TypedEventProcessor auto-dispatch)
+#: wire-name -> event class (drives the bus's ``on_<name>`` binding and
+#: JSONL replay)
 EVENT_TYPES: Dict[str, Type[Event]] = {
     cls.name: cls for cls in ALL_EVENT_TYPES
 }

@@ -30,7 +30,6 @@ from .events import (
     WalkerYield,
     event_fields,
 )
-from .processors import EventProcessor
 
 __all__ = ["JsonlExporter", "PerfettoExporter", "event_to_dict"]
 
@@ -48,13 +47,14 @@ def event_to_dict(event: Event, extra: Optional[dict] = None) -> dict:
     return out
 
 
-class JsonlExporter(EventProcessor):
+class JsonlExporter:
     """Streams every event as one JSON line.
 
     ``dest`` is a path or an open text stream. ``extra`` is folded into
     every line (the capture layer stamps ``{"run": n}`` so multi-system
     experiments stay distinguishable in one file). When given a path
-    the file opens lazily on the first event and closes with the bus.
+    the file opens lazily on the first event and closes at
+    :meth:`close`.
     """
 
     def __init__(self, dest: Union[str, IO[str]],
@@ -66,7 +66,7 @@ class JsonlExporter(EventProcessor):
         self.extra = extra
         self.events_written = 0
 
-    def handle(self, event: Event) -> None:
+    def on_event(self, event: Event) -> None:
         stream = self._stream
         if stream is None:
             stream = self._stream = open(self._path, "w")
@@ -88,7 +88,7 @@ class JsonlExporter(EventProcessor):
                 flush()
 
 
-class PerfettoExporter(EventProcessor):
+class PerfettoExporter:
     """Collects the run into Chrome-trace JSON.
 
     Track model (all timestamps are cycles, rendered as trace ``ts``):
@@ -177,7 +177,7 @@ class PerfettoExporter(EventProcessor):
         return (pid, ("tag",) + tuple(event.tag))
 
     # -- event ingestion ----------------------------------------------
-    def handle(self, event: Event) -> None:
+    def on_event(self, event: Event) -> None:
         cls = event.__class__
         if cls is Miss:
             pid = self._pid(event.component)

@@ -1,87 +1,24 @@
-"""Event processors: the consumers attached to an :class:`EventBus`.
+"""The metrics processor and its report.
 
-* :class:`EventProcessor` — the base protocol (``handle`` + optional
-  ``subscriptions``/``close``).
-* :class:`TypedEventProcessor` — auto-dispatches to ``on_<event-name>``
-  methods (``on_hit``, ``on_walker_retire``, ...) and subscribes only
-  to the event types it actually handles.
-* :class:`MetricsProcessor` — folds the event stream into the existing
-  :class:`~repro.sim.stats.StatGroup` containers (counters plus
-  load-to-use / miss-latency / DRAM-latency histograms with
-  p50/p95/p99); its books are plain sums, so one processor can take
-  the events of many systems.
-* :class:`NullProcessor` — a no-op sink for overhead benchmarking.
+A processor is any object with ``on_<event>`` methods (see
+:mod:`repro.obs.bus`); :meth:`~repro.obs.bus.EventBus.attach` binds
+them. :class:`MetricsProcessor` folds the stream into the existing
+:class:`~repro.sim.stats.StatGroup` containers (counters plus
+load-to-use / miss-latency / DRAM-latency histograms with
+p50/p95/p99); its books are plain sums, so one processor can take the
+events of many systems.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Type
+from typing import Optional
 
 from repro.sim.stats import StatGroup
 
-from .events import EVENT_TYPES, Event, Hit
-
-__all__ = [
-    "EventProcessor",
-    "TypedEventProcessor",
-    "MetricsProcessor",
-    "NullProcessor",
-    "summarize_metrics",
-]
+__all__ = ["MetricsProcessor", "summarize_metrics"]
 
 
-class EventProcessor:
-    """Base class for bus subscribers."""
-
-    def subscriptions(self) -> Optional[Tuple[Type[Event], ...]]:
-        """Event classes to receive; ``None`` subscribes to everything."""
-        return None
-
-    def handle(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Flush any buffered output (called by ``EventBus.close()``)."""
-
-
-class NullProcessor(EventProcessor):
-    """Receives everything, does nothing (overhead measurement)."""
-
-    def handle(self, event: Event) -> None:
-        pass
-
-
-class TypedEventProcessor(EventProcessor):
-    """Dispatches each event to an ``on_<event-name>`` method.
-
-    Subclasses define handlers named after the event's wire name::
-
-        class HitLogger(TypedEventProcessor):
-            def on_hit(self, ev):
-                print(ev.cycle, ev.tag)
-
-    Only the event types with a matching handler are subscribed, so the
-    bus never delivers events the processor would drop.
-    """
-
-    def __init__(self) -> None:
-        dispatch: Dict[Type[Event], object] = {}
-        for name, cls in EVENT_TYPES.items():
-            method = getattr(self, f"on_{name}", None)
-            if method is not None:
-                dispatch[cls] = method
-        self._dispatch = dispatch
-
-    def subscriptions(self) -> Tuple[Type[Event], ...]:
-        return tuple(self._dispatch)
-
-    def handle(self, event: Event) -> None:
-        method = self._dispatch.get(event.__class__)
-        if method is not None:
-            method(event)
-
-
-class MetricsProcessor(TypedEventProcessor):
+class MetricsProcessor:
     """Folds the event stream into counters and latency histograms.
 
     The containers are the same :class:`~repro.sim.stats.StatGroup`
@@ -92,7 +29,6 @@ class MetricsProcessor(TypedEventProcessor):
     """
 
     def __init__(self, group: Optional[StatGroup] = None) -> None:
-        super().__init__()
         self.stats = group if group is not None else StatGroup("obs")
         counter = self.stats.counter
         self._n_requests = counter("requests")

@@ -36,9 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .events import Hit, Merge, QueueStall, RequestArrive
-from .processors import TypedEventProcessor
-
 __all__ = [
     "PHASE_KINDS",
     "DRAMSpan",
@@ -177,7 +174,7 @@ class RequestSpan:
         return self.done - self.arrive if self.done >= 0 else -1
 
 
-class SpanAssembler(TypedEventProcessor):
+class SpanAssembler:
     """Builds request span trees online from a live (or replayed) bus.
 
     ``sink`` (if given) receives every completed :class:`RequestSpan`
@@ -191,19 +188,19 @@ class SpanAssembler(TypedEventProcessor):
         bus.attach(SpanAssembler(walk_sink=prof.add))
 
     With no ``sink`` nothing can read a request span, so the assembler
-    does not subscribe to the request-path events (``RequestArrive``,
-    ``QueueStall``, ``Hit``, ``Merge``) and assembles walks only.
+    sets its four request-path handlers (``on_request_arrive``,
+    ``on_queue_stall``, ``on_hit``, ``on_merge``) to ``None``: the bus
+    binds none of them, and the assembler assembles walks only.
     """
 
     def __init__(self,
                  sink: Optional[Callable[[RequestSpan], None]] = None,
                  walk_sink: Optional[Callable[[WalkSpan, int], None]] = None
                  ) -> None:
-        super().__init__()
         if sink is None:
             # no request span can be read: assemble walks only
-            for cls in (RequestArrive, QueueStall, Hit, Merge):
-                del self._dispatch[cls]
+            self.on_request_arrive = self.on_queue_stall = None
+            self.on_hit = self.on_merge = None
         self.sink = sink
         self.walk_sink = walk_sink
         self._requests: Dict[int, RequestSpan] = {}

@@ -30,7 +30,6 @@ from .events import (
     WalkerDispatch,
     WalkerRetire,
 )
-from .processors import TypedEventProcessor
 
 __all__ = ["TimeSeriesProcessor", "CSV_COLUMNS", "write_csv",
            "HEATMAP_COLUMNS", "write_heatmap_csv"]
@@ -44,11 +43,10 @@ CSV_COLUMNS: Tuple[str, ...] = (
 )
 
 
-class TimeSeriesProcessor(TypedEventProcessor):
+class TimeSeriesProcessor:
     """Aggregates bus events into fixed-width cycle windows."""
 
     def __init__(self, window: int = 1000) -> None:
-        super().__init__()
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window

@@ -31,7 +31,6 @@ from .events import (
     WalkerWake,
     WalkerYield,
 )
-from .processors import TypedEventProcessor
 
 __all__ = ["ObsWarning", "WatchdogProcessor"]
 
@@ -46,7 +45,7 @@ class ObsWarning:
     detail: str
 
 
-class WatchdogProcessor(TypedEventProcessor):
+class WatchdogProcessor:
     """Flags livelock, MSHR saturation, and walker starvation."""
 
     def __init__(self,
@@ -54,7 +53,6 @@ class WatchdogProcessor(TypedEventProcessor):
                  mshr_limit: int = 32,
                  starvation_cycles: int = 50_000,
                  stream: Optional[TextIO] = None) -> None:
-        super().__init__()
         self.livelock_cycles = livelock_cycles
         self.mshr_limit = mshr_limit
         self.starvation_cycles = starvation_cycles

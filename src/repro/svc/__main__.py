@@ -22,8 +22,12 @@ to run (one ``FAILED`` line per such point; the sweep still waits for
 the others and prints its summary line); 2 for a
 usage error, such as an unknown experiment or grid field, a spec the
 service would refuse, a ``--warmup-snapshot`` of another DSA's model,
-or a ledger that cannot be read. A bad ``sweep`` command line fails
-before any warmup snapshot is written or worker started.
+a ``ckpt:``-only option (``--warmup-snapshot``, ``--warm-cycles``,
+``--warm-frac``, ``--checkpoint-every``, ``--checkpoint-dir``) given to
+another experiment, ``--warm-cycles``/``--warm-frac`` without
+``--warmup-snapshot``, or a ledger that cannot be read. A bad
+``sweep`` command line fails before any warmup snapshot is written or
+worker started.
 
 Each result line names its grid point by the job's overrides. A
 ``ckpt:<dsa>`` line also names the snapshot the job forked and carries
@@ -126,9 +130,11 @@ def _sweep_specs(args) -> List[JobSpec]:
                     f"{header['model_class']}, not the "
                     f"{SWEEP_MODEL_CLASSES[dsa]} {args.experiment} forks")
         else:
+            warm_frac = ({} if args.warm_frac is None
+                         else {"warm_frac": args.warm_frac})
             header = write_warm_snapshot(
                 snapshot, dsa, args.profile,
-                warm_cycles=args.warm_cycles, warm_frac=args.warm_frac)
+                warm_cycles=args.warm_cycles, **warm_frac)
             print(f"warmup snapshot: {snapshot} "
                   f"cycle={header['cycle']} "
                   f"digest={header['payload_sha256'][:12]}")
@@ -235,11 +241,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "warmup total — if the file is missing")
     sweep.add_argument("--warm-cycles", type=int, default=None,
                        dest="warm_cycles", metavar="CYCLES",
-                       help="snapshot point when writing the warmup "
+                       help="(ckpt:<dsa> with --warmup-snapshot) "
+                            "snapshot point when writing the warmup "
                             "(default: probe a straight run)")
-    sweep.add_argument("--warm-frac", type=float, default=0.85,
+    sweep.add_argument("--warm-frac", type=float, default=None,
                        dest="warm_frac",
-                       help="warmup fraction of the probed straight "
+                       help="(ckpt:<dsa> with --warmup-snapshot) "
+                            "warmup fraction of the probed straight "
                             "run (default: 0.85)")
     sweep.add_argument("--checkpoint-every", type=int, default=0,
                        dest="checkpoint_every", metavar="CYCLES",
@@ -248,8 +256,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "cycles (0 = never)")
     sweep.add_argument("--checkpoint-dir", default=None,
                        dest="checkpoint_dir", metavar="DIR",
-                       help="where resume checkpoints live (required "
-                            "when --checkpoint-every > 0)")
+                       help="(ckpt:<dsa> only) where resume "
+                            "checkpoints live (required when "
+                            "--checkpoint-every > 0)")
 
     history = commands.add_parser(
         "history", help="replay a service run ledger")
@@ -275,6 +284,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         sweep.error("--checkpoint-every must be >= 0")
     if args.warm_cycles is not None and args.warm_cycles < 1:
         sweep.error("--warm-cycles must be >= 1")
+    ckpt_options = [flag for flag, value in (
+        ("--warmup-snapshot", args.warmup_snapshot),
+        ("--warm-cycles", args.warm_cycles),
+        ("--warm-frac", args.warm_frac),
+        ("--checkpoint-every", args.checkpoint_every or None),
+        ("--checkpoint-dir", args.checkpoint_dir)) if value is not None]
+    if ckpt_options and not args.experiment.startswith("ckpt:"):
+        sweep.error(f"{ckpt_options[0]} is only for a ckpt:<dsa> sweep")
+    for flag in ("--warm-cycles", "--warm-frac"):
+        if flag in ckpt_options and args.warmup_snapshot is None:
+            sweep.error(f"{flag} needs --warmup-snapshot")
     from ..sim.checkpoint import SnapshotError
 
     try:

@@ -52,3 +52,20 @@ def mini_config():
 @pytest.fixture
 def mini_system(mini_walker, mini_config):
     return XCacheSystem(mini_config, mini_walker)
+
+
+@pytest.fixture
+def feed():
+    """``feed(processor, *events)``: publish ``events`` on a bus with
+    ``processor`` attached, the one way a processor takes events;
+    returns the processor."""
+    from repro.obs import EventBus
+
+    def feed(processor, *events):
+        bus = EventBus()
+        bus.attach(processor)
+        for event in events:
+            bus.publish(event)
+        return processor
+
+    return feed

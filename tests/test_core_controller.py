@@ -18,14 +18,7 @@ from repro.core import (
     compile_walker,
     op,
 )
-from repro.obs.events import (
-    Fill,
-    Hit,
-    Merge,
-    Miss,
-    WalkerDispatch,
-    WalkerRetire,
-)
+from repro.obs.events import Miss, WalkerRetire
 
 
 def value_of(resp):
@@ -257,13 +250,15 @@ def test_eviction_frees_victim_sectors(mini_walker):
 # ----------------------------------------------------------------------
 # the controller's event stream, observed through its bus
 # ----------------------------------------------------------------------
-TRACED = (Miss, WalkerDispatch, Fill, WalkerRetire, Hit, Merge)
+class _Recorder(list):
+    """Keeps every walk-path event the controller publishes."""
+
+    on_miss = on_walker_dispatch = on_fill = list.append
+    on_walker_retire = on_hit = on_merge = list.append
 
 
 def _record(system):
-    events = []
-    system.controller.ensure_bus().subscribe(events.append, TRACED)
-    return events
+    return system.controller.ensure_bus().attach(_Recorder())
 
 
 def _kinds(events):

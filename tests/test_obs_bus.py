@@ -8,10 +8,8 @@ from repro.obs import (
     ALL_EVENT_TYPES,
     EVENT_TYPES,
     EventBus,
-    EventProcessor,
     Hit,
     Miss,
-    NullProcessor,
     WalkerRetire,
     event_fields,
 )
@@ -49,77 +47,82 @@ def test_event_fields_cached_and_ordered():
 
 
 # ----------------------------------------------------------------------
-# subscription / publication
+# attach binds on_<event> methods; publish walks the bound handlers
 # ----------------------------------------------------------------------
+class _Recorder:
+    """Logs ``(label, event)`` for each hit, or for every event when
+    ``every`` (its handler is then ``on_event``)."""
+
+    def __init__(self, label="rec", log=None, every=False):
+        self.label = label
+        self.log = [] if log is None else log
+        if every:
+            self.on_event = self._record
+        else:
+            self.on_hit = self._record
+
+    def _record(self, event):
+        self.log.append((self.label, event))
+
+    @property
+    def got(self):
+        return [event for _, event in self.log]
+
+
 def test_typed_subscription_filters():
     bus = EventBus()
-    got = []
-    bus.subscribe(got.append, types=(Hit,))
+    rec = bus.attach(_Recorder())
     bus.publish(_hit())
     bus.publish(_miss())
-    assert len(got) == 1 and isinstance(got[0], Hit)
+    assert len(rec.got) == 1 and isinstance(rec.got[0], Hit)
 
 
 def test_catch_all_sees_everything():
     bus = EventBus()
-    got = []
-    bus.subscribe(got.append)
+    rec = bus.attach(_Recorder(every=True))
     bus.publish(_hit())
     bus.publish(_miss())
-    assert [type(e) for e in got] == [Hit, Miss]
+    assert [type(e) for e in rec.got] == [Hit, Miss]
 
 
 def test_delivery_order_catch_all_then_typed_attachment_order():
     bus = EventBus()
-    order = []
-    bus.subscribe(lambda e: order.append("typed1"), types=(Hit,))
-    bus.subscribe(lambda e: order.append("all1"))
-    bus.subscribe(lambda e: order.append("typed2"), types=(Hit,))
-    bus.subscribe(lambda e: order.append("all2"))
+    log = []
+    bus.attach(_Recorder("typed1", log))
+    bus.attach(_Recorder("all1", log, every=True))
+    bus.attach(_Recorder("typed2", log))
+    bus.attach(_Recorder("all2", log, every=True))
     bus.publish(_hit())
-    assert order == ["all1", "all2", "typed1", "typed2"]
-
-
-def test_subscribe_rejects_non_event_types():
-    bus = EventBus()
-    with pytest.raises(TypeError):
-        bus.subscribe(lambda e: None, types=(int,))
+    assert [label for label, _ in log] == ["all1", "all2", "typed1",
+                                           "typed2"]
 
 
 def test_one_handler_many_types():
+    class HitsAndRetires:
+        def __init__(self):
+            self.got = []
+            self.on_hit = self.on_walker_retire = self.got.append
+
     bus = EventBus()
-    got = []
-    bus.subscribe(got.append, types=(Hit, WalkerRetire))
+    rec = bus.attach(HitsAndRetires())
     bus.publish(_hit())
     bus.publish(_miss())
     bus.publish(WalkerRetire(cycle=9, component="ctl", tag=(1,),
                              found=True, lifetime=8))
-    assert [type(e) for e in got] == [Hit, WalkerRetire]
+    assert [type(e) for e in rec.got] == [Hit, WalkerRetire]
 
 
-# ----------------------------------------------------------------------
-# processors: attach / detach / close
-# ----------------------------------------------------------------------
-class _Recorder(EventProcessor):
-    def __init__(self, types=None):
-        self.types = types
-        self.got = []
-        self.closed = False
+def test_attach_binds_on_methods():
+    class MissesOnly:
+        def __init__(self):
+            self.got = []
 
-    def subscriptions(self):
-        return self.types
+        def on_miss(self, event):
+            self.got.append(event)
 
-    def handle(self, event):
-        self.got.append(event)
-
-    def close(self):
-        self.closed = True
-
-
-def test_attach_uses_subscriptions():
     bus = EventBus()
-    typed = bus.attach(_Recorder(types=(Miss,)))
-    everything = bus.attach(_Recorder())
+    typed = bus.attach(MissesOnly())
+    everything = bus.attach(_Recorder(every=True))
     bus.publish(_hit())
     bus.publish(_miss())
     assert [type(e) for e in typed.got] == [Miss]
@@ -127,32 +130,23 @@ def test_attach_uses_subscriptions():
     assert bus.processors == (typed, everything)
 
 
-def test_detach_removes_all_subscriptions():
+def test_none_handler_is_not_bound():
+    rec = _Recorder()
+    rec.on_hit = None            # switched off on this instance
     bus = EventBus()
-    p = bus.attach(_Recorder(types=(Hit, Miss)))
-    assert bus.subscriber_count == 2
-    bus.detach(p)
-    assert bus.subscriber_count == 0
-    assert bus.processors == ()
+    bus.attach(rec)
+    assert not bus.wants(Hit)
     bus.publish(_hit())
-    assert p.got == []
+    assert rec.got == []
 
 
-def test_detach_leaves_other_processors():
+def test_wants_names_exactly_the_bound_classes():
     bus = EventBus()
-    a = bus.attach(_Recorder(types=(Hit,)))
-    b = bus.attach(_Recorder(types=(Hit,)))
-    bus.detach(a)
-    bus.publish(_hit())
-    assert a.got == [] and len(b.got) == 1
-
-
-def test_close_closes_processors():
-    bus = EventBus()
-    p = bus.attach(_Recorder())
-    bus.attach(NullProcessor())  # close() is a no-op, must not raise
-    bus.close()
-    assert p.closed
+    assert not any(bus.wants(cls) for cls in ALL_EVENT_TYPES)
+    bus.attach(_Recorder())
+    assert [cls for cls in ALL_EVENT_TYPES if bus.wants(cls)] == [Hit]
+    bus.attach(_Recorder(every=True))
+    assert all(bus.wants(cls) for cls in ALL_EVENT_TYPES)
 
 
 def test_unarmed_publish_site_is_one_check():
@@ -164,42 +158,31 @@ def test_unarmed_publish_site_is_one_check():
 
 
 # ----------------------------------------------------------------------
-# resolved-handler cache (the armed publish fast path)
+# the per-class handler tuples, rebuilt at each attach
 # ----------------------------------------------------------------------
 def test_resolved_cache_invalidated_by_late_subscribe():
     bus = EventBus()
-    early, late = [], []
-    bus.subscribe(early.append, types=(Hit,))
-    bus.publish(_hit())            # primes the Hit handler cache
-    bus.subscribe(late.append, types=(Hit,))
+    early = bus.attach(_Recorder())
     bus.publish(_hit())
-    assert len(early) == 2 and len(late) == 1
-
-
-def test_resolved_cache_invalidated_by_detach():
-    bus = EventBus()
-    p = bus.attach(_Recorder(types=(Hit,)))
-    survivor = bus.attach(_Recorder(types=(Hit,)))
-    bus.publish(_hit())            # primes the cache with both handlers
-    bus.detach(p)
+    late = bus.attach(_Recorder())   # attached after the first publish
     bus.publish(_hit())
-    assert len(p.got) == 1 and len(survivor.got) == 2
+    assert len(early.got) == 2 and len(late.got) == 1
 
 
 def test_resolved_cache_preserves_delivery_order():
     bus = EventBus()
-    order = []
-    bus.subscribe(lambda ev: order.append("typed"), types=(Hit,))
-    bus.subscribe(lambda ev: order.append("catch_all"))
+    log = []
+    bus.attach(_Recorder("typed", log))
+    bus.attach(_Recorder("catch_all", log, every=True))
     bus.publish(_hit())
-    bus.publish(_hit())            # second publish rides the cache
-    # catch-all always delivers before typed, cached or not
-    assert order == ["catch_all", "typed"] * 2
+    bus.publish(_hit())
+    # every-event handlers always deliver before typed ones
+    assert [label for label, _ in log] == ["catch_all", "typed"] * 2
 
 
 def test_resolved_cache_handles_unsubscribed_types():
     bus = EventBus()
-    bus.subscribe(lambda ev: None, types=(Hit,))
-    bus.publish(_miss())           # no Miss subscribers: cached empty
+    rec = bus.attach(_Recorder())
+    bus.publish(_miss())           # no Miss handler: delivered nowhere
     bus.publish(_miss())
-    assert bus.subscriber_count == 1
+    assert rec.got == [] and not bus.wants(Miss)

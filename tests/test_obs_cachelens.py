@@ -68,31 +68,32 @@ def test_reuse_bucket_labels():
 # ----------------------------------------------------------------------
 # miss taxonomy on a synthetic meta-side stream
 # ----------------------------------------------------------------------
-def _meta_model(lens, ways=1, sets=2, component="ctl"):
-    lens.handle(CacheModel(cycle=0, component=component, kind="meta",
-                           ways=ways, sets=sets, tag_class="key"))
+def _meta_model(feed, lens, ways=1, sets=2, component="ctl"):
+    feed(lens, CacheModel(cycle=0, component=component, kind="meta",
+                          ways=ways, sets=sets, tag_class="key"))
 
 
-def _miss_fill(lens, tag, set_index, cycle, component="ctl"):
-    lens.handle(Miss(cycle=cycle, component=component, tag=tag,
-                     op="MetaLoad", set_index=set_index))
-    lens.handle(CacheFill(cycle=cycle, component=component, tag=tag,
-                          set_index=set_index, way=0))
+def _miss_fill(feed, lens, tag, set_index, cycle, component="ctl"):
+    feed(lens,
+         Miss(cycle=cycle, component=component, tag=tag, op="MetaLoad",
+              set_index=set_index),
+         CacheFill(cycle=cycle, component=component, tag=tag,
+                   set_index=set_index, way=0))
 
 
-def test_conflict_miss_classification():
+def test_conflict_miss_classification(feed):
     """1 way x 2 sets: two tags colliding in set 0 ping-pong; the
     same-capacity FA shadow still holds the loser, so the re-miss is a
     conflict — and both 2x shadows would have served it."""
     lens = CacheLensProcessor()
-    _meta_model(lens, ways=1, sets=2)
-    _miss_fill(lens, (0,), 0, cycle=1)                 # compulsory
-    lens.handle(CacheEvict(cycle=2, component="ctl", tag=(0,),
-                           set_index=0, way=0, reason="conflict"))
-    _miss_fill(lens, (2,), 0, cycle=2)                 # compulsory
-    lens.handle(CacheEvict(cycle=3, component="ctl", tag=(2,),
-                           set_index=0, way=0, reason="conflict"))
-    _miss_fill(lens, (0,), 0, cycle=3)                 # conflict
+    _meta_model(feed, lens, ways=1, sets=2)
+    _miss_fill(feed, lens, (0,), 0, cycle=1)           # compulsory
+    feed(lens, CacheEvict(cycle=2, component="ctl", tag=(0,),
+                          set_index=0, way=0, reason="conflict"))
+    _miss_fill(feed, lens, (2,), 0, cycle=2)           # compulsory
+    feed(lens, CacheEvict(cycle=3, component="ctl", tag=(2,),
+                          set_index=0, way=0, reason="conflict"))
+    _miss_fill(feed, lens, (0,), 0, cycle=3)           # conflict
 
     entry = lens.summary()["ctl"]
     assert entry["misses"] == 3
@@ -105,18 +106,18 @@ def test_conflict_miss_classification():
     assert lens.top_conflict_sets("ctl") == [(0, 1)]
 
 
-def test_capacity_miss_classification():
+def test_capacity_miss_classification(feed):
     """1 way x 1 set: the FA shadow has capacity 1 too, so a re-miss
     after another tag displaced it is capacity, not conflict."""
     lens = CacheLensProcessor()
-    _meta_model(lens, ways=1, sets=1)
-    _miss_fill(lens, (0,), 0, cycle=1)
-    lens.handle(CacheEvict(cycle=2, component="ctl", tag=(0,),
-                           set_index=0, way=0, reason="conflict"))
-    _miss_fill(lens, (1,), 0, cycle=2)
-    lens.handle(CacheEvict(cycle=3, component="ctl", tag=(1,),
-                           set_index=0, way=0, reason="conflict"))
-    _miss_fill(lens, (0,), 0, cycle=3)
+    _meta_model(feed, lens, ways=1, sets=1)
+    _miss_fill(feed, lens, (0,), 0, cycle=1)
+    feed(lens, CacheEvict(cycle=2, component="ctl", tag=(0,),
+                          set_index=0, way=0, reason="conflict"))
+    _miss_fill(feed, lens, (1,), 0, cycle=2)
+    feed(lens, CacheEvict(cycle=3, component="ctl", tag=(1,),
+                          set_index=0, way=0, reason="conflict"))
+    _miss_fill(feed, lens, (0,), 0, cycle=3)
 
     entry = lens.summary()["ctl"]
     assert entry["compulsory"] == 2
@@ -125,15 +126,15 @@ def test_capacity_miss_classification():
     assert _conserved(entry)
 
 
-def test_dealloc_invalidates_shadows():
+def test_dealloc_invalidates_shadows(feed):
     """A program-intent eviction (DEALLOCM) removes the tag from every
     shadow: the re-access is a capacity miss, not a conflict one."""
     lens = CacheLensProcessor()
-    _meta_model(lens, ways=2, sets=2)
-    _miss_fill(lens, (0,), 0, cycle=1)
-    lens.handle(CacheEvict(cycle=2, component="ctl", tag=(0,),
-                           set_index=0, way=0, reason="dealloc"))
-    _miss_fill(lens, (0,), 0, cycle=3)
+    _meta_model(feed, lens, ways=2, sets=2)
+    _miss_fill(feed, lens, (0,), 0, cycle=1)
+    feed(lens, CacheEvict(cycle=2, component="ctl", tag=(0,),
+                          set_index=0, way=0, reason="dealloc"))
+    _miss_fill(feed, lens, (0,), 0, cycle=3)
 
     entry = lens.summary()["ctl"]
     assert entry["compulsory"] == 1
@@ -144,13 +145,13 @@ def test_dealloc_invalidates_shadows():
     assert _conserved(entry)
 
 
-def test_hits_and_merges_counted_not_classified():
+def test_hits_and_merges_counted_not_classified(feed):
     lens = CacheLensProcessor()
-    _meta_model(lens)
-    _miss_fill(lens, (0,), 0, cycle=1)
-    lens.handle(Hit(cycle=2, component="ctl", tag=(0,)))
-    lens.handle(Merge(cycle=3, component="ctl", tag=(0,)))
-    lens.handle(Hit(cycle=4, component="ctl", tag=(9,), status=0))
+    _meta_model(feed, lens)
+    _miss_fill(feed, lens, (0,), 0, cycle=1)
+    feed(lens, Hit(cycle=2, component="ctl", tag=(0,)))
+    feed(lens, Merge(cycle=3, component="ctl", tag=(0,)))
+    feed(lens, Hit(cycle=4, component="ctl", tag=(9,), status=0))
 
     entry = lens.summary()["ctl"]
     assert entry["hits"] == 1
@@ -162,13 +163,13 @@ def test_hits_and_merges_counted_not_classified():
     assert entry["hit_rate"] == pytest.approx(1 / 3)
 
 
-def test_geometry_arrives_late():
+def test_geometry_arrives_late(feed):
     """Misses before the CacheModel announce still classify (the FA
     shadow starts unbounded and trims when the capacity arrives)."""
     lens = CacheLensProcessor()
-    lens.handle(Miss(cycle=1, component="ctl", tag=(0,), set_index=0))
-    _meta_model(lens, ways=1, sets=1)
-    lens.handle(Miss(cycle=2, component="ctl", tag=(1,), set_index=0))
+    feed(lens, Miss(cycle=1, component="ctl", tag=(0,), set_index=0))
+    _meta_model(feed, lens, ways=1, sets=1)
+    feed(lens, Miss(cycle=2, component="ctl", tag=(1,), set_index=0))
     entry = lens.summary()["ctl"]
     assert entry["compulsory"] == 2 and _conserved(entry)
 
@@ -176,18 +177,18 @@ def test_geometry_arrives_late():
 # ----------------------------------------------------------------------
 # reuse-distance histogram + sampling knob
 # ----------------------------------------------------------------------
-def _cyclic_stream(lens, tags=4, rounds=8):
-    _meta_model(lens, ways=4, sets=1)
+def _cyclic_stream(feed, lens, tags=4, rounds=8):
+    _meta_model(feed, lens, ways=4, sets=1)
     cycle = 0
     for _ in range(rounds):
         for t in range(tags):
             cycle += 1
-            lens.handle(Hit(cycle=cycle, component="ctl", tag=(t,)))
+            feed(lens, Hit(cycle=cycle, component="ctl", tag=(t,)))
 
 
-def test_reuse_distance_exact():
+def test_reuse_distance_exact(feed):
     lens = CacheLensProcessor(reuse_sample=1)
-    _cyclic_stream(lens, tags=4, rounds=8)
+    _cyclic_stream(feed, lens, tags=4, rounds=8)
     hist = lens.summary()["ctl"]["reuse"]
     # cyclic over 4 tags: 4 cold (inf), the rest at stack distance 3
     assert hist["inf"] == 4
@@ -195,11 +196,11 @@ def test_reuse_distance_exact():
     assert sum(hist.values()) == 32
 
 
-def test_reuse_sampling_bounds_mass():
+def test_reuse_sampling_bounds_mass(feed):
     exact = CacheLensProcessor(reuse_sample=1)
     sampled = CacheLensProcessor(reuse_sample=4)
-    _cyclic_stream(exact)
-    _cyclic_stream(sampled)
+    _cyclic_stream(feed, exact)
+    _cyclic_stream(feed, sampled)
     exact_entry = exact.summary()["ctl"]
     sampled_entry = sampled.summary()["ctl"]
     assert sum(sampled_entry["reuse"].values()) == 8   # every 4th of 32
@@ -218,15 +219,15 @@ def test_reuse_sample_validation():
 # ----------------------------------------------------------------------
 # heatmap windows
 # ----------------------------------------------------------------------
-def test_heatmap_rows_window_and_gap_behaviour():
+def test_heatmap_rows_window_and_gap_behaviour(feed):
     lens = CacheLensProcessor(heatmap_window=10)
-    _meta_model(lens, ways=2, sets=4)
-    lens.handle(CacheFill(cycle=1, component="ctl", tag=(0,),
-                          set_index=0, way=0))
-    lens.handle(CacheFill(cycle=2, component="ctl", tag=(1,),
-                          set_index=1, way=0))
-    lens.handle(CacheEvict(cycle=25, component="ctl", tag=(0,),
-                           set_index=0, way=0, reason="conflict"))
+    _meta_model(feed, lens, ways=2, sets=4)
+    feed(lens, CacheFill(cycle=1, component="ctl", tag=(0,),
+                         set_index=0, way=0))
+    feed(lens, CacheFill(cycle=2, component="ctl", tag=(1,),
+                         set_index=1, way=0))
+    feed(lens, CacheEvict(cycle=25, component="ctl", tag=(0,),
+                          set_index=0, way=0, reason="conflict"))
     rows = lens.heat_rows()
     assert all(name == "ctl" for name, _ in rows)
     first = [r for _, r in rows if r["window_start"] == 0]
@@ -239,13 +240,13 @@ def test_heatmap_rows_window_and_gap_behaviour():
     assert held["occupancy"] == 1 and held["fills"] == 0
 
 
-def test_write_heatmap_csv():
+def test_write_heatmap_csv(feed):
     from repro.obs.timeseries import HEATMAP_COLUMNS, write_heatmap_csv
 
     lens = CacheLensProcessor(heatmap_window=10)
-    _meta_model(lens, ways=1, sets=2)
-    lens.handle(CacheFill(cycle=3, component="ctl", tag=(0,),
-                          set_index=0, way=0))
+    _meta_model(feed, lens, ways=1, sets=2)
+    feed(lens, CacheFill(cycle=3, component="ctl", tag=(0,),
+                         set_index=0, way=0))
     out = io.StringIO()
     rows = write_heatmap_csv(out, [(0, lens.heat_rows())])
     lines = out.getvalue().strip().splitlines()
@@ -436,14 +437,14 @@ def test_replay_misses_matches_live(tmp_path, capsys):
     assert "hottest conflict sets" in live["fig04"]
 
 
-def test_perfetto_cache_counter_tracks():
+def test_perfetto_cache_counter_tracks(feed):
     from repro.obs.export import PerfettoExporter
 
     exporter = PerfettoExporter(io.StringIO())
-    exporter.handle(CacheFill(cycle=1, component="ctl", tag=(0,),
-                              set_index=0, way=0))
-    exporter.handle(CacheEvict(cycle=5, component="ctl", tag=(0,),
-                               set_index=0, way=0, reason="conflict"))
+    feed(exporter, CacheFill(cycle=1, component="ctl", tag=(0,),
+                             set_index=0, way=0))
+    feed(exporter, CacheEvict(cycle=5, component="ctl", tag=(0,),
+                              set_index=0, way=0, reason="conflict"))
     counters = [e for e in exporter.trace_events if e.get("ph") == "C"]
     assert [c["args"]["entries"] for c in counters] == [1, 0]
     assert counters[-1]["args"]["evictions"] == 1

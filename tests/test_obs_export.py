@@ -43,7 +43,7 @@ def test_jsonl_exporter_to_stream():
     exporter = bus.attach(JsonlExporter(out, extra={"run": 0}))
     bus.publish(Hit(cycle=1, component="ctl", tag=(1,)))
     bus.publish(Miss(cycle=2, component="ctl", tag=(2,), op="MetaLoad"))
-    bus.close()
+    exporter.close()
     lines = out.getvalue().strip().splitlines()
     assert exporter.events_written == 2
     records = [json.loads(line) for line in lines]
@@ -54,9 +54,9 @@ def test_jsonl_exporter_to_stream():
 def test_jsonl_exporter_to_path(tmp_path):
     path = tmp_path / "events.jsonl"
     bus = EventBus()
-    bus.attach(JsonlExporter(str(path)))
+    exporter = bus.attach(JsonlExporter(str(path)))
     bus.publish(Hit(cycle=1, component="ctl", tag=(1,)))
-    bus.close()
+    exporter.close()
     [record] = [json.loads(l) for l in path.read_text().splitlines()]
     assert record["event"] == "hit" and record["tag"] == [1]
 
@@ -89,9 +89,9 @@ def _walk_stream(bus):
 def test_perfetto_structure_synthetic(tmp_path):
     path = tmp_path / "trace.json"
     bus = EventBus()
-    bus.attach(PerfettoExporter(str(path)))
+    exporter = bus.attach(PerfettoExporter(str(path)))
     _walk_stream(bus)
-    bus.close()
+    exporter.close()
 
     payload = json.loads(path.read_text())
     assert isinstance(payload["traceEvents"], list)
@@ -164,9 +164,7 @@ def test_perfetto_new_run_namespaces_pids():
 def test_perfetto_empty_run_is_valid_json(tmp_path):
     """A capture that saw no events still writes a loadable trace."""
     path = tmp_path / "empty.json"
-    bus = EventBus()
-    bus.attach(PerfettoExporter(str(path)))
-    bus.close()
+    PerfettoExporter(str(path)).close()
     payload = json.loads(path.read_text())
     assert payload["traceEvents"] == []
     assert payload["otherData"]["time_unit"] == "cycle"
@@ -199,14 +197,14 @@ def test_perfetto_dropped_opening_events_in_stream(tmp_path):
     """Start mid-stream (as after ring-buffer wrap): valid output."""
     path = tmp_path / "wrapped.json"
     bus = EventBus()
-    bus.attach(PerfettoExporter(str(path)))
+    exporter = bus.attach(PerfettoExporter(str(path)))
     # wake/yield-ish closers for a walk whose opening was dropped
     bus.publish(DRAMComplete(cycle=5, component="dram", addr=64,
                              latency=20))
     bus.publish(WalkerRetire(cycle=9, component="ctl", tag=(1,),
                              found=False, lifetime=9))
     bus.publish(RunEnd(cycle=9, component="kernel", events_executed=3))
-    bus.close()
+    exporter.close()
     payload = json.loads(path.read_text())
     phases = {e["ph"] for e in payload["traceEvents"]}
     assert "i" in phases          # the RunEnd instant survived
@@ -251,16 +249,14 @@ def test_perfetto_real_run_structurally_valid(tmp_path, mini_system):
 # ----------------------------------------------------------------------
 # request-journey flow arrows
 # ----------------------------------------------------------------------
-def test_perfetto_flow_arrows_link_requests_to_walks():
-    exporter = PerfettoExporter(io.StringIO())
-    for ev in (
+def test_perfetto_flow_arrows_link_requests_to_walks(feed):
+    exporter = feed(
+        PerfettoExporter(io.StringIO()),
         Miss(cycle=2, component="ctl", tag=(1,), op="load", req_id=1,
              walk_id=7),
         Merge(cycle=4, component="ctl", tag=(1,), req_id=2, walk_id=7),
         WalkerRetire(cycle=30, component="ctl", tag=(1,), found=True,
-                     lifetime=28, walk_id=7, served=(1, 2)),
-    ):
-        exporter.handle(ev)
+                     lifetime=28, walk_id=7, served=(1, 2)))
     te = exporter.trace_events
 
     starts = [e for e in te if e["ph"] == "s"]
@@ -285,20 +281,21 @@ def test_perfetto_flow_arrows_link_requests_to_walks():
     assert markers == ["req 1 miss", "req 2 merge"]
 
 
-def test_perfetto_flow_skips_uncorrelated_requests():
-    exporter = PerfettoExporter(io.StringIO())
-    exporter.handle(Miss(cycle=2, component="ctl", tag=(1,), op="load",
-                         walk_id=7))               # req_id=-1
-    exporter.handle(WalkerRetire(cycle=9, component="ctl", tag=(1,),
-                                 lifetime=7, walk_id=7))
+def test_perfetto_flow_skips_uncorrelated_requests(feed):
+    exporter = feed(
+        PerfettoExporter(io.StringIO()),
+        Miss(cycle=2, component="ctl", tag=(1,), op="load",
+             walk_id=7),                           # req_id=-1
+        WalkerRetire(cycle=9, component="ctl", tag=(1,), lifetime=7,
+                     walk_id=7))
     assert not any(e["ph"] in ("s", "t", "f")
                    for e in exporter.trace_events)
 
 
-def test_perfetto_walks_keyed_by_walk_id_not_tag():
+def test_perfetto_walks_keyed_by_walk_id_not_tag(feed):
     """Two concurrent walks of the same tag stay distinct episodes."""
-    exporter = PerfettoExporter(io.StringIO())
-    for ev in (
+    exporter = feed(
+        PerfettoExporter(io.StringIO()),
         Miss(cycle=0, component="ctl", tag=(5,), op="load", req_id=1,
              walk_id=1),
         Miss(cycle=1, component="ctl", tag=(5,), op="load", req_id=2,
@@ -306,9 +303,7 @@ def test_perfetto_walks_keyed_by_walk_id_not_tag():
         WalkerRetire(cycle=10, component="ctl", tag=(5,), lifetime=10,
                      walk_id=1, served=(1,)),
         WalkerRetire(cycle=20, component="ctl", tag=(5,), lifetime=19,
-                     walk_id=2, served=(2,)),
-    ):
-        exporter.handle(ev)
+                     walk_id=2, served=(2,)))
     walk_spans = [e for e in exporter.trace_events
                   if e["ph"] == "X" and e["cat"] == "walker"]
     assert len(walk_spans) == 2

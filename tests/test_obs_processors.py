@@ -1,14 +1,14 @@
-"""Tests for obs processors: typed dispatch and metrics."""
+"""Tests for obs processors: typed handlers and metrics."""
 
 import pytest
 
 from repro.obs import (
+    ALL_EVENT_TYPES,
     EventBus,
     Hit,
     Merge,
     MetricsProcessor,
     Miss,
-    TypedEventProcessor,
     WalkerRetire,
     summarize_metrics,
 )
@@ -21,11 +21,10 @@ def _hit(cycle=1, **kw):
 
 
 # ----------------------------------------------------------------------
-# TypedEventProcessor
+# a processor is its on_<event> methods
 # ----------------------------------------------------------------------
-class _HitsOnly(TypedEventProcessor):
+class _HitsOnly:
     def __init__(self):
-        super().__init__()
         self.hits = []
         self.retires = []
 
@@ -37,8 +36,10 @@ class _HitsOnly(TypedEventProcessor):
 
 
 def test_typed_processor_subscribes_only_handled_types():
-    p = _HitsOnly()
-    assert set(p.subscriptions()) == {Hit, WalkerRetire}
+    bus = EventBus()
+    bus.attach(_HitsOnly())
+    assert {cls for cls in ALL_EVENT_TYPES if bus.wants(cls)} == {
+        Hit, WalkerRetire}
 
 
 def test_typed_processor_dispatches_by_class():
@@ -52,12 +53,12 @@ def test_typed_processor_dispatches_by_class():
 
 
 def test_typed_processor_with_no_handlers_subscribes_nothing():
-    class Empty(TypedEventProcessor):
+    class Empty:
         pass
 
     bus = EventBus()
     bus.attach(Empty())
-    assert bus.subscriber_count == 0
+    assert not any(bus.wants(cls) for cls in ALL_EVENT_TYPES)
 
 
 # ----------------------------------------------------------------------
@@ -193,3 +194,36 @@ def test_observe_and_controller_bus_share_one_bus(mini_system):
     assert metrics.stats.get("walks_completed") == 1
     assert metrics.stats.histogram("miss_latency").count == 1
     assert metrics.stats.get("dram_reads") == 1
+
+
+# ----------------------------------------------------------------------
+# a processor that raises fails the run: a partial capture is a wrong run
+# ----------------------------------------------------------------------
+class _ProcessorBug(Exception):
+    pass
+
+
+def _raise(self, ev):
+    raise _ProcessorBug(f"on_hit @{ev.cycle}")
+
+
+def test_raising_processor_fails_system_run(mini_system):
+    class Broken:
+        on_hit = _raise
+
+    mini_system.observe(Broken())
+    addr = mini_system.image.alloc_u64_array([1])
+    mini_system.load((1,), walk_fields={"addr": addr})
+    mini_system.run()                       # a miss: no Hit published
+    mini_system.load((1,), walk_fields={"addr": addr})
+    with pytest.raises(_ProcessorBug):
+        mini_system.run()
+
+
+def test_raising_capture_processor_returns_no_report(monkeypatch):
+    from repro.harness.parallel import execute_one
+    from repro.obs.capture import CaptureSpec
+
+    monkeypatch.setattr(MetricsProcessor, "on_hit", _raise)
+    with pytest.raises(_ProcessorBug):
+        execute_one("fig04", "ci", CaptureSpec(metrics=True))

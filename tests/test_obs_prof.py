@@ -13,7 +13,6 @@ from repro.obs import (
     EventBus,
     Miss,
     SpanAssembler,
-    TypedEventProcessor,
     WalkerDispatch,
     WalkerRetire,
     WalkerWake,
@@ -259,13 +258,12 @@ def test_fig14_ci_conservation_invariant(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # the fold against the phase machine it replaced
 # ----------------------------------------------------------------------
-class _ReferenceProfile(TypedEventProcessor):
+class _ReferenceProfile:
     """The profiler's own event-driven phase machine, as it stood before
     the profile became a fold over the span assembler's walks: the
     differential reference for :class:`CycleProfile`."""
 
     def __init__(self):
-        super().__init__()
         self._open = {}
         self.stacks = {}
         self.contexts_retired = 0

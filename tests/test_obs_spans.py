@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.bus import EventBus
 from repro.obs.critpath import (
     BLAME_BUCKETS,
     CritPathAggregator,
@@ -138,11 +139,10 @@ def _merged_walk_stream():
     ]
 
 
-def test_merged_requests_share_one_walk_subtree():
+def test_merged_requests_share_one_walk_subtree(feed):
     sink = []
     asm = SpanAssembler(sink=sink.append)
-    for ev in _merged_walk_stream():
-        asm.handle(ev)
+    feed(asm, *_merged_walk_stream())
 
     assert asm.requests_completed == 2
     assert asm.requests_open == 0 and asm.walks_open == 0
@@ -165,11 +165,10 @@ def test_merged_requests_share_one_walk_subtree():
                                    "dram_wait": 20}
 
 
-def test_blame_conserves_and_classifies_on_synthetic_stream():
+def test_blame_conserves_and_classifies_on_synthetic_stream(feed):
     agg = CritPathAggregator(top_k=2)
     asm = SpanAssembler(sink=agg.add)
-    for ev in _merged_walk_stream():
-        asm.handle(ev)
+    feed(asm, *_merged_walk_stream())
 
     assert agg.conservation_ok, agg.mismatches
     blames = {span.req_id: blame for span, blame in agg.slowest()}
@@ -184,7 +183,7 @@ def test_blame_conserves_and_classifies_on_synthetic_stream():
         assert verify_request(span, blame) == []
 
 
-def test_walk_only_assembler_skips_request_events():
+def test_walk_only_assembler_skips_request_events(feed):
     """No request sink: only walks are assembled, with the same phases
     a full assembler records."""
     spans = []
@@ -192,25 +191,28 @@ def test_walk_only_assembler_skips_request_events():
     retired = []
     walk_only = SpanAssembler(
         walk_sink=lambda walk, lifetime: retired.append(walk))
-    subscribed = set(walk_only.subscriptions())
-    assert not subscribed & {RequestArrive, QueueStall, Hit, Merge}
-    assert {Miss, WalkerDispatch, WalkerRetire} <= subscribed
-    for ev in _merged_walk_stream():
-        full.handle(ev)
-        walk_only.handle(ev)
+    bus = EventBus()
+    bus.attach(walk_only)
+    assert not any(bus.wants(cls)
+                   for cls in (RequestArrive, QueueStall, Hit, Merge))
+    assert all(bus.wants(cls)
+               for cls in (Miss, WalkerDispatch, WalkerRetire))
+    feed(full, *_merged_walk_stream())
+    feed(walk_only, *_merged_walk_stream())
     assert walk_only.requests_completed == 0
     [walk] = retired
     assert walk.phases == spans[0].episodes[0].walk.phases
 
 
-def test_uncorrelated_events_are_ignored():
+def test_uncorrelated_events_are_ignored(feed):
     sink = []
-    asm = SpanAssembler(sink=sink.append)
-    asm.handle(RequestArrive(cycle=0, component="c", tag=(1,),
-                             op="load"))            # req_id=-1
-    asm.handle(Hit(cycle=1, component="c", tag=(1,), load_to_use=3))
-    asm.handle(DRAMIssue(cycle=2, component="d", addr=0))  # unowned
-    asm.handle(WalkerRetire(cycle=3, component="c", tag=(2,)))
+    asm = feed(
+        SpanAssembler(sink=sink.append),
+        RequestArrive(cycle=0, component="c", tag=(1,),
+                      op="load"),                   # req_id=-1
+        Hit(cycle=1, component="c", tag=(1,), load_to_use=3),
+        DRAMIssue(cycle=2, component="d", addr=0),  # unowned
+        WalkerRetire(cycle=3, component="c", tag=(2,)))
     assert asm.requests_open == 0 and asm.requests_completed == 0
     assert sink == []
 
@@ -218,12 +220,11 @@ def test_uncorrelated_events_are_ignored():
 # ----------------------------------------------------------------------
 # aggregation
 # ----------------------------------------------------------------------
-def test_aggregator_merge_folds_counts_and_topk():
+def test_aggregator_merge_folds_counts_and_topk(feed):
     a, b = CritPathAggregator(top_k=2), CritPathAggregator(top_k=2)
     for agg in (a, b):
         asm = SpanAssembler(sink=agg.add)
-        for ev in _merged_walk_stream():
-            asm.handle(ev)
+        feed(asm, *_merged_walk_stream())
     a.merge(b)
     assert a.requests == 4
     assert a.conservation_ok
@@ -234,7 +235,7 @@ def test_aggregator_merge_folds_counts_and_topk():
     assert set(stats["blame"]) == set(BLAME_BUCKETS)
 
 
-def test_aggregator_blames_each_request_once(monkeypatch):
+def test_aggregator_blames_each_request_once(feed, monkeypatch):
     """``add`` verifies the blame split it books instead of computing
     it a second time, and the check reads that split."""
     from repro.obs import critpath
@@ -248,8 +249,7 @@ def test_aggregator_blames_each_request_once(monkeypatch):
     monkeypatch.setattr(critpath, "blame_request", counted)
     agg = CritPathAggregator(top_k=2)
     asm = SpanAssembler(sink=agg.add)
-    for ev in _merged_walk_stream():
-        asm.handle(ev)
+    feed(asm, *_merged_walk_stream())
     assert agg.requests == 2 and agg.conservation_ok
     assert sorted(calls) == [1, 2]
     span, blame = agg.slowest()[0]
@@ -348,11 +348,9 @@ def _jsonl_lines(events, run=0):
     return [json.dumps(event_to_dict(ev, {"run": run})) for ev in events]
 
 
-def _aggregate(events, top_k=5):
+def _aggregate(feed, events, top_k=5):
     agg = CritPathAggregator(top_k=top_k)
-    asm = SpanAssembler(sink=agg.add)
-    for ev in events:
-        asm.handle(ev)
+    feed(SpanAssembler(sink=agg.add), *events)
     return agg
 
 
@@ -392,8 +390,8 @@ def test_replay_merges_runs_like_a_live_capture(tmp_path, capsys):
     assert components["ctl"]["requests"] == 4
 
 
-def test_explain_report_renders_table_and_drilldowns():
-    agg = _aggregate(_merged_walk_stream())
+def test_explain_report_renders_table_and_drilldowns(feed):
+    agg = _aggregate(feed, _merged_walk_stream())
     text = explain_report(agg, top=1)
     assert "-- why-slow (repro.obs.critpath) --" in text
     assert "requests=2 conservation=ok" in text
@@ -404,8 +402,8 @@ def test_explain_report_renders_table_and_drilldowns():
     assert "slowest" not in explain_report(agg, top=0)
 
 
-def test_slo_summary_shape():
-    payload = slo_summary(_aggregate(_merged_walk_stream()), "mini")
+def test_slo_summary_shape(feed):
+    payload = slo_summary(_aggregate(feed, _merged_walk_stream()), "mini")
     assert payload["suite"] == "mini"
     assert payload["components"]["ctl"]["requests"] == 2
     json.dumps(payload)                     # must be JSON-serializable

@@ -25,7 +25,6 @@ from repro.harness.sweep import (
     build_model,
     parse_grid_entries,
     straight_run,
-    sweep_points,
     write_warm_snapshot,
 )
 from repro.sim import checkpoint as ck
@@ -36,6 +35,7 @@ from repro.sim.checkpoint import (
     SnapshotVersionError,
     TornSnapshotError,
 )
+from repro.svc.service import sweep_specs
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -228,9 +228,9 @@ def test_fork_override_whitelist_enforced(widx_snapshot):
         with pytest.raises(ForkOverrideError):
             ck.load_model(str(path), overrides=bad)
     with pytest.raises(ForkOverrideError):
-        sweep_points({"ways": [4, 8]})
+        sweep_specs("ckpt:widx", grid={"ways": [4, 8]})
     with pytest.raises(ForkOverrideError):
-        sweep_points({"dram.num_banks": [2]})
+        sweep_specs("ckpt:widx", grid={"dram.num_banks": [2]})
 
 
 @pytest.mark.parametrize("warm_cycles", [-5, 0])
@@ -267,16 +267,16 @@ def test_fork_overrides_take_effect(widx_snapshot):
 
 
 def test_sweep_points_deterministic_product():
-    points = sweep_points({"num_exe": [4, 2], "dram.t_cl": [8, 11]})
+    grid = {"num_exe": [4, 2], "dram.t_cl": [8, 11]}
+    points = [s.fork_overrides for s in sweep_specs("ckpt:widx", grid=grid)]
     # fields iterate sorted; value order within a field is preserved
     assert points == [
-        {"dram.t_cl": 8, "num_exe": 4}, {"dram.t_cl": 8, "num_exe": 2},
-        {"dram.t_cl": 11, "num_exe": 4}, {"dram.t_cl": 11, "num_exe": 2},
-    ]
-    again = sweep_points({"num_exe": [4, 2], "dram.t_cl": [8, 11]})
+        (("dram.t_cl", t_cl), ("num_exe", num_exe))
+        for t_cl in (8, 11) for num_exe in (4, 2)]
+    again = [s.fork_overrides for s in sweep_specs("ckpt:widx", grid=grid)]
     assert points == again
     with pytest.raises(ValueError):
-        sweep_points({"num_exe": []})
+        sweep_specs("ckpt:widx", grid={"num_exe": []})
 
 
 def test_parse_grid_entries_types_values():

@@ -170,6 +170,27 @@ def test_bad_integer_is_a_usage_error(argv, message, tmp_path, monkeypatch,
                   "--checkpoint-every", "300"],
                  "checkpoint_every > 0 needs a checkpoint_dir",
                  id="checkpoint-every-without-dir"),
+    pytest.param(["sweep", "sleep:0", "--workers", "1", "--warmup-snapshot",
+                  "w.ckpt", "--warm-cycles", "5", "--checkpoint-every",
+                  "100", "--checkpoint-dir", "nodir"],
+                 "--warmup-snapshot is only for a ckpt:<dsa> sweep",
+                 id="ckpt-options-outside-ckpt"),
+    pytest.param(["sweep", "sleep:0", "--warm-frac", "0.5"],
+                 "--warm-frac is only for a ckpt:<dsa> sweep",
+                 id="warm-frac-outside-ckpt"),
+    pytest.param(["sweep", "fig04", "--checkpoint-every", "100",
+                  "--checkpoint-dir", "nodir"],
+                 "--checkpoint-every is only for a ckpt:<dsa> sweep",
+                 id="checkpoint-every-outside-ckpt"),
+    pytest.param(["sweep", "fig04", "--checkpoint-dir", "nodir"],
+                 "--checkpoint-dir is only for a ckpt:<dsa> sweep",
+                 id="checkpoint-dir-outside-ckpt"),
+    pytest.param(["sweep", "ckpt:widx", "--warm-cycles", "5"],
+                 "--warm-cycles needs --warmup-snapshot",
+                 id="warm-cycles-without-snapshot"),
+    pytest.param(["sweep", "ckpt:widx", "--warm-frac", "0.5"],
+                 "--warm-frac needs --warmup-snapshot",
+                 id="warm-frac-without-snapshot"),
 ])
 def test_bad_sweep_input_is_a_usage_error(argv, message, tmp_path,
                                           monkeypatch, capsys):
@@ -185,6 +206,7 @@ def test_bad_sweep_input_is_a_usage_error(argv, message, tmp_path,
     assert line.startswith("repro.svc sweep: error: ")
     assert message in line
     assert not (tmp_path / "w.ckpt").exists()
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_failed_point_is_reported_and_the_sweep_finishes(tmp_path,
