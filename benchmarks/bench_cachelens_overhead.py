@@ -8,8 +8,8 @@ unarmed publish sites (a single ``bus is None`` test, gated by
 this bench enforces is that the work stays a small fraction of the
 simulation it observes:
 
-* **unarmed vs armed** — the same ci experiment executed end to end
-  through ``execute_one`` with (a) an inactive :class:`CaptureSpec`
+* **unarmed vs armed** — the same ci experiment run end to end inside
+  the capture scope of (a) an inactive :class:`CaptureSpec`
   (no bus attached anywhere — the default harness path) and (b)
   ``CaptureSpec(misses=True)`` (a :class:`CacheLensProcessor` on every
   system bus, classifying every miss and profiling every reuse).  Runs
@@ -46,13 +46,12 @@ import os
 import sys
 import time
 
-from repro.harness.parallel import execute_one
+from repro.harness import run_experiment
 from repro.harness.suite import clear_cache
 from repro.obs.bus import EventBus
-from repro.obs.capture import CaptureSpec
+from repro.obs.capture import CaptureSpec, capture_scope
 from repro.obs.cachelens import MISS_CLASSES, CacheLensProcessor
 from repro.obs.events import CacheFill, CacheModel, Hit, Miss
-from repro.svc.telemetry import MetricsRegistry
 
 EXPERIMENT = "fig04"
 PROFILE = "ci"
@@ -65,23 +64,27 @@ SMOKE_ENV = "REPRO_BENCH_SMOKE"
 def drive(spec: CaptureSpec):
     """One fully-simulated run; returns (cpu-seconds, lens misses).
 
-    The miss count is what the run folded into a metrics registry
-    (``sim_cache_misses_total``, 0 when the lens is off). GC is
-    collected before and disabled during the timed region so a
-    collection triggered by the *previous* run's garbage doesn't land
-    inside this run's measurement.
+    The run and its rendered report are timed together, as a harness
+    run pays for them. The miss count sums the capture's per-cache lens
+    summary (0 when the lens is off). GC is collected before and
+    disabled during the timed region so a collection triggered by the
+    *previous* run's garbage doesn't land inside this run's
+    measurement.
     """
     clear_cache()
-    registry = MetricsRegistry()
     gc.collect()
     gc.disable()
     start = time.process_time()
-    execute_one(EXPERIMENT, PROFILE, spec, metrics=registry)
+    with capture_scope(spec) as capture:
+        report = run_experiment(EXPERIMENT, PROFILE)
+    report.render()
     elapsed = time.process_time() - start
     gc.enable()
     clear_cache()
-    misses = registry.by_label("sim_cache_misses_total", "cache")
-    return elapsed, sum(misses.values())
+    if capture is None:
+        return elapsed, 0
+    return elapsed, sum(entry["misses"]
+                        for entry in capture.merged_cachelens().values())
 
 
 def drive_lens_events(num_events: int) -> float:

@@ -109,7 +109,7 @@ def drive_dedup(requests: int) -> dict:
         stats = service.store.stats
         assert stats.hits == requests, stats.as_dict()
         return {"hits_per_sec": requests / elapsed,
-                "simulations": stats.misses}
+                "simulations": stats.stores}
     finally:
         service.close()
 

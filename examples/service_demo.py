@@ -28,10 +28,10 @@ def main() -> None:
         print(jobs[0].result(timeout=120)["rendered"])
 
         stats = svc.store.stats
-        print(f"5 submissions -> {stats.misses} simulation "
+        print(f"5 submissions -> {stats.stores} simulation "
               f"({svc.metrics()['coalesced']} coalesced, "
               f"{stats.hits} store hits)")
-        assert stats.misses == 1
+        assert stats.stores == 1
 
         # -- 2. the store: a finished digest resolves without a worker --
         fig07 = JobSpec(experiment="fig07", profile="ci")

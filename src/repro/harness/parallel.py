@@ -23,12 +23,9 @@ arms nothing a serial run would not.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..obs.capture import CaptureSpec, capture_scope
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..svc.telemetry import MetricsRegistry
 
 __all__ = ["run_serial", "run_parallel", "execute_one",
            "SHARED_SUITE_EXPERIMENTS"]
@@ -38,9 +35,7 @@ SHARED_SUITE_EXPERIMENTS = ("fig14", "fig15", "fig16")
 
 
 def execute_one(exp_id: str, profile: str,
-                spec: Optional[CaptureSpec] = None,
-                metrics: Optional["MetricsRegistry"] = None
-                ) -> Tuple[str, bool]:
+                spec: Optional[CaptureSpec] = None) -> Tuple[str, bool]:
     """Run one experiment; return (rendered report, all_ok).
 
     When a :class:`CaptureSpec` rides along, the experiment runs inside
@@ -51,30 +46,13 @@ def execute_one(exp_id: str, profile: str,
     breakdown, aggregated across the experiment's runs — is appended to
     the rendered report. This works identically in serial and pooled
     runs because each worker owns its experiment's capture end to end.
-
-    Pass a :class:`~repro.svc.telemetry.MetricsRegistry` as ``metrics``
-    to count what the capture observed beyond its file exports: one
-    ``watchdog_warnings_total{kind}`` per warning and, with the cache
-    lens armed, each cache's ``sim_cache_misses_total{cache}`` — how
-    the service worker reports harness-path pathologies and cache
-    misses.
     """
     from . import run_experiment
 
     with capture_scope(spec and spec.for_experiment(exp_id)) as capture:
         report = run_experiment(exp_id, profile)
     rendered = report.render()
-    if capture is None:
-        return rendered, report.all_ok
-    if metrics is not None:
-        for warning in capture.watchdog_warnings:
-            metrics.inc("watchdog_warnings_total", kind=warning.kind)
-        if capture.spec.wants_misses:
-            lens = capture.merged_cachelens()
-            for cache, entry in sorted(lens.items()):
-                metrics.inc("sim_cache_misses_total", entry["misses"],
-                            cache=cache)
-    if capture.summary_text:
+    if capture is not None and capture.summary_text:
         rendered = f"{rendered}\n{capture.summary_text}"
     return rendered, report.all_ok
 

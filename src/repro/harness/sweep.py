@@ -113,19 +113,26 @@ def straight_run(dsa: str, profile: str = "ci",
 
 def write_warm_snapshot(path: str, dsa: str, profile: str = "ci",
                         warm_cycles: Optional[int] = None,
-                        warm_frac: float = 0.85) -> Dict[str, Any]:
+                        warm_frac: Optional[float] = None
+                        ) -> Dict[str, Any]:
     """Warm one model and snapshot it to ``path``; returns the header.
 
     With ``warm_cycles`` (at least 1) the model warms to that exact
     cycle. Without it, a straight probe run measures the total first and
-    the snapshot lands at ``warm_frac`` of it (the probe costs one run —
-    pass ``warm_cycles`` when the total is already known).
+    the snapshot lands at ``warm_frac`` of it, 0.85 by default (the
+    probe costs one run — pass ``warm_cycles`` when the total is
+    already known). Giving both raises :class:`ValueError`.
     """
     from ..sim import checkpoint as ck
 
-    if warm_cycles is not None and warm_cycles < 1:
-        raise ValueError(f"warm_cycles must be >= 1, got {warm_cycles}")
-    if warm_cycles is None:
+    if warm_cycles is not None:
+        if warm_frac is not None:
+            raise ValueError("give warm_cycles or warm_frac, not both")
+        if warm_cycles < 1:
+            raise ValueError(f"warm_cycles must be >= 1, got {warm_cycles}")
+    else:
+        if warm_frac is None:
+            warm_frac = 0.85
         if not 0.0 < warm_frac < 1.0:
             raise ValueError("warm_frac must be in (0, 1)")
         probe = straight_run(dsa, profile)

@@ -31,9 +31,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __int__(self) -> int:
         return self.value
 
@@ -130,11 +127,6 @@ class StatGroup:
 
     def as_dict(self) -> Dict[str, int]:
         return {name: c.value for name, c in sorted(self.counters.items())}
-
-    def reset(self) -> None:
-        for counter in self.counters.values():
-            counter.reset()
-        self.histograms.clear()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StatGroup({self.name}, {self.as_dict()})"

@@ -7,8 +7,10 @@ processes, results land in a **content-addressed store** keyed by
 (config, workload, code version), and identical concurrent requests
 **coalesce** onto one simulation. Its users are ``harness --parallel``,
 ``python -m repro.svc sweep`` and the run ledger that ``svc history``
-and ``explain --ledger`` read. See ``DESIGN.md`` §5 and
-``python -m repro.svc --help``.
+and ``explain --ledger`` read. The service counts its jobs
+(``Service.metrics()``); what a job's simulation did reaches the caller
+only through the job's capture, as in a harness run. See ``DESIGN.md``
+§5 and ``python -m repro.svc --help``.
 
 Attribute access is lazy (PEP 562): ``repro.harness`` imports
 ``repro.svc`` pieces and vice versa, so the package body must not
@@ -25,7 +27,6 @@ __all__ = [
     "JobSpan",
     "JobSpec",
     "JobState",
-    "MetricsRegistry",
     "ResultStore",
     "RunLedger",
     "Service",
@@ -44,7 +45,6 @@ _EXPORTS = {
     "JobSpan": "telemetry",
     "JobSpec": "jobs",
     "JobState": "jobs",
-    "MetricsRegistry": "telemetry",
     "ResultStore": "store",
     "RunLedger": "telemetry",
     "Service": "service",

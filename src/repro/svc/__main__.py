@@ -25,9 +25,11 @@ service would refuse, a ``--warmup-snapshot`` of another DSA's model,
 a ``ckpt:``-only option (``--warmup-snapshot``, ``--warm-cycles``,
 ``--warm-frac``, ``--checkpoint-every``, ``--checkpoint-dir``) given to
 another experiment, ``--warm-cycles``/``--warm-frac`` without
-``--warmup-snapshot``, or a ledger that cannot be read. A bad
-``sweep`` command line fails before any warmup snapshot is written or
-worker started.
+``--warmup-snapshot``, both of them together, either of them when the
+``--warmup-snapshot`` file already exists (the warm options only say
+how to write a snapshot: re-run without them to fork it), or a ledger
+that cannot be read. A bad ``sweep`` command line fails before any
+warmup snapshot is written or worker started.
 
 Each result line names its grid point by the job's overrides. A
 ``ckpt:<dsa>`` line also names the snapshot the job forked and carries
@@ -130,11 +132,9 @@ def _sweep_specs(args) -> List[JobSpec]:
                     f"{header['model_class']}, not the "
                     f"{SWEEP_MODEL_CLASSES[dsa]} {args.experiment} forks")
         else:
-            warm_frac = ({} if args.warm_frac is None
-                         else {"warm_frac": args.warm_frac})
             header = write_warm_snapshot(
                 snapshot, dsa, args.profile,
-                warm_cycles=args.warm_cycles, **warm_frac)
+                warm_cycles=args.warm_cycles, warm_frac=args.warm_frac)
             print(f"warmup snapshot: {snapshot} "
                   f"cycle={header['cycle']} "
                   f"digest={header['payload_sha256'][:12]}")
@@ -241,14 +241,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "warmup total — if the file is missing")
     sweep.add_argument("--warm-cycles", type=int, default=None,
                        dest="warm_cycles", metavar="CYCLES",
-                       help="(ckpt:<dsa> with --warmup-snapshot) "
-                            "snapshot point when writing the warmup "
-                            "(default: probe a straight run)")
+                       help="(ckpt:<dsa> with a missing "
+                            "--warmup-snapshot file) snapshot point of "
+                            "the warmup it writes (default: probe a "
+                            "straight run)")
     sweep.add_argument("--warm-frac", type=float, default=None,
                        dest="warm_frac",
-                       help="(ckpt:<dsa> with --warmup-snapshot) "
-                            "warmup fraction of the probed straight "
-                            "run (default: 0.85)")
+                       help="(ckpt:<dsa> with a missing "
+                            "--warmup-snapshot file, not with "
+                            "--warm-cycles) warmup fraction of the "
+                            "probed straight run (default: 0.85)")
     sweep.add_argument("--checkpoint-every", type=int, default=0,
                        dest="checkpoint_every", metavar="CYCLES",
                        help="(ckpt:<dsa> only) preemption hint: persist "
@@ -292,9 +294,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         ("--checkpoint-dir", args.checkpoint_dir)) if value is not None]
     if ckpt_options and not args.experiment.startswith("ckpt:"):
         sweep.error(f"{ckpt_options[0]} is only for a ckpt:<dsa> sweep")
-    for flag in ("--warm-cycles", "--warm-frac"):
-        if flag in ckpt_options and args.warmup_snapshot is None:
-            sweep.error(f"{flag} needs --warmup-snapshot")
+    warm_options = [flag for flag in ("--warm-cycles", "--warm-frac")
+                    if flag in ckpt_options]
+    if warm_options and args.warmup_snapshot is None:
+        sweep.error(f"{warm_options[0]} needs --warmup-snapshot")
+    if len(warm_options) == 2:
+        sweep.error("give --warm-cycles or --warm-frac, not both")
+    if warm_options and os.path.exists(args.warmup_snapshot):
+        sweep.error(f"{warm_options[0]} only sets how a warmup snapshot is "
+                    f"written, and {args.warmup_snapshot} exists: re-run "
+                    f"without it to fork that snapshot")
     from ..sim.checkpoint import SnapshotError
 
     try:

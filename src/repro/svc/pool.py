@@ -15,12 +15,11 @@ The pool owns process lifecycle only; scheduling policy lives in
   polled together; an EOF or a dead sentinel surfaces exactly one
   ``died`` message and the slot is respawned automatically (the service
   retries the in-flight job on the replacement);
-* **metrics** — a job is observed only through its own
-  :class:`~repro.obs.capture.CaptureSpec`, exactly as a harness run is;
-  without one the worker arms no obs bus. Each job returns a
-  :class:`~repro.svc.telemetry.MetricsRegistry` snapshot of the counts
-  its capture observed (watchdog warnings, simulated cache misses),
-  which :meth:`WorkerPool.poll` adds into the pool's registry;
+* **observation** — a job is observed only through its own
+  :class:`~repro.obs.capture.CaptureSpec`, exactly as a harness run is:
+  what the capture saw is in the job's rendered report, and without
+  one the worker arms no obs bus. The pool itself counts only worker
+  restarts (:attr:`WorkerPool.restarts`);
 * **progress** — the only message a worker sends mid-job is a
   ``ckpt:<dsa>`` job's ``checkpoint`` payload (the cycle it persisted);
   everything else a job reports arrives once, in its result.
@@ -47,7 +46,6 @@ from multiprocessing import connection as mp_connection
 from typing import Dict, List, Optional, Tuple
 
 from .jobs import JobSpec
-from .telemetry import MetricsRegistry
 
 __all__ = ["WorkerPool", "WorkerHandle", "CRASH_ONCE_ENV",
            "CRASH_AFTER_CKPT_ENV"]
@@ -171,16 +169,12 @@ def _execute_spec(spec: JobSpec, send_progress, jobs_before: int,
                   job_id: Optional[int] = None) -> dict:
     """Run one job in this worker; returns the result payload.
 
-    ``payload["metrics"]`` is the job's own registry snapshot of the
-    counts its capture observed (watchdog warnings, lens-armed cache
-    misses), which the pool merges.
     ``send_progress`` carries a ``ckpt:`` job's ``checkpoint`` payloads
     to the coordinator, which reads the last one if the worker dies.
     """
     from ..core.messages import reset_ids
 
     started = time.perf_counter()
-    registry = MetricsRegistry()
     capture_paths: Optional[Dict[str, str]] = None
     ckpt_extras: dict = {}
 
@@ -205,8 +199,7 @@ def _execute_spec(spec: JobSpec, send_progress, jobs_before: int,
             capture = capture.for_experiment(spec.experiment)
             capture_paths = capture.output_paths() or None
         rendered, all_ok = execute_one(
-            spec.experiment, _resolve_profile(spec), capture,
-            metrics=registry)
+            spec.experiment, _resolve_profile(spec), capture)
 
     return {
         "ok": True,
@@ -214,7 +207,6 @@ def _execute_spec(spec: JobSpec, send_progress, jobs_before: int,
         "all_ok": all_ok,
         "duration_s": time.perf_counter() - started,
         "worker_jobs_before": jobs_before,
-        "metrics": registry.snapshot(),
         "capture_paths": capture_paths,
         "checkpoints": ckpt_extras.get("checkpoints", 0),
         "resumed_from": ckpt_extras.get("resumed_from", 0),
@@ -316,24 +308,16 @@ class WorkerHandle:
 class WorkerPool:
     """N long-lived worker processes with crash detection + replacement."""
 
-    def __init__(self, workers: int = 2,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.size = workers
         self._ctx = multiprocessing.get_context(START_METHOD)
         self._slots: List[WorkerHandle] = []
         self._ids = itertools.count(1)
-        # the owning Service shares its registry; a standalone pool
-        # keeps its own. Worker results and restarts are counted here.
-        self.registry = (registry if registry is not None
-                         else MetricsRegistry())
+        #: worker slots respawned after a death
+        self.restarts = 0
         self._started = False
-
-    @property
-    def restarts(self) -> int:
-        """Worker slots respawned after a death."""
-        return int(self.registry.value("worker_restarts_total"))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -419,7 +403,6 @@ class WorkerPool:
                     if kind == "ready":
                         handle.ready = True
                     elif kind == "result":
-                        self.registry.merge(payload.get("metrics") or {})
                         handle.job_id = None
                     messages.append((kind, handle, job_id, payload))
             except (EOFError, OSError):
@@ -436,5 +419,5 @@ class WorkerPool:
         return messages
 
     def _replace(self, handle: WorkerHandle) -> None:
-        self.registry.inc("worker_restarts_total")
+        self.restarts += 1
         self._slots[self._slots.index(handle)] = self._spawn()

@@ -39,21 +39,13 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 from .jobs import Job, JobQueue, JobSpec, JobState
 from .pool import WorkerHandle, WorkerPool
 from .store import ResultStore, digest_of
-from .telemetry import LEDGER_ENV, JobSpan, MetricsRegistry, RunLedger
+from .telemetry import LEDGER_ENV, JobSpan, RunLedger
 
 __all__ = ["Service", "sweep_specs", "validate_spec"]
 
-#: ``metrics()`` job-count key -> the registry counter family behind it
-_COUNTER_FAMILIES = {
-    "submitted": "jobs_submitted_total",
-    "admitted": "jobs_admitted_total",
-    "store_hits": "jobs_from_store_total",
-    "coalesced": "jobs_coalesced_total",
-    "completed": "jobs_completed_total",
-    "failed": "jobs_failed_total",
-    "cancelled": "jobs_cancelled_total",
-    "retries": "jobs_retried_total",
-}
+#: the job counts :meth:`Service.metrics` reports, in its key order
+_JOB_COUNTS = ("submitted", "admitted", "store_hits", "coalesced",
+               "completed", "failed", "cancelled", "retries")
 
 
 def sweep_specs(experiment: str, profile: str = "ci",
@@ -155,9 +147,10 @@ class Service:
 
     ``store`` may be a :class:`ResultStore`, a directory path, None
     (deduplication disabled — every job simulates), or the default
-    ``"memory"`` (process-local store). Every count the service keeps
-    lives in :attr:`registry`, which is always on; the run ledger is
-    armed by its path (``ledger``, default: ``$REPRO_SVC_LEDGER``).
+    ``"memory"`` (process-local store). The service counts its jobs
+    (:meth:`metrics`); what a job's simulation did is in its rendered
+    report, through the job's capture. The run ledger is armed by its
+    path (``ledger``, default: ``$REPRO_SVC_LEDGER``).
     """
 
     #: crash retries a job gets; the next worker death fails it
@@ -173,13 +166,13 @@ class Service:
             self.store = store
         else:
             self.store = ResultStore(store)
-        self.registry = MetricsRegistry()
+        self._counts = dict.fromkeys(_JOB_COUNTS, 0)
         if ledger == "env":
             ledger = os.environ.get(LEDGER_ENV) or None
         self.ledger: Optional[RunLedger] = (
             RunLedger(ledger) if ledger else None)
         self.queue = JobQueue()
-        self.pool = WorkerPool(workers=workers, registry=self.registry)
+        self.pool = WorkerPool(workers=workers)
         self.jobs: Dict[int, Job] = {}
         self._inflight: Dict[str, Job] = {}   # digest -> pending/running job
         self._lock = threading.RLock()
@@ -187,9 +180,9 @@ class Service:
         self._thread: Optional[threading.Thread] = None
 
     def _count(self, key: str) -> None:
-        """Bump one job-count family (caller holds the lock, so
-        :meth:`metrics` reads the eight counts consistently)."""
-        self.registry.inc(_COUNTER_FAMILIES[key])
+        """Bump one job count (caller holds the lock, so :meth:`metrics`
+        reads the eight counts consistently)."""
+        self._counts[key] += 1
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -274,17 +267,13 @@ class Service:
             return job
 
     def metrics(self) -> Dict[str, Any]:
-        """Job counters + worker restarts + store stats + watchdog
-        warnings by kind."""
+        """The eight job counts, ``worker_restarts`` and ``store`` (the
+        result store's stats, None without a store)."""
         with self._lock:
-            out: Dict[str, Any] = {
-                key: self.registry.value(family)
-                for key, family in _COUNTER_FAMILIES.items()}
+            out: Dict[str, Any] = dict(self._counts)
         out["worker_restarts"] = self.pool.restarts
         out["store"] = (self.store.stats.as_dict()
                         if self.store is not None else None)
-        out["watchdog"] = self.registry.by_label("watchdog_warnings_total",
-                                                 "kind")
         return out
 
     # ------------------------------------------------------------------

@@ -3,14 +3,13 @@
 The simulated machine has deep observability (the ``repro.obs`` event
 bus, profiler, span trees, critical-path SLO gates) — all measured in
 *simulated cycles*. The service that actually runs jobs lives in host
-wall-clock time, and this module is its observability plane:
+wall-clock time, and this module is its observability plane. It
+keeps no counters of its own: the service's job counts are plain
+integers behind :meth:`Service.metrics
+<repro.svc.service.Service.metrics>`, and what a job's simulation did
+reaches the caller only through the job's capture, in its rendered
+report.
 
-* :class:`MetricsRegistry` — the one place the service keeps its
-  numbers: labelled counters for job outcomes, worker restarts,
-  watchdog warnings and simulated cache misses. Always on. Every
-  series only adds, so each worker's per-job snapshot folds into the
-  service registry by one plain addition,
-  :meth:`~MetricsRegistry.merge`.
 * :class:`JobSpan` — the per-job lifecycle span: monotonic host
   timestamps stamped at every transition (submitted → admitted →
   dispatched → running → stored/failed/retried) assembled into an exact
@@ -33,12 +32,11 @@ import json
 import os
 import pathlib
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from .store import canonical_json
 
 __all__ = [
-    "MetricsRegistry",
     "JobSpan",
     "RunLedger",
     "LEDGER_ENV",
@@ -46,70 +44,6 @@ __all__ = [
 
 #: environment default for the service run ledger path ("" = off)
 LEDGER_ENV = "REPRO_SVC_LEDGER"
-
-LabelItems = Tuple[Tuple[str, str], ...]
-Number = Union[int, float]
-
-
-def _label_key(labels: Mapping[str, Any]) -> LabelItems:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-class MetricsRegistry:
-    """Labelled counters for the service plane.
-
-    A series is a family name plus a canonical label set, holding a
-    number that only :meth:`inc` raises; a family exists from its first
-    update, and reading one never bumped gives the default. One lock,
-    taken per service-rate operation (job transitions, worker results)
-    — never per simulated event, so the registry costs nothing on the
-    simulation hot path. Since every series adds, :meth:`merge` is plain
-    addition: folding the snapshots of an update sequence's parts, in
-    any order, gives the totals one registry fed the whole sequence
-    holds.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # name -> {label_items: value}
-        self._families: Dict[str, Dict[LabelItems, Number]] = {}
-
-    def inc(self, name: str, amount: Number = 1, **labels: Any) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            series = self._families.setdefault(name, {})
-            series[key] = series.get(key, 0) + amount
-
-    def merge(self, snapshot: Mapping[str, Sequence]) -> None:
-        """Add another registry's :meth:`snapshot` into this one."""
-        with self._lock:
-            for name, incoming in snapshot.items():
-                series = self._families.setdefault(name, {})
-                for key, value in incoming:
-                    items = tuple((str(k), str(v)) for k, v in key)
-                    series[items] = series.get(items, 0) + value
-
-    def value(self, name: str, default: Number = 0, **labels: Any) -> Number:
-        with self._lock:
-            return self._families.get(name, {}).get(_label_key(labels),
-                                                    default)
-
-    def by_label(self, name: str, label: str) -> Dict[str, Number]:
-        """A family's series keyed by one label's value (series without
-        that label are left out)."""
-        with self._lock:
-            series = self._families.get(name, {})
-            return {dict(key)[label]: value
-                    for key, value in sorted(series.items())
-                    if label in dict(key)}
-
-    def snapshot(self) -> Dict[str, List[list]]:
-        """A JSON-able copy, the wire/merge format: each family name
-        maps to its ``[label pairs, value]`` series in label order."""
-        with self._lock:
-            return {name: [[list(map(list, key)), series[key]]
-                           for key in sorted(series)]
-                    for name, series in sorted(self._families.items())}
 
 
 # ----------------------------------------------------------------------

@@ -242,6 +242,15 @@ def test_warm_cycles_below_one_write_no_snapshot(warm_cycles, tmp_path):
     assert not path.exists()
 
 
+def test_warm_cycles_with_warm_frac_write_no_snapshot(tmp_path):
+    """Two snapshot points are bad input, not a silent pick of one."""
+    path = tmp_path / "warm.ckpt"
+    with pytest.raises(ValueError, match="not both"):
+        write_warm_snapshot(str(path), "widx", "ci", warm_cycles=2000,
+                            warm_frac=0.5)
+    assert not path.exists()
+
+
 def test_save_refuses_mid_run(widx_snapshot, tmp_path):
     path, _ = widx_snapshot
     model, _ = ck.load_model(str(path))

@@ -16,13 +16,6 @@ def test_counter_increments():
     assert int(c) == 5
 
 
-def test_counter_reset():
-    c = Counter("x")
-    c.inc(3)
-    c.reset()
-    assert c.value == 0
-
-
 def test_histogram_mean_and_range():
     h = Histogram("lat")
     for v in (1, 2, 3, 4):
@@ -146,15 +139,6 @@ def test_statgroup_merge_is_commutative_on_buckets():
     ba.merge(b), ba.merge(a)
     assert ab.items() == ba.items()
     assert ab.total == ba.total
-
-
-def test_statgroup_reset():
-    g = StatGroup("g")
-    g.inc("x", 5)
-    g.histogram("h").add(1)
-    g.reset()
-    assert g.get("x") == 0
-    assert not g.histograms
 
 
 def test_geomean_simple():

@@ -191,22 +191,40 @@ def test_bad_integer_is_a_usage_error(argv, message, tmp_path, monkeypatch,
     pytest.param(["sweep", "ckpt:widx", "--warm-frac", "0.5"],
                  "--warm-frac needs --warmup-snapshot",
                  id="warm-frac-without-snapshot"),
+    pytest.param(["sweep", "ckpt:widx", "--warmup-snapshot", "w.ckpt",
+                  "--warm-cycles", "2000", "--warm-frac", "0.5"],
+                 "give --warm-cycles or --warm-frac, not both",
+                 id="warm-cycles-with-warm-frac"),
+    pytest.param(["sweep", "ckpt:widx", "--warmup-snapshot", "old.ckpt",
+                  "--warm-cycles", "3000"],
+                 "--warm-cycles only sets how a warmup snapshot is "
+                 "written, and old.ckpt exists",
+                 id="warm-cycles-with-existing-snapshot"),
+    pytest.param(["sweep", "ckpt:widx", "--warmup-snapshot", "old.ckpt",
+                  "--warm-frac", "0.5"],
+                 "--warm-frac only sets how a warmup snapshot is "
+                 "written, and old.ckpt exists",
+                 id="warm-frac-with-existing-snapshot"),
 ])
 def test_bad_sweep_input_is_a_usage_error(argv, message, tmp_path,
                                           monkeypatch, capsys):
     """Each spec the service would refuse exits 2 with the usage and one
-    error line, before a service or a warmup snapshot is built."""
+    error line, before a service or a warmup snapshot is built, and an
+    existing snapshot file is left as it was."""
     import repro.harness.sweep as harness_sweep
     import repro.svc.__main__ as cli
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "Service", _no_service)
     monkeypatch.setattr(harness_sweep, "write_warm_snapshot", _no_warmup)
+    existing = tmp_path / "old.ckpt"
+    existing.write_bytes(b"an earlier warmup")
     line = _usage_error_line(argv, capsys)
     assert line.startswith("repro.svc sweep: error: ")
     assert message in line
     assert not (tmp_path / "w.ckpt").exists()
     assert not (tmp_path / "nodir").exists()
+    assert existing.read_bytes() == b"an earlier warmup"
 
 
 def test_failed_point_is_reported_and_the_sweep_finishes(tmp_path,

@@ -1,13 +1,9 @@
-"""Service-plane telemetry: lifecycle spans, the counter registry, the
+"""Service-plane telemetry: lifecycle spans, the job counts, the
 durable run ledger, and its ``explain --ledger`` drilldown. Worker
 pools are real spawned processes, so tests share small pools and lean
 on the synthetic ``sleep:`` experiment."""
 
-import sys
-import threading
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.svc.jobs import JobSpec
 from repro.svc.pool import CRASH_ONCE_ENV, _execute_spec
@@ -15,7 +11,6 @@ from repro.svc.service import Service
 from repro.svc.telemetry import (
     LEDGER_ENV,
     JobSpan,
-    MetricsRegistry,
     RunLedger,
     format_history,
 )
@@ -77,7 +72,7 @@ def test_job_span_residual_dispatch_never_hides_time():
 
 
 # ----------------------------------------------------------------------
-# the counter registry
+# job counts
 # ----------------------------------------------------------------------
 
 def test_registry_counts_job_outcomes():
@@ -85,72 +80,14 @@ def test_registry_counts_job_outcomes():
         spec = JobSpec(experiment="sleep:0")
         svc.submit(spec).result(timeout=30)
         svc.submit(spec).result(timeout=5)          # store hit
-        reg = svc.registry
-        assert reg.value("jobs_submitted_total") == 2
-        assert reg.value("jobs_completed_total") == 2
-        assert reg.value("jobs_from_store_total") == 1
-        store = svc.metrics()["store"]
+        metrics = svc.metrics()
+    assert metrics["submitted"] == 2
+    assert metrics["completed"] == 2
+    assert metrics["store_hits"] == 1
+    store = metrics["store"]
     assert store["hits"] == 1
     assert store["misses"] == 1
     assert store["stores"] == 1
-
-
-def test_concurrent_registry_updates_are_safe():
-    reg = MetricsRegistry()
-
-    def spin(shard):
-        for _ in range(1000):
-            reg.inc("n_total")
-            reg.inc("by_shard_total", 2, shard=shard)
-
-    threads = [threading.Thread(target=spin, args=(f"s{i % 2}",))
-               for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # switch threads mid-update, often
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert reg.value("n_total") == 4000
-    assert reg.by_label("by_shard_total", "shard") == {"s0": 4000,
-                                                       "s1": 4000}
-
-
-#: one registry update: (family, label value or "", integer)
-_UPDATES = st.tuples(
-    st.sampled_from(["jobs_total", "misses_total", "warnings_total"]),
-    st.sampled_from(["", "a", "b"]),
-    st.integers(0, 3_000_000))
-
-
-def _feed(reg, updates):
-    for family, label, n in updates:
-        labels = {"shard": label} if label else {}
-        reg.inc(family, n, **labels)
-    return reg
-
-
-# fixed, derandomized profile: the same sequences on every run
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(updates=st.lists(_UPDATES, max_size=40), data=st.data())
-def test_merged_parts_render_like_one_registry(updates, data):
-    """Split an update sequence, feed each part to its own registry and
-    merge both snapshots into an empty one, in either order: the merged
-    snapshot equals that of one registry fed the whole sequence, since
-    an additive merge does not depend on order."""
-    cut = data.draw(st.integers(0, len(updates)))
-    whole = _feed(MetricsRegistry(), updates).snapshot()
-    parts = [_feed(MetricsRegistry(), part).snapshot()
-             for part in (updates[:cut], updates[cut:])]
-    for ordered in (parts, parts[::-1]):
-        merged = MetricsRegistry()
-        for part in ordered:
-            merged.merge(part)
-        assert merged.snapshot() == whole
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +139,9 @@ def test_kill_mid_job_retry_chain_lands_in_ledger(tmp_path, monkeypatch):
         payload = job.result(timeout=60)
         assert payload["all_ok"] is True
         assert marker.exists()
-        assert svc.registry.value("worker_restarts_total") == 1
-        assert svc.registry.value("jobs_retried_total") == 1
+        metrics = svc.metrics()
+    assert metrics["worker_restarts"] == 1
+    assert metrics["retries"] == 1
     entry = RunLedger.find_job(ledger, job.id)
     assert entry["state"] == "done"
     assert entry["attempts"] == 2
@@ -224,26 +162,13 @@ def test_ledger_env_var_arms_the_default(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# watchdog and the metrics surfaces
+# what a job reports, and the metrics dict
 # ----------------------------------------------------------------------
 
-def test_watchdog_warnings_render_as_labeled_counters():
-    reg = MetricsRegistry()
-    # what WorkerPool.poll merges as workers report per-job pathologies
-    for kind, count in (("livelock", 2), ("mshr_saturation", 1),
-                        ("livelock", 1)):
-        job = MetricsRegistry()
-        job.inc("watchdog_warnings_total", count, kind=kind)
-        reg.merge(job.snapshot())
-    assert reg.value("watchdog_warnings_total", kind="livelock") == 3
-    assert reg.by_label("watchdog_warnings_total", "kind") == {
-        "livelock": 3, "mshr_saturation": 1}
-
-
 def test_job_is_observed_only_through_its_capture(monkeypatch):
-    """A job whose capture arms the watchdog counts every warning once,
-    matching its rendered report; a job with no capture builds no event
-    bus and reports no watchdog series."""
+    """A job whose capture arms the watchdog reports its warnings in its
+    rendered report; a job with no capture builds no event bus. Neither
+    returns counts beside its report."""
     from repro.obs.bus import EventBus
     from repro.obs.capture import CaptureSpec
     from repro.obs.watchdog import WatchdogProcessor
@@ -266,22 +191,18 @@ def test_job_is_observed_only_through_its_capture(monkeypatch):
         payload = _execute_spec(
             JobSpec(experiment="fig04", capture=capture),
             send_progress=lambda _payload: None, jobs_before=0)
-        reg = MetricsRegistry()
-        reg.merge(payload["metrics"])
-        return payload, reg.by_label("watchdog_warnings_total", "kind")
+        assert "metrics" not in payload
+        return payload
 
-    payload, counts = run(CaptureSpec(watchdog=True))
+    payload = run(CaptureSpec(watchdog=True))
     (line,) = [ln for ln in payload["rendered"].splitlines()
                if ln.startswith("warnings=")]
-    reported = int(line.split("=", 1)[1])
-    assert reported > 0
-    assert sum(counts.values()) == reported
+    assert int(line.split("=", 1)[1]) > 0
     assert buses
 
     buses.clear()
-    payload, _ = run(None)
+    run(None)
     assert buses == []
-    assert "watchdog_warnings_total" not in payload["metrics"]
 
 
 def test_job_records_the_capture_paths_it_writes(tmp_path):
@@ -299,34 +220,19 @@ def test_job_records_the_capture_paths_it_writes(tmp_path):
     assert written.exists()
 
 
-def test_lens_armed_job_reports_cache_health():
-    """execute_one counts a --misses capture's per-cache misses into the
-    registry it is given: what a worker returns for the pool to merge."""
-    from repro.harness.parallel import execute_one
-    from repro.obs.capture import CaptureSpec
-
-    reg = MetricsRegistry()
-    rendered, _ = execute_one("fig04", "ci", CaptureSpec(misses=True),
-                              metrics=reg)
-    (line,) = [ln for ln in rendered.splitlines()
-               if ln.startswith("caches=")]
-    reported = int(line.split()[1].split("=")[1])
-    misses = reg.by_label("sim_cache_misses_total", "cache")
-    assert sum(misses.values()) == reported > 0
-
-
 def test_metrics_dict_carries_watchdog_and_snapshot():
+    """metrics() holds the eight job counts, the worker restarts and the
+    store's stats, and nothing a job's capture observed."""
     with Service(workers=1) as svc:
         svc.submit(JobSpec(experiment="sleep:0")).result(timeout=30)
         metrics = svc.metrics()
-        snapshot = svc.registry.snapshot()
-    assert metrics["watchdog"] == {}
+    assert set(metrics) == {"submitted", "admitted", "store_hits",
+                            "coalesced", "completed", "failed",
+                            "cancelled", "retries", "worker_restarts",
+                            "store"}
     assert metrics["submitted"] == metrics["completed"] == 1
-    assert snapshot["jobs_completed_total"] == [[[], 1]]
     assert metrics["store"]["hits"] == 0
-    # a counter never bumped reads 0 before any crash
     assert metrics["worker_restarts"] == 0
-    assert "worker_restarts_total" not in snapshot
 
 
 # ----------------------------------------------------------------------
